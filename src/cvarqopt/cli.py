@@ -23,7 +23,7 @@ from .harness import (
     sweep_metadata,
     trace_to_rows,
 )
-from .problems import InstanceSpec, generate
+from .problems import PROBLEM_NAMES, InstanceSpec, generate
 
 
 def _load_instance(path: str) -> tuple[dict, QuboProblem]:
@@ -37,8 +37,7 @@ def main():
 
 
 @main.command("generate")
-@click.option("--problem", required=True, type=click.Choice(
-    ["stable_set", "max3sat", "partition", "maxcut", "market_split", "portfolio"]))
+@click.option("--problem", required=True, type=click.Choice(PROBLEM_NAMES))
 @click.option("--n", "n_qubits", required=True, type=int)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--param", "params", multiple=True, metavar="KEY=VALUE",
@@ -169,15 +168,15 @@ def sweep(config, seed, mode, shots, workers, output):
               help="Aggregate CSV path prefix; one file per threshold.")
 def report(input_, thresholds, output):
     """Aggregate a sweep CSV into fraction-of-instances step curves."""
-    result = SweepResult.from_csv(Path(input_).read_text())
-    for threshold in thresholds:
-        try:
-            curves = aggregate_fraction_curves(result, threshold)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+    try:
+        result = SweepResult.from_csv(Path(input_).read_text())
+        curves = {t: aggregate_fraction_curves(result, t) for t in thresholds}
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    for threshold, points in curves.items():
         path = Path(f"{output}.t{threshold:g}.csv")
-        path.write_text(curves_to_csv(curves, threshold))
-        click.echo(f"wrote {path} ({len(curves)} points)")
+        path.write_text(curves_to_csv(points, threshold))
+        click.echo(f"wrote {path} ({len(points)} points)")
 
 
 @main.command("flatness")

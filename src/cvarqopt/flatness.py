@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ansatz import mixer_layer_gates
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import MAX_QUBITS, Circuit, StateVector, run_circuit, rx
+from .statevector import MAX_QUBITS, Circuit, StateVector, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -37,8 +38,7 @@ class FlatnessReport:
 
 def compute_delta(ham: DiagonalHamiltonian) -> float:
     """Largest multiplicity among the diagonal values, as a fraction of 2^n."""
-    _, counts = np.unique(ham.table, return_counts=True)
-    return float(counts.max()) / 2**ham.n
+    return float(np.bincount(ham.ranking.inverse).max()) / 2**ham.n
 
 
 def equal_amplitude_fraction(amplitudes: np.ndarray, tol: float = DEFAULT_EQUALITY_TOL) -> float:
@@ -64,10 +64,9 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     n = ham.n
     psi = StateVector.uniform(n).amplitudes
     snapshots = [psi.copy()]
-    mixer = lambda beta: Circuit(n, [rx(q, 2.0 * beta) for q in range(n)])
     for beta, gamma in zip(betas, gammas):
         psi = psi * np.exp(-1j * gamma * ham.table)
-        psi = run_circuit(mixer(beta), StateVector(n, psi)).amplitudes
+        psi = run_circuit(Circuit(n, mixer_layer_gates(n, beta)), StateVector(n, psi)).amplitudes
         snapshots.append(psi.copy())
     return snapshots
 

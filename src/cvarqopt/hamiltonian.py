@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,22 +89,31 @@ class IsingModel:
         return cls(n=int(d["n"]), c=d["c"], Q=d["Q"], offset=float(d["offset"]))
 
 
+class ValueRanking(NamedTuple):
+    values: np.ndarray  # distinct table values, strictly increasing
+    inverse: np.ndarray  # rank of each basis state: table == values[inverse]
+    ground: np.ndarray  # increasing basis indices of the minimum value
+
+
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
     n: int
-    table: np.ndarray  # 2^n objective values, index = basis state
+    table: np.ndarray  # 2^n objective values, index = basis state; read-only
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
+        table = np.array(self.table, dtype=float)
         if table.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} diagonal entries, got {table.shape}")
+        table.flags.writeable = False  # the cached ranking must stay valid
         object.__setattr__(self, "table", table)
 
-
-def spins_of_index(j: int, n: int) -> np.ndarray:
-    """Spin vector of basis index j: bit 0 -> +1, bit 1 -> -1 (qubit 0 is the high bit)."""
-    bits = (j >> np.arange(n - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits
+    @cached_property
+    def ranking(self) -> ValueRanking:
+        """The table sorted by value, computed on first use and kept for later calls."""
+        values, inverse = np.unique(self.table, return_inverse=True)
+        # narrowest rank type (16 bits up to n=16): callers keep many Hamiltonians alive
+        inverse = inverse.astype(np.min_scalar_type(values.size - 1))
+        return ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
 
 
 def _spin_table(n: int, c: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -30,10 +30,11 @@ from .objective import (
     sample_outcomes,
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize
-from .problems import InstanceSpec, generate
+from .problems import PROBLEM_NAMES, InstanceSpec, generate
 from .statevector import Circuit, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
+_CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
 
@@ -133,7 +134,7 @@ def run_single(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problems: tuple[str, ...] = ("stable_set", "max3sat", "partition", "maxcut", "market_split", "portfolio")
+    problems: tuple[str, ...] = PROBLEM_NAMES
     sizes: tuple[int, ...] = (6, 8, 10)
     instances_per_size: int = 10
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
@@ -188,12 +189,15 @@ class SweepResult:
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("unrecognized sweep CSV header")
         rows = []
-        for line in lines[1:]:
-            f = line.split(",")
-            rows.append(
-                (f[0], int(f[1]), int(f[2]), f[3], int(f[4]), float(f[5]),
-                 int(f[6]), float(f[7]), float(f[8]), float(f[9]))
-            )
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            try:
+                if len(fields) != len(_CSV_TYPES):
+                    raise ValueError(f"got {len(fields)}")
+                rows.append(tuple(cast(f) for cast, f in zip(_CSV_TYPES, fields)))
+            except ValueError as exc:
+                where = f"sweep CSV line {lineno}: expected {len(_CSV_TYPES)} fields"
+                raise ValueError(f"{where}: {exc}") from None
         return cls(rows)
 
 
@@ -247,14 +251,8 @@ def _execute_task(task: dict) -> tuple[list[tuple], str | None]:
         )
     except Exception as exc:  # keep the sweep alive; report at the end
         return [], f"{key}: {exc}"
-    rows = [
-        (
-            task["problem"], task["n"], task["inst_seed"], task["algo"], task["p"],
-            task["alpha"], r.index, r.index / task["n"], r.value, r.overlap,
-        )
-        for r in trace.records
-    ]
-    return rows, None
+    row_key = (task[k] for k in ("problem", "n", "inst_seed", "algo", "p", "alpha"))
+    return trace_to_rows(trace, *row_key), None
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:

@@ -65,10 +65,8 @@ def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> Outcom
     """Distribution of objective values induced by measuring the trial state."""
     if state.n != ham.n:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
-    probs = probabilities(state)
-    values, inverse = np.unique(ham.table, return_inverse=True)
-    merged = np.zeros(values.size)
-    np.add.at(merged, inverse, probs)
+    values, inverse = ham.ranking.values, ham.ranking.inverse
+    merged = np.bincount(inverse, weights=probabilities(state), minlength=values.size)
     keep = merged > 0.0  # outcomes outside the support are not part of the distribution
     return OutcomeDistribution(values[keep], merged[keep])
 
@@ -90,7 +88,7 @@ def sample_outcomes(
     if state.n != ham.n:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
     cum = np.cumsum(probabilities(state))
-    cum[-1] = 1.0  # guard the tail against rounding
+    cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
     indices = np.searchsorted(cum, rng.random(shots), side="right")
     return indices, ham.table[indices]
 
@@ -119,8 +117,7 @@ def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian) -> float:
     """Total probability mass on minimum-value basis states (all degenerate minima count)."""
     if state.n != ham.n:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
-    probs = probabilities(state)
-    return float(probs[ham.table == ham.table.min()].sum())
+    return float((np.abs(state.amplitudes[ham.ranking.ground]) ** 2).sum())
 
 
 def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tuple[int, float]:

@@ -32,7 +32,6 @@ class OptimizerConfig:
     initial_point: np.ndarray
     initial_step: float = 0.5
     final_step: float = 1e-4
-    seed: int | None = None  # reserved for stochastic restarts
 
     def __post_init__(self):
         x0 = np.asarray(self.initial_point, dtype=float)

@@ -41,7 +41,7 @@ class Gate:
             raise InvalidGateError(f"{self.name} requires an angle")
 
     def matrix(self) -> np.ndarray:
-        """Unitary of this gate; for two-qubit gates the first listed qubit is the high bit."""
+        """2x2 unitary of this single-qubit gate."""
         if self.name == "h":
             return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         if self.name == "ry":
@@ -55,12 +55,7 @@ class Gate:
                 [[np.exp(-0.5j * self.angle), 0], [0, np.exp(0.5j * self.angle)]],
                 dtype=complex,
             )
-        if self.name == "cz":
-            return np.diag([1, 1, 1, -1]).astype(complex)
-        # cnot
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
+        raise InvalidGateError(f"{self.name} is a two-qubit gate and has no 2x2 matrix")
 
 
 def ry(qubit: int, angle: float) -> Gate:

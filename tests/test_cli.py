@@ -142,6 +142,19 @@ def test_report_rejects_bad_threshold(runner, tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    ["maxcut,4,1,vqe,1,0.25,2,0.5,-1.5", "maxcut,4,1,vqe,1,0.25,2,0.5,abc,0.5"],
+    ids=["short-row", "non-numeric-field"],
+)
+def test_report_rejects_malformed_csv_row(runner, tmp_path, bad_row):
+    src = tmp_path / "results.csv"
+    src.write_text(f"{CSV_HEADER}\n{bad_row}\n")
+    result = runner.invoke(main, ["report", "--input", str(src), "-o", str(tmp_path / "agg")])
+    assert result.exit_code == 2  # a usage error, not a crash
+    assert "sweep CSV line 2: expected 10 fields" in result.output
+
+
 def test_flatness_subcommand_needle(runner, tmp_path):
     out = tmp_path / "flat.json"
     result = runner.invoke(main, ["flatness", "--problem", "needle", "--n", "6",

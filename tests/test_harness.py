@@ -146,6 +146,22 @@ def test_sweep_csv_round_trip():
     assert back.rows == res.rows
 
 
+@pytest.mark.parametrize(
+    "bad_row, detail",
+    [
+        ("maxcut,4,1,vqe,1,0.25,2,0.5,-1.5", "got 9"),
+        ("maxcut,4,1,vqe,1,0.25,2,0.5,abc,0.5", "could not convert string to float: 'abc'"),
+    ],
+    ids=["short-row", "non-numeric-field"],
+)
+def test_sweep_csv_rejects_malformed_rows_by_line(bad_row, detail):
+    text = f"{CSV_HEADER}\nmaxcut,4,1,vqe,1,0.25,1,0.25,-1.0,0.5\n{bad_row}\n"
+    with pytest.raises(ValueError) as err:
+        SweepResult.from_csv(text)
+    assert str(err.value).startswith("sweep CSV line 3: expected 10 fields")
+    assert str(err.value).endswith(detail)
+
+
 def test_sweep_records_failures_and_continues():
     # budget 1*n is below dim+2 for the layered family but fine for p=1 alternating
     cfg = ExperimentConfig(**{**TINY, "iteration_budget_per_qubit": 1})

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,16 @@ def test_deterministic_state_samples_exactly():
     state = StateVector(2, amps)
     for alpha in (0.05, 0.5, 1.0):
         assert cvar_sampled(state, ham, CvarConfig(alpha, "sampled", shots=64, seed=0)) == 3.0
+
+
+def test_sampling_never_lands_on_a_zero_probability_tail():
+    # the probabilities sum to just under 1, and the draw is the largest one PCG64 can give
+    amps = np.sqrt([0.5, 0.5 - 4e-16, 0.0, 0.0]).astype(complex)
+    top_draw = SimpleNamespace(random=lambda shots: np.full(shots, 1.0 - 2.0**-53))
+    ham = DiagonalHamiltonian(2, [3.0, 1.0, 4.0, 0.0])
+    indices, values = sample_outcomes(StateVector(2, amps), ham, 3, top_draw)
+    np.testing.assert_array_equal(indices, [1, 1, 1])
+    np.testing.assert_array_equal(values, [1.0, 1.0, 1.0])
 
 
 def test_sampled_is_deterministic_given_seed():
