@@ -3,19 +3,27 @@ the alternating cost/mixer construction driven by an Ising model.
 
 Parameter layouts: the layered family takes n*(1+p) angles, ordered layer by
 layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
-gamma_1..gamma_p).  The mixer step is RX(2*beta) per qubit (= exp(-i beta X))
-and the cost step applies exp(-i gamma * cost) via RZ(2*gamma*c_i) plus a
-CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling; the Ising offset is a global
-phase and is never compiled.
+gamma_1..gamma_p).
+
+Both families compile each entangling or cost block to one `diag` gate over
+the whole register.  A CZ block is the +-1 vector (-1)^(number of its pairs
+with both bits set), cached per (n, entanglement); multiplying by -1 is exact,
+so the state equals the one the CZ gates give, bit for bit.  The cost step
+exp(-i gamma * cost) is `diag(cost, gamma)` over the Ising model's cached cost
+diagonal; the Ising offset is a global phase and is never applied.  The mixer
+step is RX(2*beta) per qubit (= exp(-i beta X)).  `cost_layer_gates` keeps
+the gate-level compilation of the cost step, RZ(2*gamma*c_i) plus a
+CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a reference for tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .hamiltonian import IsingModel
-from .statevector import Circuit, Gate, StateVector, cnot, cz, h, run_circuit, rx, ry, rz
+from .statevector import Circuit, Gate, StateVector, cnot, diag, h, run_circuit, rx, ry, rz
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -69,6 +77,18 @@ def entangler_pairs(n: int, entanglement: str) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
+@cache  # one entry per (n, entanglement): at most 2^n bytes each
+def entangler_signs(n: int, entanglement: str) -> np.ndarray:
+    """Read-only +-1 diagonal of one CZ entangler block, as int8."""
+    idx = np.arange(2**n, dtype=np.uint32)
+    parity = np.zeros(2**n, dtype=np.uint32)
+    for a, b in entangler_pairs(n, entanglement):
+        parity ^= (idx >> (n - 1 - a)) & (idx >> (n - 1 - b))
+    signs = (1 - 2 * (parity & 1)).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
+
+
 def build_vqe_circuit(spec: AnsatzSpec, theta) -> Circuit:
     """Y-rotation layer, then p repetitions of [CZ entangler, Y-rotation layer]."""
     if spec.family != "vqe":
@@ -77,13 +97,13 @@ def build_vqe_circuit(spec: AnsatzSpec, theta) -> Circuit:
     n = spec.n
     gates: list[Gate] = [ry(q, theta[q]) for q in range(n)]
     for k in range(1, spec.p + 1):
-        gates.extend(cz(a, b) for a, b in entangler_pairs(n, spec.entanglement))
+        gates.append(diag(entangler_signs(n, spec.entanglement)))
         gates.extend(ry(q, theta[k * n + q]) for q in range(n))
     return Circuit(n, gates)
 
 
 def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
-    """Gates implementing exp(-i gamma * cost) up to a global phase; zero terms emit nothing."""
+    """Gate-level exp(-i gamma * cost), the reference for `diag(cost, gamma)`; zero terms emit nothing."""
     gates: list[Gate] = []
     for i in range(ising.n):
         if ising.c[i] != 0.0:
@@ -109,7 +129,7 @@ def build_qaoa_circuit(spec: AnsatzSpec, theta) -> Circuit:
     betas, gammas = theta[: spec.p], theta[spec.p :]
     gates: list[Gate] = [h(q) for q in range(spec.n)]
     for beta, gamma in zip(betas, gammas):
-        gates.extend(cost_layer_gates(spec.ising, gamma))
+        gates.append(diag(spec.ising.cost_values, gamma))
         gates.extend(mixer_layer_gates(spec.n, beta))
     return Circuit(spec.n, gates)
 

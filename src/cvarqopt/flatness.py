@@ -5,9 +5,10 @@ probability: if most diagonal values coincide (large delta) and most
 amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
-States are produced by exact per-layer phase application followed by an
-RX(2*beta) mixer layer, which also covers objectives (like the needle) that
-are not expressible as a quadratic Ising model.
+States are produced by exact per-layer phase application (one `diag` gate of
+exp(-i*gamma*value) per basis state) followed by an RX(2*beta) mixer layer,
+which also covers objectives (like the needle) that are not expressible as a
+quadratic Ising model.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .ansatz import mixer_layer_gates
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import MAX_QUBITS, Circuit, StateVector, run_circuit
+from .statevector import MAX_QUBITS, Circuit, StateVector, diag, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -62,12 +63,14 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     if betas.shape != gammas.shape or betas.ndim != 1:
         raise ValueError("betas and gammas must be 1-D with equal length")
     n = ham.n
-    psi = StateVector.uniform(n).amplitudes
-    snapshots = [psi.copy()]
+    values, inverse = ham.ranking.values, ham.ranking.inverse
+    state = StateVector.uniform(n)
+    snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        psi = psi * np.exp(-1j * gamma * ham.table)
-        psi = run_circuit(Circuit(n, mixer_layer_gates(n, beta)), StateVector(n, psi)).amplitudes
-        snapshots.append(psi.copy())
+        phases = np.exp(-1j * gamma * values)[inverse]  # one exp per distinct value
+        phases.flags.writeable = False  # handed to the gate without a copy
+        state = run_circuit(Circuit(n, [diag(phases), *mixer_layer_gates(n, beta)]), state)
+        snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
     return snapshots
 
 

@@ -74,9 +74,15 @@ class IsingModel:
         z = np.asarray(z, dtype=float)
         return float(self.offset + self.c @ z + 2.0 * (z @ self.Q @ z))
 
+    @cached_property
     def cost_values(self) -> np.ndarray:
-        """Energies without the offset for every basis index (used as QAOA phases)."""
-        return _spin_table(self.n, self.c, self.Q)
+        """Energies without the offset for every basis index (the QAOA cost diagonal).
+
+        Computed on first use and kept, read-only, for the model's lifetime.
+        """
+        table = _spin_table(self.n, self.c, self.Q)
+        table.flags.writeable = False
+        return table
 
     def to_json(self) -> str:
         return json.dumps(
@@ -95,25 +101,36 @@ class ValueRanking(NamedTuple):
     ground: np.ndarray  # increasing basis indices of the minimum value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiagonalHamiltonian:
+    """2^n objective values (index = basis state), kept only as their ranking.
+
+    The constructor ranks the table once; `table` rebuilds it from the ranking
+    on demand, so hot paths read the ranking instead.
+    """
+
     n: int
-    table: np.ndarray  # 2^n objective values, index = basis state; read-only
+    ranking: ValueRanking
 
-    def __post_init__(self):
-        table = np.array(self.table, dtype=float)
-        if table.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} diagonal entries, got {table.shape}")
-        table.flags.writeable = False  # the cached ranking must stay valid
-        object.__setattr__(self, "table", table)
-
-    @cached_property
-    def ranking(self) -> ValueRanking:
-        """The table sorted by value, computed on first use and kept for later calls."""
-        values, inverse = np.unique(self.table, return_inverse=True)
+    def __init__(self, n: int, table):
+        table = np.asarray(table, dtype=float)
+        if table.shape != (2**n,):
+            raise ValueError(f"expected {2**n} diagonal entries, got {table.shape}")
+        values, inverse = np.unique(table, return_inverse=True)
         # narrowest rank type (16 bits up to n=16): callers keep many Hamiltonians alive
         inverse = inverse.astype(np.min_scalar_type(values.size - 1))
-        return ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
+        ranking = ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
+        for a in ranking:
+            a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ranking", ranking)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The 2^n values as given to the constructor, as a new read-only array."""
+        table = self.ranking.values[self.ranking.inverse]
+        table.flags.writeable = False
+        return table
 
 
 def _spin_table(n: int, c: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -145,7 +162,7 @@ def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
     """Materialize the 2^n diagonal (n capped at MAX_QUBITS)."""
     if m.n > MAX_QUBITS:
         raise ValueError(f"n={m.n} exceeds the {MAX_QUBITS}-qubit dense limit")
-    return DiagonalHamiltonian(m.n, m.offset + m.cost_values())
+    return DiagonalHamiltonian(m.n, m.offset + m.cost_values)
 
 
 def qubo_to_hamiltonian(q: QuboProblem) -> DiagonalHamiltonian:
@@ -156,4 +173,4 @@ def evaluate_bitstring(ham: DiagonalHamiltonian, j: int) -> float:
     """Objective value of basis state j."""
     if not 0 <= j < 2**ham.n:
         raise IndexError(f"basis index {j} out of range for n={ham.n}")
-    return float(ham.table[j])
+    return float(ham.ranking.values[ham.ranking.inverse[j]])

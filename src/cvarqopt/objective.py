@@ -90,7 +90,7 @@ def sample_outcomes(
     cum = np.cumsum(probabilities(state))
     cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
     indices = np.searchsorted(cum, rng.random(shots), side="right")
-    return indices, ham.table[indices]
+    return indices, ham.ranking.values[ham.ranking.inverse[indices]]
 
 
 def cvar_from_samples(values: np.ndarray, alpha: float) -> float:
@@ -121,8 +121,16 @@ def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian) -> float:
 
 
 def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tuple[int, float]:
-    """Lowest-value basis state carrying nonnegligible probability, with its value."""
-    probs = probabilities(state)
-    candidates = np.flatnonzero(probs > SUPPORT_EPS)
-    j = candidates[np.argmin(ham.table[candidates])]
-    return int(j), float(ham.table[j])
+    """Lowest-value basis state carrying nonnegligible probability, with its value.
+
+    Among states of equal value the lowest index wins.  The ground states are
+    tried first; the whole support is scanned only when none of them is in it.
+    """
+    values, inverse, ground = ham.ranking
+    on_ground = np.abs(state.amplitudes[ground]) ** 2 > SUPPORT_EPS
+    if on_ground.any():
+        j = int(ground[np.argmax(on_ground)])
+    else:
+        candidates = np.flatnonzero(probabilities(state) > SUPPORT_EPS)
+        j = int(candidates[np.argmin(inverse[candidates])])
+    return j, float(values[inverse[j]])

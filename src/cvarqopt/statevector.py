@@ -2,7 +2,9 @@
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.
+R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.  A `diag` gate acts on the whole
+register: it multiplies amplitude j by d[j], or by exp(-i * angle * d[j]) when
+it carries an angle, so one gate applies a whole diagonal layer.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 MAX_QUBITS = 20
 
-GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot")
+GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag")
 _TWO_QUBIT = ("cz", "cnot")
 
 
@@ -26,13 +28,24 @@ class Gate:
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
+    diagonal: np.ndarray | None = field(default=None, compare=False, repr=False)  # diag only; read-only, not compared
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise InvalidGateError(f"unknown gate {self.name!r}")
         if any(q < 0 for q in self.qubits):
             raise InvalidGateError(f"negative qubit index in {self.qubits}")
-        want = 2 if self.name in _TWO_QUBIT else 1
+        if (self.name == "diag") != (self.diagonal is not None):
+            raise InvalidGateError("a diagonal vector goes with the diag gate and only with it")
+        if self.name == "diag":
+            d = np.asarray(self.diagonal)
+            if d.ndim != 1:
+                raise InvalidGateError(f"diag takes a 1-D vector, got shape {d.shape}")
+            if d.flags.writeable:  # the gate must not change after it is built
+                d = d.copy()
+                d.flags.writeable = False
+            object.__setattr__(self, "diagonal", d)
+        want = 0 if self.name == "diag" else 2 if self.name in _TWO_QUBIT else 1
         if len(self.qubits) != want:
             raise InvalidGateError(f"{self.name} takes {want} qubit(s), got {self.qubits}")
         if want == 2 and self.qubits[0] == self.qubits[1]:
@@ -55,7 +68,7 @@ class Gate:
                 [[np.exp(-0.5j * self.angle), 0], [0, np.exp(0.5j * self.angle)]],
                 dtype=complex,
             )
-        raise InvalidGateError(f"{self.name} is a two-qubit gate and has no 2x2 matrix")
+        raise InvalidGateError(f"{self.name} is not a single-qubit gate and has no 2x2 matrix")
 
 
 def ry(qubit: int, angle: float) -> Gate:
@@ -82,6 +95,18 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
 
+def diag(d: np.ndarray, angle: float | None = None) -> Gate:
+    """Multiply amplitude j by d[j], or by exp(-i * angle * d[j]) given an angle."""
+    return Gate("diag", (), None if angle is None else float(angle), d)
+
+
+def _check_fits(gate: Gate, n: int) -> None:
+    if any(q >= n for q in gate.qubits):
+        raise InvalidGateError(f"gate {gate} out of range for n={n}")
+    if gate.name == "diag" and gate.diagonal.size != 2**n:
+        raise InvalidGateError(f"diag of length {gate.diagonal.size} does not fit n={n}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     n: int
@@ -92,8 +117,7 @@ class Circuit:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
-                raise InvalidGateError(f"gate {g} out of range for n={self.n}")
+            _check_fits(g, self.n)
 
 
 @dataclass(frozen=True)
@@ -128,25 +152,34 @@ class StateVector:
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutate the 1-D amplitude array. Qubit q maps to axis q of the [2]*n view."""
-    psi = amps.reshape([2] * n)
-    if gate.name in ("ry", "rx", "h"):
-        m = gate.matrix()
-        view = np.moveaxis(psi, gate.qubits[0], 0)
-        r0 = view[0].copy()
-        view[0] = m[0, 0] * r0 + m[0, 1] * view[1]
-        view[1] = m[1, 0] * r0 + m[1, 1] * view[1]
-    elif gate.name == "rz":
-        view = np.moveaxis(psi, gate.qubits[0], 0)
-        view[0] *= np.exp(-0.5j * gate.angle)
-        view[1] *= np.exp(0.5j * gate.angle)
+    """Mutate the 1-D amplitude array in place."""
+    if gate.name == "diag":
+        if gate.angle is None:
+            amps *= gate.diagonal
+        else:
+            phases = np.multiply(gate.diagonal, -1j * gate.angle)  # the one scratch array
+            amps *= np.exp(phases, out=phases)
+    elif gate.name in ("ry", "rx", "h", "rz"):
+        # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
+        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)
+        v0, v1 = psi[:, 0], psi[:, 1]
+        if gate.name == "rz":
+            v0 *= np.exp(-0.5j * gate.angle)
+            v1 *= np.exp(0.5j * gate.angle)
+        else:
+            m = gate.matrix()
+            r0 = v0.copy()
+            v0[...] = m[0, 0] * r0 + m[0, 1] * v1
+            v1[...] = m[1, 0] * r0 + m[1, 1] * v1
     elif gate.name == "cz":
+        psi = amps.reshape([2] * n)  # qubit q is axis q
         a, b = gate.qubits
         idx = [slice(None)] * n
         idx[a] = 1
         idx[b] = 1
         psi[tuple(idx)] *= -1.0
     else:  # cnot
+        psi = amps.reshape([2] * n)  # qubit q is axis q
         c, t = gate.qubits
         idx = [slice(None)] * n
         idx[c] = 1
@@ -157,8 +190,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning a new normalized state."""
-    if any(q >= state.n for q in gate.qubits):
-        raise InvalidGateError(f"gate {gate} out of range for n={state.n}")
+    _check_fits(gate, state.n)
     amps = state.amplitudes.copy()
     _apply_inplace(amps, gate, state.n)
     return StateVector(state.n, amps)

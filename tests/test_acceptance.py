@@ -84,7 +84,7 @@ def test_criterion_04_cost_unitary_matches_exact_phases():
         got = run_circuit(
             Circuit(n, cost_layer_gates(ising, gamma)), StateVector(n, amps)
         ).amplitudes
-        want = amps * np.exp(-1j * gamma * ising.cost_values())
+        want = amps * np.exp(-1j * gamma * ising.cost_values)
         k = int(np.argmax(np.abs(want)))
         got = got * (want[k] / got[k])  # align the one free global phase
         worst = max(worst, float(np.abs(got - want).max()))

@@ -10,10 +10,12 @@ from cvarqopt.ansatz import (
     build_vqe_circuit,
     cost_layer_gates,
     entangler_pairs,
+    entangler_signs,
+    mixer_layer_gates,
     trial_state,
 )
 from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, probabilities, run_circuit
+from cvarqopt.statevector import Circuit, StateVector, cz, h, probabilities, run_circuit, ry
 
 
 def gate_counts(circuit):
@@ -23,18 +25,43 @@ def gate_counts(circuit):
     return counts
 
 
+def cz_reference_circuit(spec, theta):
+    """The layered family compiled gate by gate: one CZ per entangler pair."""
+    n = spec.n
+    gates = [ry(q, theta[q]) for q in range(n)]
+    for k in range(1, spec.p + 1):
+        gates += [cz(a, b) for a, b in entangler_pairs(n, spec.entanglement)]
+        gates += [ry(q, theta[k * n + q]) for q in range(n)]
+    return Circuit(n, gates)
+
+
 def test_layered_counts_three_qubits_depth_two():
     spec = AnsatzSpec("vqe", n=3, p=2)
     circ = build_vqe_circuit(spec, np.zeros(9))
-    assert gate_counts(circ) == {"ry": 9, "cz": 6}
+    assert gate_counts(circ) == {"ry": 9, "diag": 2}
 
 
 def test_ring_counts_six_qubits():
     spec = AnsatzSpec("vqe", n=6, p=1, entanglement="ring")
     circ = build_vqe_circuit(spec, np.zeros(12))
-    assert gate_counts(circ) == {"ry": 12, "cz": 6}
-    pairs = [g.qubits for g in circ.gates if g.name == "cz"]
-    assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    assert gate_counts(circ) == {"ry": 12, "diag": 1}
+    assert entangler_pairs(6, "ring") == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    signs = next(g.diagonal for g in circ.gates if g.name == "diag")
+    np.testing.assert_array_equal(signs, entangler_signs(6, "ring"))
+    # |110000> sits on the one ring pair (0, 1): a single CZ flips its sign
+    assert signs[0b110000] == -1 and signs[0b101000] == 1
+
+
+@pytest.mark.parametrize("entanglement", ["all-to-all", "ring"])
+def test_sign_entangler_state_equals_cz_gates_bit_for_bit(entanglement):
+    for n in range(1, 9):
+        if entanglement == "ring" and n < 3:
+            continue
+        for p in range(4):
+            spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
+            theta = np.random.default_rng(100 * n + p).uniform(-np.pi, np.pi, spec.parameter_count)
+            want = run_circuit(cz_reference_circuit(spec, theta)).amplitudes
+            assert np.array_equal(trial_state(spec, theta).amplitudes, want), (n, p)
 
 
 def test_depth_zero_at_zero_angles_is_identity():
@@ -76,9 +103,9 @@ def test_zero_angles_give_uniform_state(rng):
 
 def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
-    spec = AnsatzSpec("qaoa", n=3, p=1, ising=ising)
-    circ = build_qaoa_circuit(spec, [0.3, 0.7])
-    assert gate_counts(circ) == {"h": 3, "cnot": 2, "rz": 1, "rx": 3}
+    assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "rz": 1}
+    circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
+    assert gate_counts(circ) == {"h": 3, "diag": 1, "rx": 3}
 
 
 def test_zero_coefficients_emit_no_gates():
@@ -91,13 +118,12 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     q = random_qubo(rng, n)
     q = type(q)(n, q.b + 1.0, q.A + np.triu(np.ones((n, n)), 1))  # force dense terms
     ising = qubo_to_ising(q)
-    circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
     pairs = np.count_nonzero(ising.Q)
-    counts = gate_counts(circ)
+    counts = gate_counts(Circuit(n, [g for _ in range(p) for g in cost_layer_gates(ising, 1.0)]))
     assert counts["cnot"] == 2 * pairs * p
     assert counts["rz"] == (pairs + np.count_nonzero(ising.c)) * p
-    assert counts["rx"] == n * p
-    assert counts["h"] == n
+    circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
+    assert gate_counts(circ) == {"h": n, "diag": p, "rx": n * p}
 
 
 def test_parameter_length_mismatch():
@@ -135,10 +161,25 @@ def test_cost_layer_equals_exact_phase_multiplication(n, rng):
     pre = np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)) / math.sqrt(2**n)
     circ = Circuit(n, cost_layer_gates(ising, gamma))
     got = run_circuit(circ, StateVector(n, pre)).amplitudes
-    want = pre * np.exp(-1j * gamma * ising.cost_values())
+    want = pre * np.exp(-1j * gamma * ising.cost_values)
     phase = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
     assert abs(abs(phase) - 1.0) < 1e-9
     np.testing.assert_allclose(got, want * phase, atol=1e-9)
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (5, 2), (8, 3)])
+def test_qaoa_state_matches_gate_level_cost_layers(n, p, rng):
+    """One diag(cost, gamma) per layer == H, cost_layer_gates and mixer gates, up to global phase."""
+    ising = qubo_to_ising(random_qubo(rng, n))
+    theta = rng.uniform(-np.pi, np.pi, 2 * p)
+    gates = [h(q) for q in range(n)]
+    for beta, gamma in zip(theta[:p], theta[p:]):
+        gates += cost_layer_gates(ising, gamma) + mixer_layer_gates(n, beta)
+    want = run_circuit(Circuit(n, gates)).amplitudes
+    got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
+    k = int(np.argmax(np.abs(want)))
+    got = got * (want[k] / got[k]) / abs(want[k] / got[k])  # align the global phase
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_probabilities_periodic_in_gamma_for_integer_values(rng):
@@ -148,7 +189,7 @@ def test_probabilities_periodic_in_gamma_for_integer_values(rng):
     qubo = generate(InstanceSpec("maxcut", 4, seed=3))
     ising = qubo_to_ising(qubo)
     spec = AnsatzSpec("qaoa", n=4, p=1, ising=ising)
-    table = ising.cost_values() + ising.offset
+    table = ising.cost_values + ising.offset
     diffs = np.unique(np.round(table - table.min()).astype(int))
     g = int(np.gcd.reduce(diffs[diffs > 0]))
     beta, gamma = 0.4, 1.1
@@ -164,8 +205,6 @@ def test_entangler_order_does_not_matter(rng):
     pairs = entangler_pairs(n, "all-to-all")
     for _ in range(3):
         rng.shuffle(pairs)
-        from cvarqopt.statevector import cz, ry
-
         gates = [ry(q, theta[q]) for q in range(n)]
         gates += [cz(a, b) for a, b in pairs]
         gates += [ry(q, theta[n + q]) for q in range(n)]

@@ -1,4 +1,4 @@
-"""Properties of the value ranking a DiagonalHamiltonian caches and of the
+"""Properties of the value ranking a DiagonalHamiltonian keeps and of the
 objectives built on it, checked against brute-force references.
 
 Tables are drawn from a few repeated values, so ties and degenerate minima
@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvarqopt.hamiltonian import DiagonalHamiltonian
-from cvarqopt.objective import cvar_exact, outcome_distribution, overlap_with_optimum
+from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian
+from cvarqopt.objective import (
+    SUPPORT_EPS,
+    best_support_bitstring,
+    cvar_exact,
+    outcome_distribution,
+    overlap_with_optimum,
+)
 from cvarqopt.oracle import enumerate_hamiltonian
+from cvarqopt.problems import InstanceSpec, generate
 from cvarqopt.statevector import StateVector, probabilities
 
 _VALUE = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
@@ -85,6 +92,15 @@ def test_overlap_matches_brute_force_sum(case):
 
 @settings(deadline=None)
 @given(cases())
+def test_best_support_bitstring_matches_brute_force(case):
+    ham, state = case
+    table, probs = ham.table.tolist(), probabilities(state).tolist()
+    want = min((v, j) for j, (v, p) in enumerate(zip(table, probs)) if p > SUPPORT_EPS)
+    assert best_support_bitstring(state, ham) == (want[1], want[0])
+
+
+@settings(deadline=None)
+@given(cases())
 def test_cvar_at_alpha_one_is_the_mean(case):
     ham, state = case
     dist = outcome_distribution(state, ham)
@@ -109,4 +125,31 @@ def test_ranking_is_computed_once_and_survives_pickling():
     for got, want in zip(back.ranking, ham.ranking):
         np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
-        ham.table[0] = -1.0  # a write would leave the cached ranking stale
+        ham.ranking.inverse[0] = 1  # the ranking is the Hamiltonian's only copy of its values
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(_VALUE.map(lambda v: v + 0.0), min_size=2**n, max_size=2**n)  # v + 0.0: no -0.0
+))
+def test_table_is_bit_equal_to_the_input(values):
+    table = np.array(values)
+    ham = DiagonalHamiltonian(int(np.log2(table.size)), table)
+    assert ham.table.tobytes() == table.tobytes()  # the oracle tests read an independent copy
+
+
+@settings(deadline=None)
+@given(hamiltonians())
+def test_table_is_read_only_and_survives_pickling(ham):
+    back = pickle.loads(pickle.dumps(ham))
+    assert back.table.tobytes() == ham.table.tobytes()
+    for h in (ham, back):
+        with pytest.raises(ValueError):
+            h.table[0] = 1.0
+
+
+def test_maxcut_hamiltonian_keeps_less_than_its_table():
+    ham = qubo_to_hamiltonian(generate(InstanceSpec("maxcut", 12, seed=5)))
+    assert vars(ham).keys() == {"n", "ranking"}  # no table kept beside the ranking
+    kept = sum(a.nbytes for a in ham.ranking)
+    assert kept < ham.table.nbytes == 8 * 2**12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvarqopt import fixtures
 from cvarqopt.statevector import (
@@ -9,6 +11,7 @@ from cvarqopt.statevector import (
     apply_gate,
     cnot,
     cz,
+    diag,
     h,
     probabilities,
     run_circuit,
@@ -131,3 +134,37 @@ def test_apply_gate_is_pure(rng):
     before = state.amplitudes.copy()
     apply_gate(state, h(0))
     np.testing.assert_array_equal(state.amplitudes, before)
+
+
+@given(st.integers(1, 6), st.integers(1, 130))
+def test_wrong_length_diag_is_rejected(n, length):
+    gate = diag(np.ones(length))
+    if length == 2**n:
+        assert run_circuit(Circuit(n, [gate])).norm() == 1.0
+        return
+    with pytest.raises(InvalidGateError):
+        Circuit(n, [gate])
+    with pytest.raises(InvalidGateError):
+        apply_gate(StateVector.zero(n), gate)
+
+
+def test_diag_gate_applies_vector_or_phases(rng):
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector(3, amps / np.linalg.norm(amps))
+    d = rng.uniform(-2.0, 2.0, 8)
+    np.testing.assert_allclose(
+        apply_gate(state, diag(d, 0.7)).amplitudes, state.amplitudes * np.exp(-0.7j * d), atol=1e-15
+    )
+    signs = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
+    assert np.array_equal(apply_gate(state, diag(signs)).amplitudes, state.amplitudes * signs)
+
+
+def test_diag_gate_keeps_a_read_only_copy():
+    d = np.ones(4)
+    gate = diag(d)
+    d[0] = -1.0  # the caller's array stays its own
+    assert gate.diagonal[0] == 1.0 and not gate.diagonal.flags.writeable
+    with pytest.raises(InvalidGateError):
+        diag(np.ones((2, 2)))
+    with pytest.raises(InvalidGateError):
+        diag(np.ones(4)).matrix()

@@ -1,0 +1,58 @@
+"""The benchmark traces the package by replacing module attributes (see
+`perfbench/tracing.py`).  These tests keep the names it wraps alive and
+check that the package still reaches the simulator through them."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cvarqopt import flatness, harness
+from cvarqopt.problems import InstanceSpec, generate
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def wrapped_names():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+def test_every_wrapped_name_exists():
+    wrapped = wrapped_names()
+    assert set(wrapped) == {"cvarqopt.harness", "cvarqopt.flatness"}
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        missing = [attr for attr in names if not callable(getattr(module, attr, None))]
+        assert not missing, f"{module_name} lost {missing}"
+
+
+def counting(monkeypatch, module, attr, counts):
+    original = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        counts[attr] = counts.get(attr, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("algo,p", [("vqe", 1), ("qaoa", 2)])
+def test_run_single_builds_and_runs_one_circuit_per_evaluation(monkeypatch, algo, p):
+    counts = {}
+    for attr in ("build_circuit", "run_circuit"):
+        counting(monkeypatch, harness, attr, counts)
+    qubo = generate(InstanceSpec("maxcut", 4, seed=1))
+    trace = harness.run_single(qubo, algo, p=p, alpha=0.5, seed=3, max_evaluations=12)
+    assert trace.n_evaluations > 0
+    assert counts == {"build_circuit": trace.n_evaluations, "run_circuit": trace.n_evaluations}
+
+
+def test_flatness_report_runs_one_circuit_per_layer(monkeypatch):
+    counts = {}
+    counting(monkeypatch, flatness, "run_circuit", counts)
+    flatness.flatness_report(flatness.needle_hamiltonian(4), np.array([0.3, -0.2]), np.array([1.1, 0.4]))
+    assert counts == {"run_circuit": 2}
