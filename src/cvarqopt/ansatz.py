@@ -5,14 +5,15 @@ Parameter layouts: the layered family takes n*(1+p) angles, ordered layer by
 layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
 gamma_1..gamma_p).
 
-Both families compile each entangling or cost block to one `diag` gate over
-the whole register.  A CZ block is the +-1 vector (-1)^(number of its pairs
-with both bits set), cached per (n, entanglement); multiplying by -1 is exact,
-so the state equals the one the CZ gates give, bit for bit.  The cost step
-exp(-i gamma * cost) is `diag(cost, gamma)` over the Ising model's cached cost
-diagonal; the Ising offset is a global phase and is never applied.  The mixer
-step is RX(2*beta) per qubit (= exp(-i beta X)).  `cost_layer_gates` keeps
-the gate-level compilation of the cost step, RZ(2*gamma*c_i) plus a
+Each family compiles to whole-register gates: VQE to layer(RY), then
+[diag, layer(RY)] x p; QAOA to layer(H), then [diag(cost, gamma), layer(RX)]
+x p.  A CZ block is the +-1 vector (-1)^(number of its pairs with both bits
+set), cached per (n, entanglement); multiplying by -1 is exact, so the state
+equals the one the CZ gates give, bit for bit.  The cost step exp(-i gamma *
+cost) is `diag(cost, gamma)` over the Ising model's cached cost diagonal; the
+Ising offset is a global phase and is never applied.  The mixer step is
+RX(2*beta) on every qubit (= exp(-i beta X)).  `cost_layer_gates` keeps the
+gate-level compilation of the cost step, RZ(2*gamma*c_i) plus a
 CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a reference for tests.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel
-from .statevector import Circuit, Gate, StateVector, cnot, diag, h, run_circuit, rx, ry, rz
+from .statevector import Circuit, Gate, StateVector, cnot, diag, layer, run_circuit, rz
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -93,12 +94,12 @@ def build_vqe_circuit(spec: AnsatzSpec, theta) -> Circuit:
     """Y-rotation layer, then p repetitions of [CZ entangler, Y-rotation layer]."""
     if spec.family != "vqe":
         raise ValueError(f"expected a vqe spec, got {spec.family}")
-    theta = _check_params(spec, theta)
+    theta = _check_params(spec, theta).tolist()
     n = spec.n
-    gates: list[Gate] = [ry(q, theta[q]) for q in range(n)]
+    gates: list[Gate] = [layer("ry", theta[:n])]
     for k in range(1, spec.p + 1):
         gates.append(diag(entangler_signs(n, spec.entanglement)))
-        gates.extend(ry(q, theta[k * n + q]) for q in range(n))
+        gates.append(layer("ry", theta[k * n : (k + 1) * n]))
     return Circuit(n, gates)
 
 
@@ -116,9 +117,9 @@ def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
     return gates
 
 
-def mixer_layer_gates(n: int, beta: float) -> list[Gate]:
-    """RX(2*beta) on every qubit."""
-    return [rx(q, 2.0 * beta) for q in range(n)]
+def mixer_layer(n: int, beta: float) -> Gate:
+    """RX(2*beta) on every qubit, as one layer gate."""
+    return layer("rx", [2.0 * beta] * n)
 
 
 def build_qaoa_circuit(spec: AnsatzSpec, theta) -> Circuit:
@@ -127,10 +128,10 @@ def build_qaoa_circuit(spec: AnsatzSpec, theta) -> Circuit:
         raise ValueError(f"expected a qaoa spec, got {spec.family}")
     theta = _check_params(spec, theta)
     betas, gammas = theta[: spec.p], theta[spec.p :]
-    gates: list[Gate] = [h(q) for q in range(spec.n)]
+    gates: list[Gate] = [layer("h", [None] * spec.n)]
     for beta, gamma in zip(betas, gammas):
         gates.append(diag(spec.ising.cost_values, gamma))
-        gates.extend(mixer_layer_gates(spec.n, beta))
+        gates.append(mixer_layer(spec.n, beta))
     return Circuit(spec.n, gates)
 
 

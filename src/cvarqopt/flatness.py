@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import mixer_layer_gates
+from .ansatz import mixer_layer
 from .hamiltonian import DiagonalHamiltonian
 from .statevector import MAX_QUBITS, Circuit, StateVector, diag, run_circuit
 
@@ -69,7 +69,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     for beta, gamma in zip(betas, gammas):
         phases = np.exp(-1j * gamma * values)[inverse]  # one exp per distinct value
         phases.flags.writeable = False  # handed to the gate without a copy
-        state = run_circuit(Circuit(n, [diag(phases), *mixer_layer_gates(n, beta)]), state)
+        state = run_circuit(Circuit(n, [diag(phases), mixer_layer(n, beta)]), state)
         snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
     return snapshots
 

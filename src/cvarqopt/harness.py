@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
@@ -19,7 +20,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .ansatz import AnsatzSpec, build_circuit
-from .hamiltonian import DiagonalHamiltonian, QuboProblem, qubo_to_hamiltonian, qubo_to_ising
+from .hamiltonian import DiagonalHamiltonian, QuboProblem, ising_to_hamiltonian, qubo_to_ising
+from .hamiltonian import qubo_to_hamiltonian  # unused here; perfbench/tracing.py wraps this name
 from .objective import (
     PRNG_NAME,
     best_support_bitstring,
@@ -108,12 +110,13 @@ def run_single(
     observer: Callable[[EvalRecord], None] | None = None,
 ) -> RunTrace:
     """One optimization run; deterministic given all arguments."""
-    ham = qubo_to_hamiltonian(qubo)
+    ising = qubo_to_ising(qubo)
+    ham = ising_to_hamiltonian(ising)  # fills ising.cost_values, which the qaoa circuit reuses
     n = qubo.n
     if algo == "vqe":
         spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
     elif algo == "qaoa":
-        spec = AnsatzSpec("qaoa", n=n, p=p, ising=qubo_to_ising(qubo))
+        spec = AnsatzSpec("qaoa", n=n, p=p, ising=ising)
     else:
         raise ValueError(f"unknown algo {algo!r}")
     seq = np.random.SeedSequence(seed)
@@ -330,8 +333,9 @@ def curves_to_csv(curves: Iterable[tuple], threshold: float) -> str:
 
 
 def sweep_metadata(cfg: ExperimentConfig) -> dict:
-    """Sidecar metadata recorded next to sweep CSVs."""
-    return {"config": json.loads(cfg.to_json()), "prng": PRNG_NAME, "csv_header": CSV_HEADER}
+    """Sidecar metadata recorded next to sweep CSVs, with the environment that produced them."""
+    env = {"python": platform.python_version(), "numpy": np.__version__, "optimizer": "cvarqopt COBYLA"}
+    return {"config": json.loads(cfg.to_json()), "prng": PRNG_NAME, "csv_header": CSV_HEADER, "environment": env}
 
 
 def trace_to_rows(

@@ -78,6 +78,8 @@ def cvar_exact(dist: OutcomeDistribution, alpha: float) -> float:
     cum = np.cumsum(dist.probs)
     prev = cum - dist.probs
     take = np.clip(alpha - prev, 0.0, dist.probs)
+    # nothing past the boundary outcome: cum - probs can round to just below alpha there
+    take[np.searchsorted(cum, alpha) + 1 :] = 0.0
     return float((dist.values @ take) / alpha)
 
 

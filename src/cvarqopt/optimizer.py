@@ -60,6 +60,7 @@ class EvalRecord:
 @dataclass
 class RunTrace:
     records: list[EvalRecord] = field(default_factory=list)
+    stop_reason: str | None = None  # set by minimize: "budget", "converged" or "degenerate"
 
     @property
     def n_evaluations(self) -> int:
@@ -101,11 +102,13 @@ def _lower_rho(rho: float, final: float) -> float:
 class _Cobyla:
     """Unconstrained COBYLA in ask/tell form.
 
-    `ask()` gives the next point to evaluate, or None once the trust radius
-    has come down to `final_step`; `tell(value)` hands back the objective
-    value there.  The simplex is held as the best vertex (the pole), the
-    displacements of the other vertices from it (columns of `disp`), the
-    inverse of `disp`, and the vertex values with the pole's last.
+    `ask()` gives the next point to evaluate, or None once the method has
+    stopped, with `stop_reason` "converged" (the trust radius came down to
+    `final_step`) or "degenerate" (the simplex could no longer be inverted
+    reliably); `tell(value)` hands back the objective value there.  The
+    simplex is held as the best vertex (the pole), the displacements of the
+    other vertices from it (columns of `disp`), the inverse of `disp`, and
+    the vertex values with the pole's last.
 
     Two parts of PRIMA's COBYLA cannot fire without constraints and are left
     out: a trust-region step never lands on a vertex (the model rises towards
@@ -120,6 +123,7 @@ class _Cobyla:
         self.disp = np.eye(n) * cfg.initial_step
         self.simi = np.eye(n) / cfg.initial_step
         self.fval = np.zeros(n + 1)
+        self.stop_reason: str | None = None
         self._steps = self._run(cfg.initial_step, cfg.final_step)
         self._point = next(self._steps)
 
@@ -129,11 +133,12 @@ class _Cobyla:
     def tell(self, value: float) -> None:
         try:
             self._point = self._steps.send(value)
-        except StopIteration:
+        except StopIteration as stop:
             self._point = None
+            self.stop_reason = stop.value
 
     def _run(self, rhobeg: float, rhoend: float):
-        """The method as one generator: yields points, receives their values."""
+        """The method as one generator: yields points, receives their values, returns why it stopped."""
         n = self.pole.size
         fval = self.fval
         fval[n] = yield self.pole.copy()
@@ -170,7 +175,7 @@ class _Cobyla:
                     delta = rho
                 jdrop = self._drop_index(actual > 0, d, delta, rho)
                 if jdrop is not None and not self._replace(jdrop, d, f):
-                    return
+                    return "degenerate"
                 if ratio > 0 and jdrop is not None:
                     continue
             else:
@@ -191,10 +196,10 @@ class _Cobyla:
                         d = -d
                     f = yield self.pole + d
                     if not self._replace(j, d, f):
-                        return
+                        return "degenerate"
             elif max(delta, dnorm) <= rho:
                 if rho <= rhoend:
-                    return
+                    return "converged"
                 lowered = _lower_rho(rho, rhoend)
                 delta, rho = max(0.5 * rho, lowered), lowered
 
@@ -282,6 +287,7 @@ def minimize(
         if observer is not None:
             observer(record)
         method.tell(value)
+    trace.stop_reason = method.stop_reason or "budget"
     return trace
 
 

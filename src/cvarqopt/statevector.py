@@ -2,9 +2,10 @@
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.  A `diag` gate acts on the whole
-register: it multiplies amplitude j by d[j], or by exp(-i * angle * d[j]) when
-it carries an angle, so one gate applies a whole diagonal layer.
+R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.  Two gates apply a whole layer:
+`diag` multiplies amplitude j by d[j], or by exp(-i * angle * d[j]) given an
+angle; `layer` applies one 2x2 matrix per qubit, qubit 0 first, and a run
+from |0...0> that opens with one starts from that layer's product state.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 MAX_QUBITS = 20
 
-GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag")
+GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag", "layer")
 _TWO_QUBIT = ("cz", "cnot")
 
 
@@ -29,23 +30,24 @@ class Gate:
     qubits: tuple[int, ...]
     angle: float | None = None
     diagonal: np.ndarray | None = field(default=None, compare=False, repr=False)  # diag only; read-only, not compared
+    matrices: np.ndarray | None = field(default=None, compare=False, repr=False)  # layer only; (n, 2, 2), read-only
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise InvalidGateError(f"unknown gate {self.name!r}")
         if any(q < 0 for q in self.qubits):
             raise InvalidGateError(f"negative qubit index in {self.qubits}")
-        if (self.name == "diag") != (self.diagonal is not None):
-            raise InvalidGateError("a diagonal vector goes with the diag gate and only with it")
+        if (self.name == "diag") != (self.diagonal is not None) or (self.name == "layer") != (self.matrices is not None):
+            raise InvalidGateError("a diagonal goes with diag and per-qubit matrices with layer, each only there")
         if self.name == "diag":
-            d = np.asarray(self.diagonal)
-            if d.ndim != 1:
-                raise InvalidGateError(f"diag takes a 1-D vector, got shape {d.shape}")
-            if d.flags.writeable:  # the gate must not change after it is built
-                d = d.copy()
-                d.flags.writeable = False
-            object.__setattr__(self, "diagonal", d)
-        want = 0 if self.name == "diag" else 2 if self.name in _TWO_QUBIT else 1
+            object.__setattr__(self, "diagonal", _read_only(self.diagonal))
+            if self.diagonal.ndim != 1:
+                raise InvalidGateError(f"diag takes a 1-D vector, got shape {self.diagonal.shape}")
+        if self.name == "layer":
+            object.__setattr__(self, "matrices", _read_only(self.matrices, complex))
+            if self.matrices.shape[1:] != (2, 2):  # (n, 2, 2) exactly
+                raise InvalidGateError(f"layer takes one 2x2 matrix per qubit, got shape {self.matrices.shape}")
+        want = 0 if self.name in ("diag", "layer") else 2 if self.name in _TWO_QUBIT else 1
         if len(self.qubits) != want:
             raise InvalidGateError(f"{self.name} takes {want} qubit(s), got {self.qubits}")
         if want == 2 and self.qubits[0] == self.qubits[1]:
@@ -55,20 +57,29 @@ class Gate:
 
     def matrix(self) -> np.ndarray:
         """2x2 unitary of this single-qubit gate."""
-        if self.name == "h":
-            return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        if self.name == "ry":
-            c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.name == "rx":
-            c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        if self.name == "rz":
-            return np.array(
-                [[np.exp(-0.5j * self.angle), 0], [0, np.exp(0.5j * self.angle)]],
-                dtype=complex,
-            )
-        raise InvalidGateError(f"{self.name} is not a single-qubit gate and has no 2x2 matrix")
+        if self.name not in ("h", "ry", "rx", "rz"):
+            raise InvalidGateError(f"{self.name} is not a single-qubit gate and has no 2x2 matrix")
+        return np.array(_entries(self.name, self.angle), dtype=complex)
+
+
+def _read_only(a, dtype=None) -> np.ndarray:
+    """`a` as an array that cannot change after the gate is built: a read-only copy unless it is one."""
+    a = np.asarray(a, dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def _entries(name: str, angle: float | None) -> list:
+    """Entries of the h, ry, rx or rz matrix as nested lists (h has no angle)."""
+    if name == "h":
+        r = 1 / math.sqrt(2)
+        return [[r, r], [r, -r]]
+    if name == "rz":
+        return [[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]]
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return [[c, -s], [s, c]] if name == "ry" else [[c, -1j * s], [-1j * s, c]]
 
 
 def ry(qubit: int, angle: float) -> Gate:
@@ -100,11 +111,18 @@ def diag(d: np.ndarray, angle: float | None = None) -> Gate:
     return Gate("diag", (), None if angle is None else float(angle), d)
 
 
+def layer(name: str, angles) -> Gate:
+    """One h, ry, rx or rz gate per qubit as one gate: qubit q turns by angles[q]."""
+    return Gate("layer", (), matrices=[_entries(name, a) for a in angles])
+
+
 def _check_fits(gate: Gate, n: int) -> None:
     if any(q >= n for q in gate.qubits):
         raise InvalidGateError(f"gate {gate} out of range for n={n}")
     if gate.name == "diag" and gate.diagonal.size != 2**n:
         raise InvalidGateError(f"diag of length {gate.diagonal.size} does not fit n={n}")
+    if gate.name == "layer" and len(gate.matrices) != n:
+        raise InvalidGateError(f"layer of {len(gate.matrices)} matrices does not fit n={n}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +169,16 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _apply_matrix(amps: np.ndarray, q: int, m: np.ndarray) -> None:
+    """Apply the 2x2 matrix m to qubit q of the 1-D amplitude array, in place."""
+    # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
+    psi = amps.reshape(2**q, 2, -1)
+    v0, v1 = psi[:, 0], psi[:, 1]
+    r0 = v0.copy()
+    v0[...] = m[0, 0] * r0 + m[0, 1] * v1
+    v1[...] = m[1, 0] * r0 + m[1, 1] * v1
+
+
 def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
     """Mutate the 1-D amplitude array in place."""
     if gate.name == "diag":
@@ -159,18 +187,11 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         else:
             phases = np.multiply(gate.diagonal, -1j * gate.angle)  # the one scratch array
             amps *= np.exp(phases, out=phases)
+    elif gate.name == "layer":
+        for q, m in enumerate(gate.matrices):
+            _apply_matrix(amps, q, m)
     elif gate.name in ("ry", "rx", "h", "rz"):
-        # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
-        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)
-        v0, v1 = psi[:, 0], psi[:, 1]
-        if gate.name == "rz":
-            v0 *= np.exp(-0.5j * gate.angle)
-            v1 *= np.exp(0.5j * gate.angle)
-        else:
-            m = gate.matrix()
-            r0 = v0.copy()
-            v0[...] = m[0, 0] * r0 + m[0, 1] * v1
-            v1[...] = m[1, 0] * r0 + m[1, 1] * v1
+        _apply_matrix(amps, gate.qubits[0], gate.matrix())
     elif gate.name == "cz":
         psi = amps.reshape([2] * n)  # qubit q is axis q
         a, b = gate.qubits
@@ -198,12 +219,18 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply all gates in order, starting from |0...0> unless an initial state is given."""
-    if initial is None:
-        initial = StateVector.zero(circuit.n)
-    if initial.n != circuit.n:
+    if initial is not None and initial.n != circuit.n:
         raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
-    amps = initial.amplitudes.copy()
-    for gate in circuit.gates:
+    gates = circuit.gates
+    if initial is None and gates and gates[0].name == "layer":
+        # the layer's product state: column entry times amplitude so far, qubit 0 first, as gates do
+        amps = gates[0].matrices[0, :, 0].copy()
+        for m in gates[0].matrices[1:]:
+            amps = np.multiply(m[None, :, 0], amps[:, None]).ravel()
+        gates = gates[1:]
+    else:
+        amps = (StateVector.zero(circuit.n) if initial is None else initial).amplitudes.copy()
+    for gate in gates:
         _apply_inplace(amps, gate, circuit.n)
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-10:

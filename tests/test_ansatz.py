@@ -11,11 +11,11 @@ from cvarqopt.ansatz import (
     cost_layer_gates,
     entangler_pairs,
     entangler_signs,
-    mixer_layer_gates,
+    mixer_layer,
     trial_state,
 )
 from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, cz, h, probabilities, run_circuit, ry
+from cvarqopt.statevector import Circuit, StateVector, cz, diag, h, probabilities, run_circuit, rx, ry
 
 
 def gate_counts(circuit):
@@ -26,7 +26,7 @@ def gate_counts(circuit):
 
 
 def cz_reference_circuit(spec, theta):
-    """The layered family compiled gate by gate: one CZ per entangler pair."""
+    """The layered family compiled gate by gate: one RY per qubit, one CZ per entangler pair."""
     n = spec.n
     gates = [ry(q, theta[q]) for q in range(n)]
     for k in range(1, spec.p + 1):
@@ -38,13 +38,13 @@ def cz_reference_circuit(spec, theta):
 def test_layered_counts_three_qubits_depth_two():
     spec = AnsatzSpec("vqe", n=3, p=2)
     circ = build_vqe_circuit(spec, np.zeros(9))
-    assert gate_counts(circ) == {"ry": 9, "diag": 2}
+    assert gate_counts(circ) == {"layer": 3, "diag": 2}
 
 
 def test_ring_counts_six_qubits():
     spec = AnsatzSpec("vqe", n=6, p=1, entanglement="ring")
     circ = build_vqe_circuit(spec, np.zeros(12))
-    assert gate_counts(circ) == {"ry": 12, "diag": 1}
+    assert gate_counts(circ) == {"layer": 2, "diag": 1}
     assert entangler_pairs(6, "ring") == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
     signs = next(g.diagonal for g in circ.gates if g.name == "diag")
     np.testing.assert_array_equal(signs, entangler_signs(6, "ring"))
@@ -62,6 +62,29 @@ def test_sign_entangler_state_equals_cz_gates_bit_for_bit(entanglement):
             theta = np.random.default_rng(100 * n + p).uniform(-np.pi, np.pi, spec.parameter_count)
             want = run_circuit(cz_reference_circuit(spec, theta)).amplitudes
             assert np.array_equal(trial_state(spec, theta).amplitudes, want), (n, p)
+
+
+def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
+    for n in range(1, 9):
+        ising = qubo_to_ising(random_qubo(rng, n))
+        for p in range(1, 4):
+            theta = rng.uniform(-np.pi, np.pi, 2 * p)
+            gates = [h(q) for q in range(n)]
+            for beta, gamma in zip(theta[:p], theta[p:]):
+                gates += [diag(ising.cost_values, gamma), *(rx(q, 2.0 * beta) for q in range(n))]
+            want = run_circuit(Circuit(n, gates)).amplitudes
+            got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
+            assert np.array_equal(got, want), (n, p)
+
+
+def test_one_qubit_alternating_circuit_matches_closed_form():
+    # exp(-i beta X) exp(-i gamma c Z) |+> for the one-spin model c * z
+    ising = IsingModel(1, c=[0.8], Q=[[0.0]])
+    beta, gamma = 0.3, -1.1
+    plus = np.array([np.exp(-1j * gamma * 0.8), np.exp(1j * gamma * 0.8)]) / math.sqrt(2)
+    mixer = np.array([[math.cos(beta), -1j * math.sin(beta)], [-1j * math.sin(beta), math.cos(beta)]])
+    got = trial_state(AnsatzSpec("qaoa", n=1, p=1, ising=ising), [beta, gamma]).amplitudes
+    np.testing.assert_allclose(got, mixer @ plus, rtol=0, atol=1e-15)
 
 
 def test_depth_zero_at_zero_angles_is_identity():
@@ -105,7 +128,7 @@ def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
     assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "rz": 1}
     circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
-    assert gate_counts(circ) == {"h": 3, "diag": 1, "rx": 3}
+    assert gate_counts(circ) == {"layer": 2, "diag": 1}
 
 
 def test_zero_coefficients_emit_no_gates():
@@ -123,7 +146,7 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     assert counts["cnot"] == 2 * pairs * p
     assert counts["rz"] == (pairs + np.count_nonzero(ising.c)) * p
     circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
-    assert gate_counts(circ) == {"h": n, "diag": p, "rx": n * p}
+    assert gate_counts(circ) == {"layer": 1 + p, "diag": p}
 
 
 def test_parameter_length_mismatch():
@@ -174,7 +197,7 @@ def test_qaoa_state_matches_gate_level_cost_layers(n, p, rng):
     theta = rng.uniform(-np.pi, np.pi, 2 * p)
     gates = [h(q) for q in range(n)]
     for beta, gamma in zip(theta[:p], theta[p:]):
-        gates += cost_layer_gates(ising, gamma) + mixer_layer_gates(n, beta)
+        gates += [*cost_layer_gates(ising, gamma), mixer_layer(n, beta)]
     want = run_circuit(Circuit(n, gates)).amplitudes
     got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
     k = int(np.argmax(np.abs(want)))

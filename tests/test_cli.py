@@ -1,5 +1,7 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -99,6 +101,11 @@ def test_sweep_report_chain(runner, tmp_path):
     meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
     assert meta["prng"] == "numpy.random.PCG64"
     assert meta["config"]["master_seed"] == 5
+    assert meta["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "optimizer": "cvarqopt COBYLA",
+    }
 
     result = runner.invoke(main, ["report", "--input", str(out),
                                   "--threshold", "0.01", "-o", str(tmp_path / "agg")])

@@ -15,6 +15,7 @@ from cvarqopt.flatness import (
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.problems import InstanceSpec, generate
+from cvarqopt.statevector import Circuit, StateVector, diag, run_circuit, rx
 
 
 def test_delta_of_reference_diagonal():
@@ -74,6 +75,22 @@ def test_snapshots_match_compiled_circuit(rng):
     phase = circ_state[k] / snap[k]
     assert abs(abs(phase) - 1.0) < 1e-9
     np.testing.assert_allclose(snap * phase, circ_state, atol=1e-9)
+
+
+def test_snapshots_equal_per_qubit_mixer_gates(rng):
+    """Each snapshot is the one that RX gates, one per qubit, give, bit for bit."""
+    for n in (2, 3, 6):
+        ham = qubo_to_hamiltonian(generate(InstanceSpec("portfolio", n, seed=n)))
+        betas, gammas = rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 3)
+        state = StateVector.uniform(n)
+        want = [state.amplitudes]
+        for beta, gamma in zip(betas, gammas):
+            phases = np.exp(-1j * gamma * ham.ranking.values)[ham.ranking.inverse]
+            gates = [diag(phases), *(rx(q, 2.0 * beta) for q in range(n))]
+            state = run_circuit(Circuit(n, gates), state)
+            want.append(state.amplitudes)
+        got = qaoa_snapshots(ham, betas, gammas)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
 
 
 def test_depth_zero_bound_is_equality():

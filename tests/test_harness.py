@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvarqopt import fixtures
+from cvarqopt import fixtures, hamiltonian
 from cvarqopt.hamiltonian import qubo_to_hamiltonian
 from cvarqopt.harness import (
     CSV_HEADER,
@@ -89,6 +89,22 @@ def test_run_single_exact_records_everything():
         assert 0.0 <= r.overlap <= 1.0
         assert r.value >= gmin - 1e-9
         assert r.bitstring is not None
+
+
+@pytest.mark.parametrize("algo,p", [("vqe", 1), ("qaoa", 2)])
+def test_run_single_computes_the_cost_diagonal_once(monkeypatch, algo, p):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return spin_table(*args)
+
+    spin_table = hamiltonian._spin_table
+    monkeypatch.setattr(hamiltonian, "_spin_table", counting)
+    qubo = generate(InstanceSpec("maxcut", 5, 2))
+    trace = run_single(qubo, algo, p=p, alpha=0.25, seed=3, max_evaluations=12)
+    assert trace.n_evaluations == 12
+    assert calls == [5]  # the Hamiltonian and the qaoa cost layers share one table
 
 
 def test_run_single_seed_controls_everything():

@@ -21,6 +21,15 @@ def test_convex_quadratic_converges():
     assert trace.n_evaluations <= 200
 
 
+def test_stop_reasons():
+    quadratic = lambda t: float(np.sum((t - 0.3) ** 2))
+    converged = minimize(quadratic, cfg([1.0, -1.0]))
+    assert converged.stop_reason == "converged" and converged.n_evaluations < 200
+    capped = minimize(quadratic, cfg(np.zeros(4), budget=10))
+    assert capped.stop_reason == "budget" and capped.n_evaluations == 10
+    assert RunTrace().stop_reason is None
+
+
 def test_periodic_valley_converges_to_origin():
     trace = minimize(lambda t: float(np.sin(t[0] / 2) ** 2), cfg([np.pi / 2]))
     assert trace.best_value < 1e-6

@@ -9,14 +9,16 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian
+from cvarqopt.hamiltonian import DiagonalHamiltonian, QuboProblem, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.objective import (
     SUPPORT_EPS,
+    OutcomeDistribution,
     best_support_bitstring,
     cvar_exact,
+    cvar_from_samples,
     outcome_distribution,
     overlap_with_optimum,
 )
@@ -116,6 +118,52 @@ def test_cvar_is_nondecreasing_in_alpha(case, alphas):
     scale = max(1.0, float(np.abs(dist.values).max()))
     curve = [cvar_exact(dist, a) for a in sorted(alphas)]
     assert all(lo <= hi + 1e-12 * scale for lo, hi in zip(curve, curve[1:]))
+
+
+@st.composite
+def distributions(draw):
+    values = sorted(set(draw(st.lists(_VALUE, min_size=1, max_size=6))))
+    weights = np.array(draw(st.lists(st.floats(1e-12, 1.0), min_size=len(values), max_size=len(values))))
+    return OutcomeDistribution(np.array(values), weights / weights.sum())
+
+
+@settings(deadline=None)
+@given(distributions(), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+@example(OutcomeDistribution(np.array([0.0, 100.0]), np.array([1e-9, 1.0 - 1e-9])), 1.0)
+def test_cvar_below_the_first_probability_is_the_minimum(dist, fraction):
+    alpha = dist.probs[0] * fraction
+    assume(alpha >= 1e-300)  # v * alpha / alpha loses v's low bits once alpha is subnormal
+    ulp = np.spacing(max(1.0, float(np.abs(dist.values).max())))
+    assert abs(cvar_exact(dist, alpha) - dist.values[0]) <= 4 * ulp
+
+
+@settings(deadline=None)
+@given(st.lists(_VALUE, min_size=1, max_size=300), st.floats(0.0, 1.0))
+def test_sampled_cvar_below_one_shot_is_the_minimum_sample(samples, fraction):
+    values = np.array(samples)
+    alpha = fraction / values.size
+    assume(alpha > 0.0)
+    assert cvar_from_samples(values, alpha) == values.min()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+    st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n),
+    st.floats(-10.0, 10.0),
+)))
+def test_qubo_ising_and_table_agree_at_every_basis_state(problem):
+    n, b, a, const = problem
+    qubo = QuboProblem(n, b, np.reshape(a, (n, n)), const)
+    ising = qubo_to_ising(qubo)
+    table = qubo_to_hamiltonian(qubo).table
+    scale = 1.0 + abs(const) + np.abs(b).sum() + np.abs(a).sum()
+    for j in range(2**n):
+        x = np.array([(j >> (n - 1 - i)) & 1 for i in range(n)], dtype=float)
+        want = qubo.value(x)
+        assert ising.value(1.0 - 2.0 * x) == pytest.approx(want, rel=0, abs=1e-13 * scale)
+        assert table[j] == pytest.approx(want, rel=0, abs=1e-13 * scale)
 
 
 def test_ranking_is_computed_once_and_survives_pickling():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cvarqopt import fixtures
 from cvarqopt.statevector import (
     Circuit,
+    Gate,
     InvalidGateError,
     StateVector,
     apply_gate,
@@ -13,6 +16,7 @@ from cvarqopt.statevector import (
     cz,
     diag,
     h,
+    layer,
     probabilities,
     run_circuit,
     rx,
@@ -168,3 +172,63 @@ def test_diag_gate_keeps_a_read_only_copy():
         diag(np.ones((2, 2)))
     with pytest.raises(InvalidGateError):
         diag(np.ones(4)).matrix()
+
+
+def per_qubit(name, angles):
+    """The gates a layer stands for, one per qubit."""
+    make = {"h": lambda q, a: h(q), "ry": ry, "rx": rx}[name]
+    return [make(q, a) for q, a in enumerate(angles)]
+
+
+@pytest.mark.parametrize("name", ["h", "ry", "rx"])
+def test_layer_equals_its_single_qubit_gates(name, rng):
+    for n in range(1, 9):
+        angles = [None] * n if name == "h" else rng.uniform(-np.pi, np.pi, n).tolist()
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        want = run_circuit(Circuit(n, per_qubit(name, angles)), state).amplitudes
+        assert np.array_equal(apply_gate(state, layer(name, angles)).amplitudes, want), n
+        assert np.array_equal(run_circuit(Circuit(n, [layer(name, angles)]), state).amplitudes, want)
+        # from |0...0> a leading layer starts from its product state instead
+        want = run_circuit(Circuit(n, per_qubit(name, angles))).amplitudes
+        assert np.array_equal(run_circuit(Circuit(n, [layer(name, angles)])).amplitudes, want), n
+
+
+def test_product_state_start_at_twenty_qubits(rng):
+    angles = rng.uniform(-np.pi, np.pi, 20).tolist()
+    want = run_circuit(Circuit(20, per_qubit("ry", angles))).amplitudes
+    assert np.array_equal(run_circuit(Circuit(20, [layer("ry", angles)])).amplitudes, want)
+
+
+def test_one_qubit_layers_match_closed_forms():
+    c, s = math.cos(0.35), math.sin(0.35)
+    assert np.array_equal(run_circuit(Circuit(1, [layer("ry", [0.7])])).amplitudes, [c, s])
+    assert np.array_equal(run_circuit(Circuit(1, [layer("rx", [0.7])])).amplitudes, [c, -1j * s])
+    r = 1 / math.sqrt(2)
+    assert np.array_equal(run_circuit(Circuit(1, [layer("h", [None])])).amplitudes, [r, r])
+
+
+@given(st.integers(1, 6), st.integers(1, 8))
+def test_wrong_size_layer_is_rejected(n, size):
+    gate = layer("ry", [0.3] * size)
+    if size == n:
+        assert abs(run_circuit(Circuit(n, [gate])).norm() - 1.0) < 1e-12
+        return
+    with pytest.raises(InvalidGateError):
+        Circuit(n, [gate])
+    with pytest.raises(InvalidGateError):
+        apply_gate(StateVector.zero(n), gate)
+
+
+def test_layer_gate_keeps_read_only_two_by_two_matrices():
+    m = np.array([np.eye(2)] * 3, dtype=complex)
+    gate = Gate("layer", (), matrices=m)
+    m[0, 0, 0] = 5.0  # the caller's array stays its own
+    assert gate.matrices[0, 0, 0] == 1.0 and not gate.matrices.flags.writeable
+    for shape in [(3, 2, 3), (3, 4), (2, 2)]:
+        with pytest.raises(InvalidGateError):
+            Gate("layer", (), matrices=np.ones(shape))
+    with pytest.raises(InvalidGateError):
+        Gate("layer", ())
+    with pytest.raises(InvalidGateError):
+        Gate("ry", (0,), 0.1, matrices=m)
