@@ -24,7 +24,7 @@ from .objective import (
 from .optimizer import OptimizerConfig, RunTrace, best_observed_solution, minimize
 from .oracle import GroundTruth, enumerate_hamiltonian, exact_cvar_landscape
 from .problems import InstanceSpec, PortfolioFixture, generate, portfolio_qubo
-from .statevector import Circuit, Gate, StateVector, apply_gate, probabilities, run_circuit
+from .statevector import Circuit, Gate, StateVector, probabilities, run_circuit
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "QuboProblem",
     "RunTrace",
     "StateVector",
-    "apply_gate",
     "best_observed_solution",
     "build_qaoa_circuit",
     "build_vqe_circuit",

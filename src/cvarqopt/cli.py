@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -194,30 +195,20 @@ def report(input_, thresholds, output):
               help="Report JSON path.")
 def flatness_cmd(problem, n_qubits, instance_seed, depth, draws, seed, tol, output):
     """Flatness diagnostics for alternating-unitary states on random angles."""
-    if problem == "needle":
-        ham = needle_hamiltonian(n_qubits)
-    else:
-        ham = qubo_to_hamiltonian(generate(InstanceSpec("maxcut", n_qubits, instance_seed)))
     rng = np.random.Generator(np.random.PCG64(seed))
     reports = []
-    for draw in range(draws):
-        betas = rng.uniform(-np.pi, np.pi, size=depth)
-        gammas = rng.uniform(-np.pi, np.pi, size=depth)
-        rep = flatness_report(ham, betas, gammas, tol=tol)
-        reports.append({
-            "draw": draw,
-            "betas": betas.tolist(),
-            "gammas": gammas.tolist(),
-            "n": rep.n,
-            "p": rep.p,
-            "delta": rep.delta,
-            "delta_per_layer": list(rep.delta_per_layer),
-            "max_abs_amplitude": rep.max_abs_amplitude,
-            "bound_value": rep.bound_value,
-            "bound_holds": rep.bound_holds,
-            "equality_tolerance": rep.equality_tolerance,
-            "structureless": rep.structureless,
-        })
+    try:
+        if problem == "needle":
+            ham = needle_hamiltonian(n_qubits)
+        else:
+            ham = qubo_to_hamiltonian(generate(InstanceSpec("maxcut", n_qubits, instance_seed)))
+        for draw in range(draws):
+            betas = rng.uniform(-np.pi, np.pi, size=depth)
+            gammas = rng.uniform(-np.pi, np.pi, size=depth)
+            rep = flatness_report(ham, betas, gammas, tol=tol)
+            reports.append({"draw": draw, "betas": betas.tolist(), "gammas": gammas.tolist(), **asdict(rep)})
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     Path(output).write_text(json.dumps(
         {"problem": problem, "seed": seed, "reports": reports}, indent=2) + "\n")
     holds = sum(r["bound_holds"] for r in reports)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,19 +72,6 @@ def two_qubit_cvar(theta: float, alpha: float) -> float:
     return (middle + 2.0 * (alpha - ground - middle)) / alpha
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    name: str
-    inputs: dict
-    expected: object
-    tolerance: float
-    source: str  # published | analytic | computed
-
-    def __post_init__(self):
-        if self.source not in ("published", "analytic", "computed"):
-            raise ValueError(f"unknown source {self.source!r}")
-
-
 _DATA_PACKAGE = "cvarqopt.data"
 _GOLDEN_FILE = "golden.json"
 
@@ -95,8 +81,7 @@ def golden_path() -> Path:
 
 
 def load_golden_json() -> dict:
-    text = (importlib.resources.files(_DATA_PACKAGE) / _GOLDEN_FILE).read_text()
-    data = json.loads(text)
+    data = json.loads(golden_path().read_text())
     if data.get("version") != GOLDEN_VERSION:
         raise ValueError(f"unsupported golden data version {data.get('version')}")
     return data
@@ -182,99 +167,3 @@ def regenerate_golden(path: Path | None = None) -> Path:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def load_golden_suite() -> list[GoldenCase]:
-    """Assemble the full golden-case list: published constants, analytic
-    identities on a canonical angle grid, and frozen computed values."""
-    cases: list[GoldenCase] = []
-    thetas = np.linspace(0.0, 2 * np.pi, 25)
-    cases.append(
-        GoldenCase(
-            name="two-qubit-state-closed-form",
-            inputs={"thetas": thetas},
-            expected=np.stack([two_qubit_amplitudes(t) for t in thetas]),
-            tolerance=1e-9,
-            source="published",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="two-qubit-cvar-mean-constant",
-            inputs={"thetas": thetas, "alpha": 1.0},
-            expected=np.ones_like(thetas),
-            tolerance=1e-9,
-            source="published",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="two-qubit-cvar-half-landscape",
-            inputs={"thetas": thetas, "alpha": 0.5},
-            expected=np.sin(thetas / 2) ** 2,
-            tolerance=1e-9,
-            source="published",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="portfolio-constants",
-            inputs={},
-            expected={
-                "n": PORTFOLIO_N,
-                "risk_factor": PORTFOLIO_RISK_FACTOR,
-                "budget": PORTFOLIO_BUDGET,
-                "penalty": PORTFOLIO_PENALTY,
-                "returns": PORTFOLIO_RETURNS,
-                "covariance": PORTFOLIO_COVARIANCE,
-            },
-            tolerance=0.0,
-            source="published",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="uniform-superposition-amplitude",
-            inputs={"n": list(range(1, 13))},
-            expected=[1.0 / math.sqrt(2**n) for n in range(1, 13)],
-            tolerance=1e-12,
-            source="analytic",
-        )
-    )
-    data = load_golden_json()
-    cases.append(
-        GoldenCase(
-            name="portfolio-optimum",
-            inputs={},
-            expected=data["portfolio_optimum"],
-            tolerance=0.0,
-            source="computed",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="triangle-maxcut-optimum",
-            inputs={"edges": [[0, 1], [1, 2], [0, 2]]},
-            expected=data["triangle_maxcut_optimum"],
-            tolerance=0.0,
-            source="computed",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="maxcut-flatness-regression",
-            inputs={k: v for k, v in data["maxcut_flatness_regression"].items() if "seed" in k or k in ("n", "p")},
-            expected=data["maxcut_flatness_regression"],
-            tolerance=1e-9,
-            source="computed",
-        )
-    )
-    cases.append(
-        GoldenCase(
-            name="needle-peak-amplitude",
-            inputs={"draws": data["needle_peak_amplitude"]["draws"]},
-            expected=data["needle_peak_amplitude"]["by_n"],
-            tolerance=1e-9,
-            source="computed",
-        )
-    )
-    return cases

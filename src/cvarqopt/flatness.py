@@ -45,13 +45,17 @@ def compute_delta(ham: DiagonalHamiltonian) -> float:
 def equal_amplitude_fraction(amplitudes: np.ndarray, tol: float = DEFAULT_EQUALITY_TOL) -> float:
     """Largest cluster of pairwise-equal complex amplitudes, as a fraction.
 
-    Clusters by lexicographic (re, im) sort and a linear sweep; adjacent
-    entries within tol on both components join the current cluster.
+    Chains entries whose sorted real parts lie within tol into runs, then
+    chains each run's sorted imaginary parts the same way; the chains left
+    are the clusters.
     """
     amps = np.asarray(amplitudes)
-    order = np.lexsort((amps.imag, amps.real))
+    order = np.argsort(amps.real)
     re, im = amps.real[order], amps.imag[order]
-    breaks = (np.abs(np.diff(re)) > tol) | (np.abs(np.diff(im)) > tol)
+    runs = np.concatenate(([0], np.cumsum(np.diff(re) > tol)))
+    inner = np.lexsort((im, runs))  # runs stay in place; each is sorted by imaginary part
+    runs, im = runs[inner], im[inner]
+    breaks = (np.diff(runs) != 0) | (np.diff(im) > tol)
     sizes = np.diff(np.concatenate(([0], np.flatnonzero(breaks) + 1, [amps.size])))
     return float(sizes.max()) / amps.size
 
@@ -139,8 +143,8 @@ def cluster_fraction_lower_bound(n: int, p: int, delta: float) -> float:
 
 def needle_hamiltonian(n: int, index: int = 0) -> DiagonalHamiltonian:
     """Minimization needle: value 0 at one distinguished bitstring, 1 elsewhere."""
-    if n > MAX_QUBITS:
-        raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit dense limit")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     table = np.ones(2**n)
     table[index] = 0.0
     return DiagonalHamiltonian(n, table)

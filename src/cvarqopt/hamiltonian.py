@@ -84,16 +84,6 @@ class IsingModel:
         table.flags.writeable = False
         return table
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "c": self.c.tolist(), "Q": self.Q.tolist(), "offset": self.offset}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "IsingModel":
-        d = json.loads(text)
-        return cls(n=int(d["n"]), c=d["c"], Q=d["Q"], offset=float(d["offset"]))
-
 
 class ValueRanking(NamedTuple):
     values: np.ndarray  # distinct table values, strictly increasing

@@ -82,10 +82,8 @@ def make_objective(
     return objective
 
 
-def initial_parameters(n_params: int, how, seed: int | None = None) -> np.ndarray:
+def initial_parameters(n_params: int, how: str, seed: int | None = None) -> np.ndarray:
     """theta0 = 0 by default; sweeps use a seeded uniform draw in [-pi, pi]^d."""
-    if isinstance(how, (list, tuple, np.ndarray)):
-        return np.asarray(how, dtype=float)
     if how == "zeros":
         return np.zeros(n_params)
     if how == "random":
@@ -104,9 +102,7 @@ def run_single(
     seed: int | None = None,
     entanglement: str = "all-to-all",
     max_evaluations: int | None = None,
-    initial_point="zeros",
-    initial_step: float = 0.5,
-    final_step: float = 1e-4,
+    initial_point: str = "zeros",
     observer: Callable[[EvalRecord], None] | None = None,
 ) -> RunTrace:
     """One optimization run; deterministic given all arguments."""
@@ -125,8 +121,6 @@ def run_single(
     cfg = OptimizerConfig(
         max_evaluations=max_evaluations if max_evaluations is not None else 50 * n,
         initial_point=theta0,
-        initial_step=initial_step,
-        final_step=final_step,
     )
     sample_rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sampled" else None
     objective = make_objective(

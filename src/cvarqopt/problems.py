@@ -32,6 +32,8 @@ class InstanceSpec:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
+        if self.problem in ("maxcut", "stable_set") and self.n_qubits < 2:
+            raise ValueError(f"{self.problem} requires at least two vertices")
         if self.problem == "max3sat" and self.n_qubits % 3 != 0:
             raise ValueError("max3sat requires n_qubits to be a multiple of three")
 
@@ -189,7 +191,7 @@ def _portfolio(n: int, seed: int, params: dict) -> QuboProblem:
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.0, 1.0, size=n)
     series = rng.normal(size=(2 * n, n))
-    sigma = np.cov(series, rowvar=False)
+    sigma = np.atleast_2d(np.cov(series, rowvar=False))  # np.cov of one column is 0-d
     fixture = PortfolioFixture(
         n=n,
         risk_factor=params.get("risk_factor", 0.5),

@@ -24,13 +24,13 @@ class InvalidGateError(ValueError):
     """Raised for malformed gates or gate indices out of range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: field-wise == would ignore or mis-compare the arrays
 class Gate:
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    diagonal: np.ndarray | None = field(default=None, compare=False, repr=False)  # diag only; read-only, not compared
-    matrices: np.ndarray | None = field(default=None, compare=False, repr=False)  # layer only; (n, 2, 2), read-only
+    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only; read-only
+    matrices: np.ndarray | None = field(default=None, repr=False)  # layer only; (n, 2, 2), read-only
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
@@ -116,15 +116,6 @@ def layer(name: str, angles) -> Gate:
     return Gate("layer", (), matrices=[_entries(name, a) for a in angles])
 
 
-def _check_fits(gate: Gate, n: int) -> None:
-    if any(q >= n for q in gate.qubits):
-        raise InvalidGateError(f"gate {gate} out of range for n={n}")
-    if gate.name == "diag" and gate.diagonal.size != 2**n:
-        raise InvalidGateError(f"diag of length {gate.diagonal.size} does not fit n={n}")
-    if gate.name == "layer" and len(gate.matrices) != n:
-        raise InvalidGateError(f"layer of {len(gate.matrices)} matrices does not fit n={n}")
-
-
 @dataclass(frozen=True)
 class Circuit:
     n: int
@@ -135,7 +126,12 @@ class Circuit:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            _check_fits(g, self.n)
+            if any(q >= self.n for q in g.qubits):
+                raise InvalidGateError(f"gate {g} out of range for n={self.n}")
+            if g.name == "diag" and g.diagonal.size != 2**self.n:
+                raise InvalidGateError(f"diag of length {g.diagonal.size} does not fit n={self.n}")
+            if g.name == "layer" and len(g.matrices) != self.n:
+                raise InvalidGateError(f"layer of {len(g.matrices)} matrices does not fit n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -207,14 +203,6 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         sub = psi[tuple(idx)]
         # after fixing the control axis, the target axis shifts down by one if it came later
         psi[tuple(idx)] = np.flip(sub, axis=t if t < c else t - 1)
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new normalized state."""
-    _check_fits(gate, state.n)
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, gate, state.n)
-    return StateVector(state.n, amps)
 
 
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from cvarqopt.cli import main
 from cvarqopt.harness import CSV_HEADER
+from cvarqopt.problems import PROBLEM_NAMES
 
 
 @pytest.fixture
@@ -40,6 +41,12 @@ def test_generate_rejects_bad_max3sat_size(runner):
     result = runner.invoke(main, ["generate", "--problem", "max3sat", "--n", "7"])
     assert result.exit_code != 0
     assert "multiple of three" in result.output
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+def test_generate_one_qubit_writes_or_is_a_usage_error(runner, problem):
+    result = runner.invoke(main, ["generate", "--problem", problem, "--n", "1"])
+    assert result.exit_code in (0, 2), result.output
 
 
 def test_generate_published_portfolio_fixture(runner, tmp_path):
@@ -179,6 +186,15 @@ def test_flatness_subcommand_maxcut(runner, tmp_path):
                                   "--instance-seed", "2", "-p", "1", "--draws", "3",
                                   "-o", str(out)])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("problem", ["needle", "maxcut"])
+@pytest.mark.parametrize("n", ["0", "21"])
+def test_flatness_size_out_of_range_is_a_usage_error(runner, tmp_path, problem, n):
+    result = runner.invoke(main, ["flatness", "--problem", problem, "--n", n,
+                                  "-o", str(tmp_path / "flat.json")])
+    assert result.exit_code == 2, result.output
+    assert "qubit" in result.output
 
 
 def test_regen_golden_check_passes(runner):

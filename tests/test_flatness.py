@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cvarqopt import fixtures
 from cvarqopt.ansatz import AnsatzSpec, trial_state
@@ -44,6 +46,32 @@ def test_distinct_amplitudes_cluster_to_single_states(rng):
 def test_cluster_tolerance_merges_fp_twins():
     amps = np.array([0.5, 0.5 + 1e-12, 0.5 + 2e-12, -0.5], dtype=complex)
     assert equal_amplitude_fraction(amps, tol=1e-9) == 0.75
+
+
+@st.composite
+def twin_clusters(draw):
+    """Amplitudes in clusters of fp twins, shuffled, and the largest cluster's share.
+
+    Centres sit on a grid at least 1e-6 apart and often share a real part;
+    each member lies within 1e-13 of its centre on both components.
+    """
+    step = draw(st.floats(1e-6, 1.0))
+    centres = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(centres), max_size=len(centres)))
+    jitter = st.floats(-1e-13, 1e-13)
+    amps = [
+        complex(a * step + draw(jitter), b * step + draw(jitter))
+        for (a, b), size in zip(centres, sizes)
+        for _ in range(size)
+    ]
+    return np.array(draw(st.permutations(amps))), max(sizes) / len(amps)
+
+
+@given(twin_clusters())
+@example((np.array([0.5 + 0.1j, 0.5 + 1e-16 + 0.3j, 0.5 + 2e-16 + 0.1j, 0.9]), 0.5))
+def test_fraction_is_the_largest_twin_cluster(case):
+    amps, largest = case
+    assert equal_amplitude_fraction(amps) == largest
 
 
 def test_zero_angles_keep_profile_at_one(rng):

@@ -122,7 +122,6 @@ def test_initial_parameters_modes():
     r1 = initial_parameters(5, "random", seed=4)
     assert np.array_equal(r1, initial_parameters(5, "random", seed=4))
     assert np.all(np.abs(r1) <= np.pi)
-    assert np.array_equal(initial_parameters(2, [0.5, 0.25]), [0.5, 0.25])
     with pytest.raises(ValueError):
         initial_parameters(2, "sobol")
 

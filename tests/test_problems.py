@@ -8,6 +8,7 @@ from cvarqopt import fixtures
 from cvarqopt.hamiltonian import qubo_to_hamiltonian
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import (
+    PROBLEM_NAMES,
     Clause,
     InstanceSpec,
     PortfolioFixture,
@@ -144,6 +145,18 @@ def test_largest_instances_enumerate_quickly():
         truth = enumerate_hamiltonian(qubo_to_hamiltonian(generate(InstanceSpec(problem, 16, 0))))
         assert truth.minimizers
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+def test_one_qubit_instances_are_valid_or_rejected(problem):
+    """Every class gives a valid one-qubit QUBO or a ValueError, never a crash."""
+    if problem in ("maxcut", "stable_set", "max3sat"):
+        with pytest.raises(ValueError):
+            InstanceSpec(problem, 1, seed=0)
+        return
+    for seed in range(3):
+        qubo = generate(InstanceSpec(problem, 1, seed))
+        assert qubo.n == 1 and np.isfinite(qubo.value([0])) and np.isfinite(qubo.value([1]))
 
 
 def test_unknown_problem_rejected():

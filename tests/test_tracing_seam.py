@@ -1,6 +1,7 @@
-"""The benchmark traces the package by replacing module attributes (see
-`perfbench/tracing.py`).  These tests keep the names it wraps alive and
-check that the package still reaches the simulator through them."""
+"""Names other code reaches the package through.  `cvarqopt.__all__` is the
+library's export list.  The benchmark traces the package by replacing module
+attributes (see `perfbench/tracing.py`); these tests keep the names it wraps
+alive and check that the package still reaches the simulator through them."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cvarqopt
 from cvarqopt import flatness, harness
 from cvarqopt.problems import InstanceSpec, generate
 
@@ -19,6 +21,11 @@ def wrapped_names():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.WRAPPED
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cvarqopt.__all__ if not hasattr(cvarqopt, name)]
+    assert not missing and len(set(cvarqopt.__all__)) == len(cvarqopt.__all__)
 
 
 def test_every_wrapped_name_exists():
