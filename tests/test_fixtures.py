@@ -44,6 +44,9 @@ def test_closed_form_cvar_matches_numeric(rng):
             assert fixtures.two_qubit_cvar(theta, alpha) == pytest.approx(
                 cvar_exact(d, alpha), abs=1e-12
             )
+
+
+def test_golden_suite_landscapes_evaluate():
     # the published half-tail landscape, CVaR_0.5 = sin^2(theta/2), on a 25-angle grid
     thetas = np.linspace(0.0, 2 * np.pi, 25)
     got = [fixtures.two_qubit_cvar(t, 0.5) for t in thetas]
