@@ -6,15 +6,17 @@ layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
 gamma_1..gamma_p).
 
 Each family compiles to whole-register gates: VQE to layer(RY), then
-[diag, layer(RY)] x p; QAOA to layer(H), then [diag(cost, gamma), layer(RX)]
-x p.  A CZ block is the +-1 vector (-1)^(number of its pairs with both bits
-set), cached per (n, entanglement); multiplying by -1 is exact, so the state
-equals the one the CZ gates give, bit for bit.  The cost step exp(-i gamma *
-cost) is `diag(cost, gamma)` over the Ising model's cached cost diagonal; the
-Ising offset is a global phase and is never applied.  The mixer step is
-RX(2*beta) on every qubit (= exp(-i beta X)).  `cost_layer_gates` keeps the
-gate-level compilation of the cost step, RZ(2*gamma*c_i) plus a
-CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a reference for tests.
+[diag, layer(RY)] x p; QAOA to layer(H), then [cost diag, layer(RX)] x p.  A
+CZ block is the +-1 vector (-1)^(number of its pairs with both bits set),
+cached per (n, entanglement); multiplying by -1 is exact, so the state equals
+the one the CZ gates give, bit for bit, and a VQE state stays real (float64)
+throughout.  The cost step exp(-i gamma * cost) is an angled `diag` over the
+Ising model's cached ranking of its cost diagonal, so it takes one exp per
+distinct cost value; the Ising offset is a global phase and is never applied.
+The mixer step is RX(2*beta) on every qubit (= exp(-i beta X)).
+`cost_layer_gates` keeps the gate-level compilation of the cost step,
+RZ(2*gamma*c_i) plus a CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a
+reference for tests.
 """
 from __future__ import annotations
 
@@ -104,7 +106,7 @@ def build_vqe_circuit(spec: AnsatzSpec, theta) -> Circuit:
 
 
 def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
-    """Gate-level exp(-i gamma * cost), the reference for `diag(cost, gamma)`; zero terms emit nothing."""
+    """Gate-level exp(-i gamma * cost), the reference for the cost `diag`; zero terms emit nothing."""
     gates: list[Gate] = []
     for i in range(ising.n):
         if ising.c[i] != 0.0:
@@ -128,9 +130,10 @@ def build_qaoa_circuit(spec: AnsatzSpec, theta) -> Circuit:
         raise ValueError(f"expected a qaoa spec, got {spec.family}")
     theta = _check_params(spec, theta)
     betas, gammas = theta[: spec.p], theta[spec.p :]
+    cost = spec.ising.ranking
     gates: list[Gate] = [layer("h", [None] * spec.n)]
     for beta, gamma in zip(betas, gammas):
-        gates.append(diag(spec.ising.cost_values, gamma))
+        gates.append(diag(cost.values, gamma, cost.inverse))
         gates.append(mixer_layer(spec.n, beta))
     return Circuit(spec.n, gates)
 

@@ -152,7 +152,7 @@ def sweep(config, seed, mode, shots, workers, output):
     out = Path(output)
     out.write_text(result.to_csv())
     out.with_suffix(out.suffix + ".meta.json").write_text(
-        json.dumps(sweep_metadata(cfg), indent=2, sort_keys=True) + "\n")
+        json.dumps(sweep_metadata(cfg, result), indent=2, sort_keys=True) + "\n")
     for kind, message in result.failures:
         click.echo(f"[{kind} failed] {message}", err=True)
     click.echo(f"wrote {output} ({len(result.rows)} rows, {len(result.failures)} failures)")
@@ -186,7 +186,7 @@ def report(input_, thresholds, output):
 @click.option("--n", "n_qubits", type=int, required=True)
 @click.option("--instance-seed", type=int, default=0, show_default=True)
 @click.option("-p", "--depth", type=int, default=1, show_default=True)
-@click.option("--draws", type=int, default=10, show_default=True,
+@click.option("--draws", type=click.IntRange(min=1), default=10, show_default=True,
               help="Random angle draws.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Angle seed.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,

@@ -5,10 +5,10 @@ probability: if most diagonal values coincide (large delta) and most
 amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
-States are produced by exact per-layer phase application (one `diag` gate of
-exp(-i*gamma*value) per basis state) followed by an RX(2*beta) mixer layer,
-which also covers objectives (like the needle) that are not expressible as a
-quadratic Ising model.
+States are produced by exact per-layer phase application (the ansatz's cost
+`diag` gate, over the Hamiltonian's ranking) followed by an RX(2*beta) mixer
+layer, which also covers objectives (like the needle) that are not expressible
+as a quadratic Ising model.
 """
 from __future__ import annotations
 
@@ -42,6 +42,12 @@ def compute_delta(ham: DiagonalHamiltonian) -> float:
     return float(np.bincount(ham.ranking.inverse).max()) / 2**ham.n
 
 
+def _check_tol(tol: float) -> None:
+    """A negative tolerance makes no two amplitudes equal, so the bound would prove nothing."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"equality tolerance must be finite and >= 0, got {tol!r}")
+
+
 def equal_amplitude_fraction(amplitudes: np.ndarray, tol: float = DEFAULT_EQUALITY_TOL) -> float:
     """Largest cluster of pairwise-equal complex amplitudes, as a fraction.
 
@@ -49,6 +55,7 @@ def equal_amplitude_fraction(amplitudes: np.ndarray, tol: float = DEFAULT_EQUALI
     chains each run's sorted imaginary parts the same way; the chains left
     are the clusters.
     """
+    _check_tol(tol)
     amps = np.asarray(amplitudes)
     order = np.argsort(amps.real)
     re, im = amps.real[order], amps.imag[order]
@@ -71,9 +78,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        phases = np.exp(-1j * gamma * values)[inverse]  # one exp per distinct value
-        phases.flags.writeable = False  # handed to the gate without a copy
-        state = run_circuit(Circuit(n, [diag(phases), mixer_layer(n, beta)]), state)
+        state = run_circuit(Circuit(n, [diag(values, gamma, inverse), mixer_layer(n, beta)]), state)
         snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
     return snapshots
 
@@ -103,6 +108,7 @@ def check_bound(
     tol: float = DEFAULT_EQUALITY_TOL,
 ) -> FlatnessReport:
     """Assemble the report and compare the peak amplitude against the bound."""
+    _check_tol(tol)
     n = ham.n
     p = len(snapshots) - 1
     delta = compute_delta(ham)

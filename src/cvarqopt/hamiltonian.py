@@ -75,20 +75,38 @@ class IsingModel:
         return float(self.offset + self.c @ z + 2.0 * (z @ self.Q @ z))
 
     @cached_property
-    def cost_values(self) -> np.ndarray:
-        """Energies without the offset for every basis index (the QAOA cost diagonal).
+    def ranking(self) -> "ValueRanking":
+        """Ranking of the energies without the offset (the QAOA cost diagonal).
 
-        Computed on first use and kept, read-only, for the model's lifetime.
+        Computed on first use and kept for the model's lifetime.
         """
-        table = _spin_table(self.n, self.c, self.Q)
-        table.flags.writeable = False
-        return table
+        return _ranking(*np.unique(_spin_table(self.n, self.c, self.Q), return_inverse=True))
+
+    @property
+    def cost_values(self) -> np.ndarray:
+        """Energies without the offset for every basis index, as a new read-only array."""
+        return _unrank(self.ranking)
 
 
 class ValueRanking(NamedTuple):
     values: np.ndarray  # distinct table values, strictly increasing
     inverse: np.ndarray  # rank of each basis state: table == values[inverse]
     ground: np.ndarray  # increasing basis indices of the minimum value
+
+
+def _ranking(values: np.ndarray, inverse: np.ndarray) -> ValueRanking:
+    """Read-only ranking with the narrowest rank type (16 bits up to n=16): callers keep many alive."""
+    inverse = inverse.astype(np.min_scalar_type(values.size - 1), copy=False)
+    ranking = ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
+    for a in ranking:
+        a.flags.writeable = False
+    return ranking
+
+
+def _unrank(ranking: ValueRanking) -> np.ndarray:
+    table = ranking.values[ranking.inverse]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, init=False)
@@ -106,21 +124,20 @@ class DiagonalHamiltonian:
         table = np.asarray(table, dtype=float)
         if table.shape != (2**n,):
             raise ValueError(f"expected {2**n} diagonal entries, got {table.shape}")
-        values, inverse = np.unique(table, return_inverse=True)
-        # narrowest rank type (16 bits up to n=16): callers keep many Hamiltonians alive
-        inverse = inverse.astype(np.min_scalar_type(values.size - 1))
-        ranking = ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
-        for a in ranking:
-            a.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "ranking", _ranking(*np.unique(table, return_inverse=True)))
+
+    @classmethod
+    def _from_ranking(cls, n: int, ranking: ValueRanking) -> "DiagonalHamiltonian":
+        ham = object.__new__(cls)
+        object.__setattr__(ham, "n", n)
+        object.__setattr__(ham, "ranking", ranking)
+        return ham
 
     @property
     def table(self) -> np.ndarray:
         """The 2^n values as given to the constructor, as a new read-only array."""
-        table = self.ranking.values[self.ranking.inverse]
-        table.flags.writeable = False
-        return table
+        return _unrank(self.ranking)
 
 
 def _spin_table(n: int, c: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -149,10 +166,22 @@ def qubo_to_ising(q: QuboProblem) -> IsingModel:
 
 
 def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
-    """Materialize the 2^n diagonal (n capped at MAX_QUBITS)."""
+    """The diagonal offset + cost values (n capped at MAX_QUBITS), ranked from the model's ranking.
+
+    Only the distinct values are shifted and ranked; the basis states' ranks
+    compose with that ranking, so the result equals ranking the shifted 2^n
+    table without sorting it.
+    """
     if m.n > MAX_QUBITS:
         raise ValueError(f"n={m.n} exceeds the {MAX_QUBITS}-qubit dense limit")
-    return DiagonalHamiltonian(m.n, m.offset + m.cost_values)
+    values, inverse, ground = m.ranking
+    shifted, merged = np.unique(m.offset + values, return_inverse=True)
+    if shifted.size == values.size:  # no two values merged: the ranks carry over unchanged
+        shifted.flags.writeable = False
+        ranking = ValueRanking(shifted, inverse, ground)
+    else:
+        ranking = _ranking(shifted, merged[inverse])
+    return DiagonalHamiltonian._from_ranking(m.n, ranking)
 
 
 def qubo_to_hamiltonian(q: QuboProblem) -> DiagonalHamiltonian:

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import platform
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
@@ -107,7 +108,7 @@ def run_single(
 ) -> RunTrace:
     """One optimization run; deterministic given all arguments."""
     ising = qubo_to_ising(qubo)
-    ham = ising_to_hamiltonian(ising)  # fills ising.cost_values, which the qaoa circuit reuses
+    ham = ising_to_hamiltonian(ising)
     n = qubo.n
     if algo == "vqe":
         spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
@@ -169,7 +170,8 @@ class ExperimentConfig:
 @dataclass
 class SweepResult:
     rows: list[tuple]  # (problem, n, seed, algo, p, alpha, eval, norm_iter, objective, overlap)
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    failures: list[tuple[str, str]] = field(default_factory=list)  # (kind, message)
+    tracebacks: list[str] = field(default_factory=list)  # one per failure, in the same order
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -230,7 +232,8 @@ def _sweep_tasks(cfg: ExperimentConfig) -> list[dict]:
     return tasks
 
 
-def _execute_task(task: dict) -> tuple[list[tuple], str | None]:
+def _execute_task(task: dict) -> tuple[list[tuple], tuple[str, str] | None]:
+    """The task's rows, or no rows and (message, traceback) if it failed."""
     key = "{problem}/n={n}/seed={inst_seed}/{algo}/p={p}/alpha={alpha}".format(**task)
     try:
         qubo = generate(InstanceSpec(task["problem"], task["n"], task["inst_seed"]))
@@ -247,7 +250,7 @@ def _execute_task(task: dict) -> tuple[list[tuple], str | None]:
             initial_point=task["initial_point"],
         )
     except Exception as exc:  # keep the sweep alive; report at the end
-        return [], f"{key}: {exc}"
+        return [], (f"{key}: {exc}", traceback.format_exc())
     row_key = (task[k] for k in ("problem", "n", "inst_seed", "algo", "p", "alpha"))
     return trace_to_rows(trace, *row_key), None
 
@@ -264,7 +267,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     for rows, failure in outcomes:
         result.rows.extend(rows)
         if failure is not None:
-            result.failures.append(("run", failure))
+            result.failures.append(("run", failure[0]))
+            result.tracebacks.append(failure[1])
     return result
 
 
@@ -326,10 +330,16 @@ def curves_to_csv(curves: Iterable[tuple], threshold: float) -> str:
     return buf.getvalue()
 
 
-def sweep_metadata(cfg: ExperimentConfig) -> dict:
-    """Sidecar metadata recorded next to sweep CSVs, with the environment that produced them."""
+def sweep_metadata(cfg: ExperimentConfig, result: SweepResult) -> dict:
+    """Sidecar metadata recorded next to sweep CSVs: the environment that produced them and
+    each failure with its traceback."""
     env = {"python": platform.python_version(), "numpy": np.__version__, "optimizer": "cvarqopt COBYLA"}
-    return {"config": json.loads(cfg.to_json()), "prng": PRNG_NAME, "csv_header": CSV_HEADER, "environment": env}
+    failures = [
+        {"kind": kind, "message": message, "traceback": tb}
+        for (kind, message), tb in zip(result.failures, result.tracebacks)
+    ]
+    return {"config": json.loads(cfg.to_json()), "prng": PRNG_NAME, "csv_header": CSV_HEADER,
+            "environment": env, "failures": failures}
 
 
 def trace_to_rows(

@@ -3,9 +3,15 @@
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
 R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.  Two gates apply a whole layer:
-`diag` multiplies amplitude j by d[j], or by exp(-i * angle * d[j]) given an
-angle; `layer` applies one 2x2 matrix per qubit, qubit 0 first, and a run
+`diag` multiplies amplitude j by d[j], or by exp(-i * angle * values[ranks[j]])
+given an angle, distinct values and per-state ranks (one exp per distinct
+value); `layer` applies one 2x2 matrix per qubit, qubit 0 first, and a run
 from |0...0> that opens with one starts from that layer's product state.
+
+A state stays float64 while every gate it meets is real (h, ry, cz, cnot, a
+real diag or layer), and turns complex128 the first time a complex gate (rx,
+rz, an angled diag, a complex diag or layer) meets it; the cast is exact, and
+real arithmetic gives the same values as complex arithmetic on the real parts.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ class Gate:
     angle: float | None = None
     diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only; read-only
     matrices: np.ndarray | None = field(default=None, repr=False)  # layer only; (n, 2, 2), read-only
+    ranks: np.ndarray | None = field(default=None, repr=False)  # angled diag only; read-only
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
@@ -39,12 +46,19 @@ class Gate:
             raise InvalidGateError(f"negative qubit index in {self.qubits}")
         if (self.name == "diag") != (self.diagonal is not None) or (self.name == "layer") != (self.matrices is not None):
             raise InvalidGateError("a diagonal goes with diag and per-qubit matrices with layer, each only there")
+        if (self.name == "diag" and self.angle is not None) != (self.ranks is not None):
+            raise InvalidGateError("an angled diag takes distinct values and per-state ranks, and only it takes ranks")
         if self.name == "diag":
             object.__setattr__(self, "diagonal", _read_only(self.diagonal))
             if self.diagonal.ndim != 1:
                 raise InvalidGateError(f"diag takes a 1-D vector, got shape {self.diagonal.shape}")
+        if self.ranks is not None:
+            object.__setattr__(self, "ranks", _read_only(self.ranks))
+            if self.ranks.ndim != 1 or self.ranks.dtype.kind not in "iu":
+                raise InvalidGateError(f"diag ranks must be a 1-D integer vector, got {self.ranks.dtype} {self.ranks.shape}")
         if self.name == "layer":
-            object.__setattr__(self, "matrices", _read_only(self.matrices, complex))
+            m = np.asarray(self.matrices)
+            object.__setattr__(self, "matrices", _read_only(m, complex if np.iscomplexobj(m) else float))
             if self.matrices.shape[1:] != (2, 2):  # (n, 2, 2) exactly
                 raise InvalidGateError(f"layer takes one 2x2 matrix per qubit, got shape {self.matrices.shape}")
         want = 0 if self.name in ("diag", "layer") else 2 if self.name in _TWO_QUBIT else 1
@@ -56,10 +70,19 @@ class Gate:
             raise InvalidGateError(f"{self.name} requires an angle")
 
     def matrix(self) -> np.ndarray:
-        """2x2 unitary of this single-qubit gate."""
+        """2x2 unitary of this single-qubit gate: float64 for h and ry, complex128 for rx and rz."""
         if self.name not in ("h", "ry", "rx", "rz"):
             raise InvalidGateError(f"{self.name} is not a single-qubit gate and has no 2x2 matrix")
-        return np.array(_entries(self.name, self.angle), dtype=complex)
+        return np.array(_entries(self.name, self.angle))
+
+    @property
+    def is_complex(self) -> bool:
+        """Whether applying this gate can give a real state a nonzero imaginary part."""
+        if self.name == "diag":
+            return self.angle is not None or self.diagonal.dtype.kind == "c"
+        if self.name == "layer":
+            return self.matrices.dtype.kind == "c"
+        return self.name in ("rx", "rz")
 
 
 def _read_only(a, dtype=None) -> np.ndarray:
@@ -106,9 +129,10 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
 
-def diag(d: np.ndarray, angle: float | None = None) -> Gate:
-    """Multiply amplitude j by d[j], or by exp(-i * angle * d[j]) given an angle."""
-    return Gate("diag", (), None if angle is None else float(angle), d)
+def diag(d: np.ndarray, angle: float | None = None, ranks: np.ndarray | None = None) -> Gate:
+    """Multiply amplitude j by d[j]; or, given an angle, d as distinct values and
+    per-state ranks, by exp(-i * angle * d[ranks[j]])."""
+    return Gate("diag", (), None if angle is None else float(angle), d, ranks=ranks)
 
 
 def layer(name: str, angles) -> Gate:
@@ -128,8 +152,9 @@ class Circuit:
         for g in self.gates:
             if any(q >= self.n for q in g.qubits):
                 raise InvalidGateError(f"gate {g} out of range for n={self.n}")
-            if g.name == "diag" and g.diagonal.size != 2**self.n:
-                raise InvalidGateError(f"diag of length {g.diagonal.size} does not fit n={self.n}")
+            length = (g.diagonal if g.ranks is None else g.ranks).size if g.name == "diag" else 2**self.n
+            if length != 2**self.n:
+                raise InvalidGateError(f"diag of length {length} does not fit n={self.n}")
             if g.name == "layer" and len(g.matrices) != self.n:
                 raise InvalidGateError(f"layer of {len(g.matrices)} matrices does not fit n={self.n}")
 
@@ -140,7 +165,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if amps.dtype != np.float64:  # real states stay float64; everything else is complex
+            amps = amps.astype(complex, copy=False)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
@@ -170,9 +197,10 @@ def _apply_matrix(amps: np.ndarray, q: int, m: np.ndarray) -> None:
     # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
     psi = amps.reshape(2**q, 2, -1)
     v0, v1 = psi[:, 0], psi[:, 1]
+    (a, b), (c, d) = m.tolist()  # Python scalars: no numpy scalar arithmetic per call
     r0 = v0.copy()
-    v0[...] = m[0, 0] * r0 + m[0, 1] * v1
-    v1[...] = m[1, 0] * r0 + m[1, 1] * v1
+    v0[...] = a * r0 + b * v1
+    v1[...] = c * r0 + d * v1
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
@@ -181,8 +209,8 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         if gate.angle is None:
             amps *= gate.diagonal
         else:
-            phases = np.multiply(gate.diagonal, -1j * gate.angle)  # the one scratch array
-            amps *= np.exp(phases, out=phases)
+            phases = np.multiply(gate.diagonal, -1j * gate.angle)  # one exp per distinct value
+            amps *= np.exp(phases, out=phases)[gate.ranks]
     elif gate.name == "layer":
         for q, m in enumerate(gate.matrices):
             _apply_matrix(amps, q, m)
@@ -219,6 +247,8 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     else:
         amps = (StateVector.zero(circuit.n) if initial is None else initial).amplitudes.copy()
     for gate in gates:
+        if gate.is_complex and amps.dtype != complex:
+            amps = amps.astype(complex)  # exact: the imaginary parts start at zero
         _apply_inplace(amps, gate, circuit.n)
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-10:
@@ -228,4 +258,5 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
 
 def probabilities(state: StateVector) -> np.ndarray:
     """Measurement probabilities |amplitude|^2 per basis index."""
-    return np.abs(state.amplitudes) ** 2
+    a = state.amplitudes
+    return a * a if a.dtype == np.float64 else np.abs(a) ** 2

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_qubo
 from cvarqopt.ansatz import (
+    ENTANGLEMENTS,
     AnsatzSpec,
     build_qaoa_circuit,
     build_vqe_circuit,
@@ -67,11 +70,12 @@ def test_sign_entangler_state_equals_cz_gates_bit_for_bit(entanglement):
 def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
     for n in range(1, 9):
         ising = qubo_to_ising(random_qubo(rng, n))
+        values, ranks = np.unique(ising.cost_values, return_inverse=True)
         for p in range(1, 4):
             theta = rng.uniform(-np.pi, np.pi, 2 * p)
             gates = [h(q) for q in range(n)]
             for beta, gamma in zip(theta[:p], theta[p:]):
-                gates += [diag(ising.cost_values, gamma), *(rx(q, 2.0 * beta) for q in range(n))]
+                gates += [diag(values, gamma, ranks), *(rx(q, 2.0 * beta) for q in range(n))]
             want = run_circuit(Circuit(n, gates)).amplitudes
             got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
             assert np.array_equal(got, want), (n, p)
@@ -233,3 +237,23 @@ def test_entangler_order_does_not_matter(rng):
         gates += [ry(q, theta[n + q]) for q in range(n)]
         out = run_circuit(Circuit(n, gates))
         np.testing.assert_allclose(out.amplitudes, reference.amplitudes, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 10), st.sampled_from([0, 1, 2]), st.sampled_from(ENTANGLEMENTS), st.integers(0, 2**32 - 1))
+def test_vqe_float64_state_equals_complex_evolution(n, p, entanglement, seed):
+    if entanglement == "ring" and n < 3:
+        entanglement = "all-to-all"
+    spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.parameter_count)
+    got = trial_state(spec, theta).amplitudes
+    want = run_circuit(build_vqe_circuit(spec, theta), StateVector.zero(n)).amplitudes
+    assert got.dtype == np.float64 and want.dtype == complex
+    assert np.array_equal(got, want)
+
+
+def test_vqe_trial_state_is_float64_and_qaoa_complex(rng):
+    spec = AnsatzSpec("vqe", n=6, p=2)
+    assert trial_state(spec, rng.uniform(-np.pi, np.pi, spec.parameter_count)).amplitudes.dtype == np.float64
+    spec = AnsatzSpec("qaoa", n=6, p=2, ising=qubo_to_ising(random_qubo(rng, 6)))
+    assert trial_state(spec, rng.uniform(-np.pi, np.pi, 4)).amplitudes.dtype == complex

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from cvarqopt.cli import main
-from cvarqopt.harness import CSV_HEADER
+from cvarqopt.harness import CSV_HEADER, ExperimentConfig, run_sweep
 from cvarqopt.problems import PROBLEM_NAMES
 
 
@@ -113,6 +113,7 @@ def test_sweep_report_chain(runner, tmp_path):
         "numpy": np.__version__,
         "optimizer": "cvarqopt COBYLA",
     }
+    assert meta["failures"] == []
 
     result = runner.invoke(main, ["report", "--input", str(out),
                                   "--threshold", "0.01", "-o", str(tmp_path / "agg")])
@@ -195,6 +196,38 @@ def test_flatness_size_out_of_range_is_a_usage_error(runner, tmp_path, problem, 
                                   "-o", str(tmp_path / "flat.json")])
     assert result.exit_code == 2, result.output
     assert "qubit" in result.output
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_flatness_bad_tolerance_is_a_usage_error(runner, tmp_path, tol):
+    out = tmp_path / "flat.json"
+    result = runner.invoke(main, ["flatness", "--problem", "needle", "--n", "4", "--tol", tol, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "tolerance" in result.output and not out.exists()
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_flatness_without_draws_is_a_usage_error(runner, tmp_path, draws):
+    out = tmp_path / "flat.json"
+    result = runner.invoke(main, ["flatness", "--problem", "needle", "--n", "4", "--draws", draws, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--draws" in result.output and not out.exists()
+
+
+def test_sweep_meta_records_each_failure_with_its_traceback(runner, tmp_path):
+    # budget 1*n is below the initial simplex of the layered family, so its runs fail
+    cfg_doc = {**TINY_CONFIG, "iteration_budget_per_qubit": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_doc))
+    out = tmp_path / "res.csv"
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "-o", str(out)])
+    assert result.exit_code == 1
+    failures = json.loads((tmp_path / "res.csv.meta.json").read_text())["failures"]
+    assert failures and all(f["kind"] == "run" and "max_evaluations" in f["message"] for f in failures)
+    assert all(f["traceback"].startswith("Traceback") and "ValueError" in f["traceback"] for f in failures)
+    lines = [line for line in result.output.splitlines() if line.startswith("[run failed]")]
+    assert lines == [f"[run failed] {f['message']}" for f in failures]  # one stderr line each
+    assert out.read_text() == run_sweep(ExperimentConfig(**cfg_doc)).to_csv()
 
 
 def test_regen_golden_check_passes(runner):

@@ -207,3 +207,14 @@ def test_snapshot_validation():
         amplitude_flatness_profile([])
     with pytest.raises(ValueError):
         cluster_fraction_lower_bound(4, 0, 0.5)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_tolerance_is_rejected(tol):
+    ham = needle_hamiltonian(4)
+    snapshots = qaoa_snapshots(ham, [0.3], [0.7])
+    with pytest.raises(ValueError, match="tolerance"):
+        equal_amplitude_fraction(snapshots[0], tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_bound(ham, snapshots, tol)
+    assert equal_amplitude_fraction(snapshots[0], 0.0) == 1.0  # zero still merges exact twins

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_bitstrings, random_qubo
 from cvarqopt.hamiltonian import (
@@ -11,6 +13,7 @@ from cvarqopt.hamiltonian import (
     qubo_to_hamiltonian,
     qubo_to_ising,
 )
+from cvarqopt.problems import PROBLEM_NAMES, InstanceSpec, generate
 
 
 def test_single_variable_transform():
@@ -107,3 +110,51 @@ def test_table_agrees_with_model_value(rng):
     ham = ising_to_hamiltonian(m)
     for j, x in enumerate(all_bitstrings(5)):
         assert ham.table[j] == pytest.approx(m.value(1.0 - 2.0 * x), abs=1e-12)
+
+
+def assert_ranks_shifted_table(ising):
+    """The Hamiltonian's ranking equals ranking offset + cost_values from scratch."""
+    got = ising_to_hamiltonian(ising).ranking
+    values, inverse = np.unique(ising.offset + ising.cost_values, return_inverse=True)
+    assert np.array_equal(got.values, values) and np.array_equal(got.inverse, inverse)
+    assert np.array_equal(got.ground, np.flatnonzero(inverse == 0))
+    assert got.inverse.dtype == np.min_scalar_type(values.size - 1)
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_derived_ranking_equals_ranking_the_shifted_table(problem, n):
+    assert_ranks_shifted_table(qubo_to_ising(generate(InstanceSpec(problem, n, seed=n))))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([0.0, 1e-17, -3e-16, 0.25, 1.0, 2.5]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 1e-17, 0.5, -0.75]), min_size=n * n, max_size=n * n),
+    )),
+    st.sampled_from([0.0, 1.0, -7.0, 1e16, -3e15, 0.1]),
+)
+def test_derived_ranking_merges_values_the_offset_rounds_together(model, offset):
+    n, c, q = model
+    ising = IsingModel(n, c, np.triu(np.reshape(q, (n, n)), k=1), offset)
+    assert_ranks_shifted_table(ising)
+
+
+def test_offset_that_rounds_two_values_together_merges_them():
+    ising = IsingModel(1, c=[1e-17], Q=[[0.0]], offset=1.0)  # cost values -1e-17 and 1e-17
+    assert ising.ranking.values.size == 2
+    ham = ising_to_hamiltonian(ising)
+    assert ham.ranking.values.tolist() == [1.0] and ham.ranking.inverse.tolist() == [0, 0]
+    assert ham.ranking.ground.tolist() == [0, 1]
+    assert_ranks_shifted_table(ising)
+
+
+def test_ising_keeps_its_cost_diagonal_as_a_ranking():
+    ising = qubo_to_ising(generate(InstanceSpec("maxcut", 10, seed=1)))
+    assert ising.ranking is ising.ranking
+    table = ising.cost_values
+    assert not table.flags.writeable and table is not ising.cost_values
+    assert np.array_equal(table, ising.ranking.values[ising.ranking.inverse])
+    assert all(not a.flags.writeable for a in ising.ranking)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvarqopt import fixtures
@@ -155,8 +155,11 @@ def test_diag_gate_applies_vector_or_phases(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = StateVector(3, amps / np.linalg.norm(amps))
     d = rng.uniform(-2.0, 2.0, 8)
+    values, ranks = np.unique(d, return_inverse=True)
     np.testing.assert_allclose(
-        run_circuit(Circuit(3, [diag(d, 0.7)]), state).amplitudes, state.amplitudes * np.exp(-0.7j * d), atol=1e-15
+        run_circuit(Circuit(3, [diag(values, 0.7, ranks)]), state).amplitudes,
+        state.amplitudes * np.exp(-0.7j * d),
+        atol=1e-15,
     )
     signs = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
     assert np.array_equal(run_circuit(Circuit(3, [diag(signs)]), state).amplitudes, state.amplitudes * signs)
@@ -236,3 +239,79 @@ def test_gates_compare_by_identity():
     assert diag(np.ones(4)) != diag(-np.ones(4))
     gate = ry(0, 0.5)
     assert gate == gate and gate != ry(0, 0.5)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.one_of(  # with ties (few distinct values) or all distinct
+            st.lists(st.integers(-3, 3).map(float), min_size=2**n, max_size=2**n),
+            st.lists(st.floats(-50, 50), min_size=2**n, max_size=2**n, unique=True),
+        ),
+    )),
+    st.floats(-10, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_ranked_diag_equals_full_length_phases_bit_for_bit(case, gamma, seed):
+    n, d = case
+    d = np.array(d)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    values, ranks = np.unique(d, return_inverse=True)
+    got = run_circuit(Circuit(n, [diag(values, gamma, ranks)]), StateVector(n, amps)).amplitudes
+    assert np.array_equal(got, amps * np.exp(-1j * gamma * d))
+
+
+def test_angled_diag_needs_ranks_that_fit():
+    with pytest.raises(InvalidGateError):
+        diag(np.ones(4), 0.3)  # an angle needs per-state ranks
+    with pytest.raises(InvalidGateError):
+        diag(np.ones(4), None, np.zeros(4, dtype=int))
+    with pytest.raises(InvalidGateError):
+        diag(np.ones(2), 0.3, np.zeros(4))  # float ranks
+    with pytest.raises(InvalidGateError):
+        Circuit(3, [diag(np.ones(2), 0.3, np.zeros(4, dtype=int))])
+    assert Circuit(2, [diag(np.ones(2), 0.3, np.zeros(4, dtype=np.uint8))]).n == 2
+
+
+def test_real_amplitudes_stay_float64_and_others_turn_complex():
+    assert StateVector(1, np.array([0.6, 0.8])).amplitudes.dtype == np.float64
+    for amps in ([1, 0], np.array([0.6, 0.8], dtype=np.float32), [0.6 + 0j, 0.8]):
+        assert StateVector(1, amps).amplitudes.dtype == complex
+    a = np.array([0.6, -0.8])
+    assert np.array_equal(probabilities(StateVector(1, a)), probabilities(StateVector(1, a.astype(complex))))
+    assert probabilities(StateVector(1, a)).tolist() == [0.6 * 0.6, 0.8 * 0.8]
+
+
+def test_real_gates_keep_a_real_state_real(rng):
+    assert layer("ry", [0.3, 0.4]).matrices.dtype == np.float64
+    assert layer("h", [None]).matrices.dtype == np.float64
+    assert layer("rx", [0.3]).matrices.dtype == complex
+    assert ry(0, 0.3).matrix().dtype == np.float64 and rx(0, 0.3).matrix().dtype == complex
+    amps = rng.normal(size=8)
+    gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(0, 2), cnot(2, 1)]
+    out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))
+    assert out.amplitudes.dtype == np.float64
+
+
+def test_ry_then_rx_layer_promotes_exactly(rng):
+    for n in range(1, 9):
+        ry_angles, rx_angles = rng.uniform(-np.pi, np.pi, (2, n)).tolist()
+        assert run_circuit(Circuit(n, [layer("ry", ry_angles)])).amplitudes.dtype == np.float64
+        circuit = Circuit(n, [layer("ry", ry_angles), layer("rx", rx_angles)])
+        got = run_circuit(circuit).amplitudes
+        want = run_circuit(circuit, StateVector.zero(n)).amplitudes  # complex from the start
+        assert got.dtype == complex and np.array_equal(got, want), n
+
+
+def test_sign_diag_then_angled_diag_promotes_exactly(rng):
+    n = 5
+    amps = rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    values, ranks = np.unique(rng.integers(-4, 5, 2**n).astype(float), return_inverse=True)
+    circuit = Circuit(n, [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8)), diag(values, 0.9, ranks)])
+    got = run_circuit(circuit, StateVector(n, amps)).amplitudes
+    want = run_circuit(circuit, StateVector(n, amps.astype(complex))).amplitudes
+    assert got.dtype == complex and np.array_equal(got, want)
