@@ -5,8 +5,9 @@ Parameter layouts: the layered family takes n*(1+p) angles, ordered layer by
 layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
 gamma_1..gamma_p).
 
-Each family compiles to whole-register gates: VQE to layer(RY), then
-[diag, layer(RY)] x p; QAOA to layer(H), then [cost diag, layer(RX)] x p.  A
+Each family compiles to whole-register gates: VQE to RY on every qubit, then
+[diag, RY on every qubit] x p; QAOA to H on every qubit, then [cost diag, RX
+on every qubit] x p.  A
 CZ block is the +-1 vector (-1)^(number of its pairs with both bits set),
 cached per (n, entanglement); multiplying by -1 is exact, so the state equals
 the one the CZ gates give, bit for bit, and a VQE state stays real (float64)
@@ -120,7 +121,7 @@ def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
 
 
 def mixer_layer(n: int, beta: float) -> Gate:
-    """RX(2*beta) on every qubit, as one layer gate."""
+    """RX(2*beta) on every qubit, as one gate."""
     return layer("rx", [2.0 * beta] * n)
 
 

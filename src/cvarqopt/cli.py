@@ -27,9 +27,16 @@ from .harness import (
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
 
 
-def _load_instance(path: str) -> tuple[dict, QuboProblem]:
-    meta = json.loads(Path(path).read_text())
-    return meta, QuboProblem.from_json(json.dumps(meta["qubo"]))
+def _load_instance(path: str) -> tuple[QuboProblem, str, int, int]:
+    """(qubo, problem, n, seed) from an instance file; a usage error if it is malformed."""
+    try:
+        meta = json.loads(Path(path).read_text())
+        qubo = QuboProblem.from_json(json.dumps(meta["qubo"]))
+        if meta["n"] != qubo.n:  # the trace rows would carry the wrong n and normalized iteration
+            raise ValueError(f"n={meta['n']} but the qubo has n={qubo.n}")
+        return qubo, meta["problem"], meta["n"], meta.get("seed", -1)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"{path} is not a valid instance file: {exc!r}")
 
 
 @click.group()
@@ -54,7 +61,10 @@ def generate_cmd(problem, n_qubits, seed, params, published_fixture, output):
         key, _, raw = item.partition("=")
         if not _:
             raise click.UsageError(f"--param expects KEY=VALUE, got {item!r}")
-        parsed[key] = json.loads(raw)
+        try:
+            parsed[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            raise click.UsageError(f"--param {key} takes a JSON value, got {raw!r}")
     try:
         if published_fixture:
             if problem != "portfolio" or n_qubits != fixtures.PORTFOLIO_N:
@@ -106,8 +116,7 @@ def run(instance, problem, n_qubits, instance_seed, algo, depth, alpha, mode, sh
         seed, budget, entanglement, initial_point, output):
     """Run a single optimization and write the per-evaluation trace CSV."""
     if instance:
-        meta, qubo = _load_instance(instance)
-        problem, n_qubits, instance_seed = meta["problem"], meta["n"], meta.get("seed", -1)
+        qubo, problem, n_qubits, instance_seed = _load_instance(instance)
     elif problem and n_qubits:
         try:
             qubo = generate(InstanceSpec(problem, n_qubits, instance_seed))

@@ -154,10 +154,15 @@ class ExperimentConfig:
         object.__setattr__(self, "qaoa_depths", tuple(int(p) for p in self.qaoa_depths))
         if not self.problems or not self.sizes or not self.alphas:
             raise ValueError("problems, sizes and alphas must be nonempty")
+        unknown = [p for p in self.problems if p not in PROBLEM_NAMES]
+        if unknown:
+            raise ValueError(f"unknown problems {unknown}; choose from {', '.join(PROBLEM_NAMES)}")
         if any(not 0.0 < a <= 1.0 for a in self.alphas):
             raise ValueError("alphas must lie in (0, 1]")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "sampled" and self.shots < 1:
+            raise ValueError(f"sampled mode needs at least one shot, got {self.shots}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

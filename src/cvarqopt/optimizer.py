@@ -4,14 +4,15 @@ The method is Powell's COBYLA (1994) without constraints, with the
 trust-region and radius schedule of the PRIMA reference implementation
 (Zhang, 2023).  It interpolates the objective linearly on a simplex of
 dim+1 points, steps along the model's steepest descent to the edge of a
-trust region, and lowers the trust-radius floor from `initial_step` down to
-`final_step`.  The method is written here in plain numpy, so a seed-pinned
+trust region, and lowers the trust-radius floor from `INITIAL_STEP` down to
+`FINAL_STEP`.  The method is written here in plain numpy, so a seed-pinned
 trace does not depend on which optimization library is installed.
 
-`_Cobyla` holds the method in ask/tell form.  `minimize` drives it: it
-enforces the hard evaluation budget, rejects non-finite objective values and
-invokes the observer after every evaluation, so traces are complete and
-deterministic.
+`_cobyla` is the method as one generator: it yields the next point and
+receives the objective value there.  `minimize` drives it with `next` and
+`send`: it enforces the hard evaluation budget, rejects non-finite objective
+values and invokes the observer after every evaluation, so traces are
+complete and deterministic.
 """
 from __future__ import annotations
 
@@ -30,16 +31,12 @@ class ObjectiveValueError(RuntimeError):
 class OptimizerConfig:
     max_evaluations: int
     initial_point: np.ndarray
-    initial_step: float = 0.5
-    final_step: float = 1e-4
 
     def __post_init__(self):
         x0 = np.asarray(self.initial_point, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
             raise ValueError("initial_point must be a nonempty 1-D array")
         object.__setattr__(self, "initial_point", x0)
-        if not self.final_step < self.initial_step:
-            raise ValueError("final_step must be smaller than initial_step")
         if self.max_evaluations < x0.size + 2:
             raise ValueError(
                 f"max_evaluations must be >= dimension + 2 = {x0.size + 2}, "
@@ -87,6 +84,9 @@ class RunTrace:
 # tie for the longest edge.  Comparisons of squared edges allow this slack.
 _ROUNDING = 1 + 1e-10
 
+INITIAL_STEP = 0.5  # trust radius of the first steps; the starting simplex's edge length
+FINAL_STEP = 1e-4  # the trust-radius floor at which a run has converged
+
 
 def _lower_rho(rho: float, final: float) -> float:
     """Next trust-radius floor: a tenth while far from `final`, then the
@@ -99,16 +99,13 @@ def _lower_rho(rho: float, final: float) -> float:
     return math.sqrt(ratio) * final
 
 
-class _Cobyla:
-    """Unconstrained COBYLA in ask/tell form.
-
-    `ask()` gives the next point to evaluate, or None once the method has
-    stopped, with `stop_reason` "converged" (the trust radius came down to
-    `final_step`) or "degenerate" (the simplex could no longer be inverted
-    reliably); `tell(value)` hands back the objective value there.  The
-    simplex is held as the best vertex (the pole), the displacements of the
-    other vertices from it (columns of `disp`), the inverse of `disp`, and
-    the vertex values with the pole's last.
+def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
+    """Unconstrained COBYLA as one generator: it yields points, receives the
+    objective value at each and returns why it stopped, "converged" (the trust
+    radius came down to `rhoend`) or "degenerate" (the simplex could no longer
+    be inverted reliably).  The simplex is the best vertex (`pole`), the other
+    vertices' displacements from it (columns of `disp`), the inverse `simi` of
+    `disp`, and the vertex values `fval`, the pole's last.
 
     Two parts of PRIMA's COBYLA cannot fire without constraints and are left
     out: a trust-region step never lands on a vertex (the model rises towards
@@ -116,136 +113,118 @@ class _Cobyla:
     reused; and the step is never short while the model has a slope, so
     there is no last evaluation after convergence.
     """
+    n = x0.size
+    pole = x0.copy()
+    disp = np.eye(n) * rhobeg
+    fval = np.zeros(n + 1)
+    fval[n] = yield pole.copy()
+    for j in range(n):
+        x = pole.copy()
+        x[j] += rhobeg
+        fval[j] = yield x
+        if fval[j] < fval[n]:
+            fval[[j, n]] = fval[[n, j]]
+            pole = x
+            disp[j, : j + 1] = -rhobeg
+    simi = np.linalg.inv(disp)
 
-    def __init__(self, cfg: OptimizerConfig):
-        n = cfg.initial_point.size
-        self.pole = cfg.initial_point.copy()
-        self.disp = np.eye(n) * cfg.initial_step
-        self.simi = np.eye(n) / cfg.initial_step
-        self.fval = np.zeros(n + 1)
-        self.stop_reason: str | None = None
-        self._steps = self._run(cfg.initial_step, cfg.final_step)
-        self._point = next(self._steps)
-
-    def ask(self) -> np.ndarray | None:
-        return self._point
-
-    def tell(self, value: float) -> None:
-        try:
-            self._point = self._steps.send(value)
-        except StopIteration as stop:
-            self._point = None
-            self.stop_reason = stop.value
-
-    def _run(self, rhobeg: float, rhoend: float):
-        """The method as one generator: yields points, receives their values, returns why it stopped."""
-        n = self.pole.size
-        fval = self.fval
-        fval[n] = yield self.pole.copy()
-        for j in range(n):
-            x = self.pole.copy()
-            x[j] += rhobeg
-            fval[j] = yield x
-            if fval[j] < fval[n]:
-                fval[[j, n]] = fval[[n, j]]
-                self.pole = x
-                self.disp[j, : j + 1] = -rhobeg
-        self.simi = np.linalg.inv(self.disp)
-
-        rho = delta = rhobeg
-        while True:
-            adequate = bool(np.sum(self.disp**2, axis=0).max() <= 4 * delta**2 * _ROUNDING)
-            g = (fval[:n] - fval[n]) @ self.simi
-            gnorm = float(np.linalg.norm(g))
-            if gnorm > 0:
-                # trust-region step: the linear model's minimum on the ball
-                d = -delta * (g / gnorm)
-                dnorm = min(delta, float(np.linalg.norm(d)))
-                predicted = -float(d @ g)
-                f = yield self.pole + d
-                actual = fval[n] - f
-                ratio = actual / predicted
-                if ratio <= 0.1:
-                    delta = 0.5 * dnorm
-                elif ratio <= 0.7:
-                    delta = max(0.5 * delta, dnorm)
-                else:
-                    delta = max(0.5 * delta, 2.0 * dnorm)
-                if delta <= 1.5 * rho:
-                    delta = rho
-                jdrop = self._drop_index(actual > 0, d, delta, rho)
-                if jdrop is not None and not self._replace(jdrop, d, f):
-                    return "degenerate"
-                if ratio > 0 and jdrop is not None:
-                    continue
+    rho = delta = rhobeg
+    while True:
+        adequate = bool(np.sum(disp**2, axis=0).max() <= 4 * delta**2 * _ROUNDING)
+        g = (fval[:n] - fval[n]) @ simi
+        gnorm = float(np.linalg.norm(g))
+        if gnorm > 0:
+            # trust-region step: the linear model's minimum on the ball
+            d = -delta * (g / gnorm)
+            dnorm = min(delta, float(np.linalg.norm(d)))
+            predicted = -float(d @ g)
+            f = yield pole + d
+            actual = fval[n] - f
+            ratio = actual / predicted
+            if ratio <= 0.1:
+                delta = 0.5 * dnorm
+            elif ratio <= 0.7:
+                delta = max(0.5 * delta, dnorm)
             else:
-                # a flat model offers no descent: shrink the region instead
-                dnorm = 0.0
-                delta *= 0.1
-                if delta <= 1.5 * rho:
-                    delta = rho
-
-            if not adequate:
-                edges = np.sum(self.disp**2, axis=0)
-                j = int(np.argmax(edges >= edges.max() / _ROUNDING))
-                if edges[j] > 4 * delta**2 * _ROUNDING:
-                    # geometry step: replace the farthest vertex by a point
-                    # off its opposite face, on the model's downhill side
-                    d = self.simi[j] * (0.5 * delta / np.linalg.norm(self.simi[j]))
-                    if d @ ((fval[:n] - fval[n]) @ self.simi) > 0:
-                        d = -d
-                    f = yield self.pole + d
-                    if not self._replace(j, d, f):
-                        return "degenerate"
-            elif max(delta, dnorm) <= rho:
-                if rho <= rhoend:
-                    return "converged"
-                lowered = _lower_rho(rho, rhoend)
-                delta, rho = max(0.5 * rho, lowered), lowered
-
-    def _drop_index(self, improved: bool, d: np.ndarray, delta: float, rho: float) -> int | None:
-        """Vertex to give up for the trust-region point pole+d (index n is
-        the pole itself), or None if keeping the simplex is better."""
-        n = d.size
-        if improved:
-            dist = np.append(np.sum((self.disp - d[:, None]) ** 2, axis=0), d @ d)
+                delta = max(0.5 * delta, 2.0 * dnorm)
+            if delta <= 1.5 * rho:
+                delta = rho
+            jdrop = _drop_index(disp, simi, actual > 0, d, delta, rho)
+            if jdrop is not None:
+                simi = _replace(pole, disp, fval, jdrop, d, f)
+                if simi is None:
+                    return "degenerate"
+                if ratio > 0:
+                    continue
         else:
-            dist = np.append(np.sum(self.disp**2, axis=0), 0.0)
-        weight = np.maximum(1.0, dist / max(rho, 0.1 * delta) ** 2)
-        simid = self.simi @ d
-        score = weight * np.abs(np.append(simid, 1.0 - simid.sum()))
-        if not improved:
-            score[n] = -1.0
-        if np.any(score > 0):
-            return int(np.argmax(score))
-        return int(np.argmax(dist)) if improved else None
+            # a flat model offers no descent: shrink the region instead
+            dnorm = 0.0
+            delta *= 0.1
+            if delta <= 1.5 * rho:
+                delta = rho
 
-    def _replace(self, j: int, d: np.ndarray, f: float) -> bool:
-        """Swap vertex j for pole+d, valued f, then make the best vertex the
-        pole.  False if the new simplex is numerically degenerate."""
-        n = d.size
-        fval = self.fval
-        if j == n:
-            self.pole = self.pole + d
-            self.disp = self.disp - d[:, None]
-        else:
-            self.disp[:, j] = d
-        fval[j] = f
-        best = int(np.argmin(fval))
-        if fval[best] < fval[n]:
-            shift = self.disp[:, best].copy()
-            self.pole = self.pole + shift
-            self.disp -= shift[:, None]
-            self.disp[:, best] = -shift
-            fval[[best, n]] = fval[[n, best]]
-        try:
-            simi = np.linalg.inv(self.disp)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.max(np.abs(simi @ self.disp - np.eye(n))) <= 1.0:
-            return False
-        self.simi = simi
-        return True
+        if not adequate:
+            edges = np.sum(disp**2, axis=0)
+            j = int(np.argmax(edges >= edges.max() / _ROUNDING))
+            if edges[j] > 4 * delta**2 * _ROUNDING:
+                # geometry step: replace the farthest vertex by a point
+                # off its opposite face, on the model's downhill side
+                d = simi[j] * (0.5 * delta / np.linalg.norm(simi[j]))
+                if d @ ((fval[:n] - fval[n]) @ simi) > 0:
+                    d = -d
+                f = yield pole + d
+                simi = _replace(pole, disp, fval, j, d, f)
+                if simi is None:
+                    return "degenerate"
+        elif max(delta, dnorm) <= rho:
+            if rho <= rhoend:
+                return "converged"
+            lowered = _lower_rho(rho, rhoend)
+            delta, rho = max(0.5 * rho, lowered), lowered
+
+
+def _drop_index(disp, simi, improved: bool, d: np.ndarray, delta: float, rho: float) -> int | None:
+    """Vertex to give up for the trust-region point pole+d (index n is the
+    pole itself), or None if keeping the simplex is better."""
+    n = d.size
+    if improved:
+        dist = np.append(np.sum((disp - d[:, None]) ** 2, axis=0), d @ d)
+    else:
+        dist = np.append(np.sum(disp**2, axis=0), 0.0)
+    weight = np.maximum(1.0, dist / max(rho, 0.1 * delta) ** 2)
+    simid = simi @ d
+    score = weight * np.abs(np.append(simid, 1.0 - simid.sum()))
+    if not improved:
+        score[n] = -1.0
+    if np.any(score > 0):
+        return int(np.argmax(score))
+    return int(np.argmax(dist)) if improved else None
+
+
+def _replace(pole, disp, fval, j: int, d: np.ndarray, f: float) -> np.ndarray | None:
+    """Swap vertex j for pole+d, valued f, then make the best vertex the pole, all in
+    place.  The new inverse of `disp`, or None if the new simplex is numerically degenerate."""
+    n = d.size
+    if j == n:
+        pole += d
+        disp -= d[:, None]
+    else:
+        disp[:, j] = d
+    fval[j] = f
+    best = int(np.argmin(fval))
+    if fval[best] < fval[n]:
+        shift = disp[:, best].copy()
+        pole += shift
+        disp -= shift[:, None]
+        disp[:, best] = -shift
+        fval[[best, n]] = fval[[n, best]]
+    try:
+        simi = np.linalg.inv(disp)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.max(np.abs(simi @ disp - np.eye(n))) <= 1.0:
+        return None
+    return simi
 
 
 def minimize(
@@ -260,12 +239,10 @@ def minimize(
     the trace.  Deterministic: identical config and objective give an
     identical trace.
     """
-    trace = RunTrace()
-    method = _Cobyla(cfg)
+    trace = RunTrace(stop_reason="budget")
+    method = _cobyla(cfg.initial_point, INITIAL_STEP, FINAL_STEP)
+    theta = next(method)
     while trace.n_evaluations < cfg.max_evaluations:
-        theta = method.ask()
-        if theta is None:
-            break
         theta = theta.copy()  # the record and f get a point the method does not hold
         out = f(theta)
         value, extras = out if isinstance(out, tuple) else (out, {})
@@ -286,8 +263,11 @@ def minimize(
         trace.records.append(record)
         if observer is not None:
             observer(record)
-        method.tell(value)
-    trace.stop_reason = method.stop_reason or "budget"
+        try:
+            theta = method.send(value)
+        except StopIteration as stop:
+            trace.stop_reason = stop.value
+            break
     return trace
 
 

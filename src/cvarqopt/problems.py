@@ -17,6 +17,16 @@ from .hamiltonian import QuboProblem
 
 PROBLEM_NAMES = ("stable_set", "max3sat", "partition", "maxcut", "market_split", "portfolio")
 
+# the params each generator reads; any other key is rejected
+PARAM_KEYS = {
+    "maxcut": ("edges", "weights", "edge_density"),
+    "stable_set": ("edge_density",),
+    "partition": ("numbers",),
+    "market_split": ("constraints",),
+    "max3sat": ("clause_ratio",),
+    "portfolio": ("risk_factor", "budget", "penalty"),
+}
+
 STABLE_SET_PENALTY = 2.0  # per-edge penalty; any weight > 1 keeps optima conflict-free
 
 
@@ -36,6 +46,10 @@ class InstanceSpec:
             raise ValueError(f"{self.problem} requires at least two vertices")
         if self.problem == "max3sat" and self.n_qubits % 3 != 0:
             raise ValueError("max3sat requires n_qubits to be a multiple of three")
+        unknown = sorted(set(self.params) - set(PARAM_KEYS[self.problem]))
+        if unknown:
+            raise ValueError(f"{self.problem} takes no parameter {', '.join(unknown)}; "
+                             f"it reads {', '.join(PARAM_KEYS[self.problem])}")
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,17 @@
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}.  Two gates apply a whole layer:
-`diag` multiplies amplitude j by d[j], or by exp(-i * angle * values[ranks[j]])
-given an angle, distinct values and per-state ranks (one exp per distinct
-value); `layer` applies one 2x2 matrix per qubit, qubit 0 first, and a run
-from |0...0> that opens with one starts from that layer's product state.
+R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}; a rotation gate holds only its
+angles, one per qubit.  Two gates act on every qubit: `diag` multiplies
+amplitude j by d[j], or by exp(-i * angle * values[ranks[j]]) given an angle,
+distinct values and per-state ranks (one exp per distinct value); `layer` is
+a rotation on every qubit, applied qubit 0 first, and a run from |0...0> that
+opens with one starts from that layer's product state.
 
 A state stays float64 while every gate it meets is real (h, ry, cz, cnot, a
-real diag or layer), and turns complex128 the first time a complex gate (rx,
-rz, an angled diag, a complex diag or layer) meets it; the cast is exact, and
-real arithmetic gives the same values as complex arithmetic on the real parts.
+real diag), and turns complex128 the first time a complex gate (rx, rz, an
+angled diag, a complex diag) meets it; the cast is exact, and real
+arithmetic gives the same values as complex arithmetic on the real parts.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import numpy as np
 
 MAX_QUBITS = 20
 
-GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag", "layer")
+GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag")
+_ROTATIONS = ("h", "ry", "rx", "rz")
 _TWO_QUBIT = ("cz", "cnot")
 
 
@@ -33,20 +35,19 @@ class InvalidGateError(ValueError):
 @dataclass(frozen=True, eq=False)  # by identity: field-wise == would ignore or mis-compare the arrays
 class Gate:
     name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
+    qubits: tuple[int, ...]  # () for a gate on every qubit: diag, or a rotation layer
+    angles: tuple = ()  # rotations: one per qubit, None for h; an angled diag: its one angle
     diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only; read-only
-    matrices: np.ndarray | None = field(default=None, repr=False)  # layer only; (n, 2, 2), read-only
     ranks: np.ndarray | None = field(default=None, repr=False)  # angled diag only; read-only
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise InvalidGateError(f"unknown gate {self.name!r}")
-        if any(q < 0 for q in self.qubits):
-            raise InvalidGateError(f"negative qubit index in {self.qubits}")
-        if (self.name == "diag") != (self.diagonal is not None) or (self.name == "layer") != (self.matrices is not None):
-            raise InvalidGateError("a diagonal goes with diag and per-qubit matrices with layer, each only there")
-        if (self.name == "diag" and self.angle is not None) != (self.ranks is not None):
+        if any(q < 0 for q in self.qubits) or len(set(self.qubits)) != len(self.qubits):
+            raise InvalidGateError(f"negative or repeated qubit index in {self.qubits}")
+        if (self.name == "diag") != (self.diagonal is not None):
+            raise InvalidGateError("a diagonal goes with diag, and only there")
+        if (self.name == "diag" and len(self.angles) == 1) != (self.ranks is not None):
             raise InvalidGateError("an angled diag takes distinct values and per-state ranks, and only it takes ranks")
         if self.name == "diag":
             object.__setattr__(self, "diagonal", _read_only(self.diagonal))
@@ -56,38 +57,27 @@ class Gate:
             object.__setattr__(self, "ranks", _read_only(self.ranks))
             if self.ranks.ndim != 1 or self.ranks.dtype.kind not in "iu":
                 raise InvalidGateError(f"diag ranks must be a 1-D integer vector, got {self.ranks.dtype} {self.ranks.shape}")
-        if self.name == "layer":
-            m = np.asarray(self.matrices)
-            object.__setattr__(self, "matrices", _read_only(m, complex if np.iscomplexobj(m) else float))
-            if self.matrices.shape[1:] != (2, 2):  # (n, 2, 2) exactly
-                raise InvalidGateError(f"layer takes one 2x2 matrix per qubit, got shape {self.matrices.shape}")
-        want = 0 if self.name in ("diag", "layer") else 2 if self.name in _TWO_QUBIT else 1
-        if len(self.qubits) != want:
-            raise InvalidGateError(f"{self.name} takes {want} qubit(s), got {self.qubits}")
-        if want == 2 and self.qubits[0] == self.qubits[1]:
-            raise InvalidGateError(f"{self.name} control equals target: {self.qubits}")
-        if self.name in ("ry", "rx", "rz") and self.angle is None:
-            raise InvalidGateError(f"{self.name} requires an angle")
-
-    def matrix(self) -> np.ndarray:
-        """2x2 unitary of this single-qubit gate: float64 for h and ry, complex128 for rx and rz."""
-        if self.name not in ("h", "ry", "rx", "rz"):
-            raise InvalidGateError(f"{self.name} is not a single-qubit gate and has no 2x2 matrix")
-        return np.array(_entries(self.name, self.angle))
+        if self.name in _ROTATIONS:
+            if not self.angles or len(self.qubits) > 1 or (self.qubits and len(self.angles) > 1):
+                raise InvalidGateError(f"{self.name} takes one qubit and one angle, or every qubit and an angle each")
+            if any((a is None) != (self.name == "h") for a in self.angles):
+                raise InvalidGateError(f"h takes no angle and ry, rx and rz one per qubit, got {self.name} {self.angles}")
+        else:
+            want = 2 if self.name in _TWO_QUBIT else 0
+            if len(self.qubits) != want or len(self.angles) > (self.name == "diag"):
+                raise InvalidGateError(f"{self.name} takes {want} qubit(s) and no angle, or one if diag: {self}")
 
     @property
     def is_complex(self) -> bool:
         """Whether applying this gate can give a real state a nonzero imaginary part."""
         if self.name == "diag":
-            return self.angle is not None or self.diagonal.dtype.kind == "c"
-        if self.name == "layer":
-            return self.matrices.dtype.kind == "c"
+            return bool(self.angles) or self.diagonal.dtype.kind == "c"
         return self.name in ("rx", "rz")
 
 
-def _read_only(a, dtype=None) -> np.ndarray:
+def _read_only(a) -> np.ndarray:
     """`a` as an array that cannot change after the gate is built: a read-only copy unless it is one."""
-    a = np.asarray(a, dtype)
+    a = np.asarray(a)
     if a.flags.writeable:
         a = a.copy()
         a.flags.writeable = False
@@ -95,7 +85,7 @@ def _read_only(a, dtype=None) -> np.ndarray:
 
 
 def _entries(name: str, angle: float | None) -> list:
-    """Entries of the h, ry, rx or rz matrix as nested lists (h has no angle)."""
+    """Entries of the h, ry, rx or rz matrix as nested Python scalars (h has no angle)."""
     if name == "h":
         r = 1 / math.sqrt(2)
         return [[r, r], [r, -r]]
@@ -106,19 +96,19 @@ def _entries(name: str, angle: float | None) -> list:
 
 
 def ry(qubit: int, angle: float) -> Gate:
-    return Gate("ry", (qubit,), float(angle))
+    return Gate("ry", (qubit,), (float(angle),))
 
 
 def rx(qubit: int, angle: float) -> Gate:
-    return Gate("rx", (qubit,), float(angle))
+    return Gate("rx", (qubit,), (float(angle),))
 
 
 def rz(qubit: int, angle: float) -> Gate:
-    return Gate("rz", (qubit,), float(angle))
+    return Gate("rz", (qubit,), (float(angle),))
 
 
 def h(qubit: int) -> Gate:
-    return Gate("h", (qubit,))
+    return Gate("h", (qubit,), (None,))
 
 
 def cz(a: int, b: int) -> Gate:
@@ -132,12 +122,12 @@ def cnot(control: int, target: int) -> Gate:
 def diag(d: np.ndarray, angle: float | None = None, ranks: np.ndarray | None = None) -> Gate:
     """Multiply amplitude j by d[j]; or, given an angle, d as distinct values and
     per-state ranks, by exp(-i * angle * d[ranks[j]])."""
-    return Gate("diag", (), None if angle is None else float(angle), d, ranks=ranks)
+    return Gate("diag", (), () if angle is None else (float(angle),), d, ranks)
 
 
 def layer(name: str, angles) -> Gate:
-    """One h, ry, rx or rz gate per qubit as one gate: qubit q turns by angles[q]."""
-    return Gate("layer", (), matrices=[_entries(name, a) for a in angles])
+    """An h, ry, rx or rz rotation on every qubit: qubit q turns by angles[q]."""
+    return Gate(name, (), tuple(angles))
 
 
 @dataclass(frozen=True)
@@ -155,8 +145,8 @@ class Circuit:
             length = (g.diagonal if g.ranks is None else g.ranks).size if g.name == "diag" else 2**self.n
             if length != 2**self.n:
                 raise InvalidGateError(f"diag of length {length} does not fit n={self.n}")
-            if g.name == "layer" and len(g.matrices) != self.n:
-                raise InvalidGateError(f"layer of {len(g.matrices)} matrices does not fit n={self.n}")
+            if g.name in _ROTATIONS and not g.qubits and len(g.angles) != self.n:
+                raise InvalidGateError(f"{g.name} on every qubit with {len(g.angles)} angles does not fit n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -192,12 +182,12 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _apply_matrix(amps: np.ndarray, q: int, m: np.ndarray) -> None:
-    """Apply the 2x2 matrix m to qubit q of the 1-D amplitude array, in place."""
+def _apply_matrix(amps: np.ndarray, q: int, m: list) -> None:
+    """Apply the 2x2 matrix m, nested Python scalars, to qubit q of the 1-D amplitude array, in place."""
     # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
     psi = amps.reshape(2**q, 2, -1)
     v0, v1 = psi[:, 0], psi[:, 1]
-    (a, b), (c, d) = m.tolist()  # Python scalars: no numpy scalar arithmetic per call
+    (a, b), (c, d) = m
     r0 = v0.copy()
     v0[...] = a * r0 + b * v1
     v1[...] = c * r0 + d * v1
@@ -206,16 +196,14 @@ def _apply_matrix(amps: np.ndarray, q: int, m: np.ndarray) -> None:
 def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
     """Mutate the 1-D amplitude array in place."""
     if gate.name == "diag":
-        if gate.angle is None:
+        if not gate.angles:
             amps *= gate.diagonal
         else:
-            phases = np.multiply(gate.diagonal, -1j * gate.angle)  # one exp per distinct value
+            phases = np.multiply(gate.diagonal, -1j * gate.angles[0])  # one exp per distinct value
             amps *= np.exp(phases, out=phases)[gate.ranks]
-    elif gate.name == "layer":
-        for q, m in enumerate(gate.matrices):
-            _apply_matrix(amps, q, m)
-    elif gate.name in ("ry", "rx", "h", "rz"):
-        _apply_matrix(amps, gate.qubits[0], gate.matrix())
+    elif gate.name in _ROTATIONS:
+        for q, angle in zip(gate.qubits or range(n), gate.angles):
+            _apply_matrix(amps, q, _entries(gate.name, angle))
     elif gate.name == "cz":
         psi = amps.reshape([2] * n)  # qubit q is axis q
         a, b = gate.qubits
@@ -238,11 +226,12 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     if initial is not None and initial.n != circuit.n:
         raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
     gates = circuit.gates
-    if initial is None and gates and gates[0].name == "layer":
-        # the layer's product state: column entry times amplitude so far, qubit 0 first, as gates do
-        amps = gates[0].matrices[0, :, 0].copy()
-        for m in gates[0].matrices[1:]:
-            amps = np.multiply(m[None, :, 0], amps[:, None]).ravel()
+    if initial is None and gates and gates[0].name in _ROTATIONS and not gates[0].qubits:
+        # the layer's product state: column-0 entry times amplitude so far, qubit 0 first, as gates do
+        columns = np.array([_entries(gates[0].name, angle) for angle in gates[0].angles])[:, :, 0]
+        amps = columns[0].copy()
+        for column in columns[1:]:
+            amps = np.multiply(column[None, :], amps[:, None]).ravel()
         gates = gates[1:]
     else:
         amps = (StateVector.zero(circuit.n) if initial is None else initial).amplitudes.copy()

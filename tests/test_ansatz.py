@@ -41,13 +41,13 @@ def cz_reference_circuit(spec, theta):
 def test_layered_counts_three_qubits_depth_two():
     spec = AnsatzSpec("vqe", n=3, p=2)
     circ = build_vqe_circuit(spec, np.zeros(9))
-    assert gate_counts(circ) == {"layer": 3, "diag": 2}
+    assert gate_counts(circ) == {"ry": 3, "diag": 2}
 
 
 def test_ring_counts_six_qubits():
     spec = AnsatzSpec("vqe", n=6, p=1, entanglement="ring")
     circ = build_vqe_circuit(spec, np.zeros(12))
-    assert gate_counts(circ) == {"layer": 2, "diag": 1}
+    assert gate_counts(circ) == {"ry": 2, "diag": 1}
     assert entangler_pairs(6, "ring") == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
     signs = next(g.diagonal for g in circ.gates if g.name == "diag")
     np.testing.assert_array_equal(signs, entangler_signs(6, "ring"))
@@ -132,7 +132,7 @@ def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
     assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "rz": 1}
     circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
-    assert gate_counts(circ) == {"layer": 2, "diag": 1}
+    assert gate_counts(circ) == {"h": 1, "rx": 1, "diag": 1}
 
 
 def test_zero_coefficients_emit_no_gates():
@@ -150,7 +150,7 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     assert counts["cnot"] == 2 * pairs * p
     assert counts["rz"] == (pairs + np.count_nonzero(ising.c)) * p
     circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
-    assert gate_counts(circ) == {"layer": 1 + p, "diag": p}
+    assert gate_counts(circ) == {"h": 1, "rx": p, "diag": p}
 
 
 def test_parameter_length_mismatch():

@@ -72,6 +72,43 @@ def test_generate_accepts_class_params(runner, tmp_path):
     assert doc["params"]["edges"] == [[0, 1], [1, 2], [0, 2]]
 
 
+def test_generate_param_that_is_not_json_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "inst.json"
+    result = runner.invoke(main, ["generate", "--problem", "maxcut", "--n", "4",
+                                  "--param", "edge_density=abc", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--param edge_density takes a JSON value" in result.output and not out.exists()
+
+
+def test_generate_unknown_param_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "inst.json"
+    result = runner.invoke(main, ["generate", "--problem", "maxcut", "--n", "4",
+                                  "--param", "edge_densty=0.9", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "edge_densty" in result.output and "edge_density" in result.output and not out.exists()
+
+
+GOOD_INSTANCE = {  # as `generate` writes it; each case below breaks one part"problem": "maxcut", "n": 3, "seed": 0,
+                 "qubo": {"n": 3, "b": [0.0, 1.0, 2.0], "A": [[0.0] * 3] * 3, "const": 0.0}}
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    json.dumps({**GOOD_INSTANCE, "qubo": {**GOOD_INSTANCE["qubo"], "b": [0.0, 1.0]}}),
+    json.dumps({k: v for k, v in GOOD_INSTANCE.items() if k != "problem"}),
+    json.dumps({k: v for k, v in GOOD_INSTANCE.items() if k != "qubo"}),
+    "[1, 2]",
+    json.dumps({**GOOD_INSTANCE, "n": 5}),
+], ids=["not-json", "short-b", "no-problem", "no-qubo", "not-an-object", "n-disagrees"])
+def test_run_malformed_instance_is_a_usage_error(runner, tmp_path, text):
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    trace = tmp_path / "trace.csv"
+    result = runner.invoke(main, ["run", "--instance", str(inst), "--budget", "20", "-o", str(trace)])
+    assert result.exit_code == 2, result.output
+    assert "not a valid instance file" in result.output and not trace.exists()
+
+
 def test_run_from_instance_file(runner, tmp_path):
     inst = tmp_path / "inst.json"
     trace = tmp_path / "trace.csv"
@@ -145,6 +182,17 @@ def test_sweep_rejects_bad_config(runner, tmp_path):
     cfg.write_text(json.dumps({**TINY_CONFIG, "alphas": [2.0]}))
     result = runner.invoke(main, ["sweep", "--config", str(cfg), "-o", str(tmp_path / "x.csv")])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("change", [{"problems": ["maxcat"]}, {"mode": "sampled", "shots": 0}],
+                         ids=["unknown-problem", "no-shots"])
+def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, **change}))
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "bad config" in result.output and not out.exists()
 
 
 def test_report_rejects_bad_threshold(runner, tmp_path):

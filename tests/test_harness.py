@@ -202,6 +202,15 @@ def test_config_validation():
         ExperimentConfig.from_json('{"bogus_field": 1}')
 
 
+def test_config_rejects_unknown_problems_and_sampling_without_shots():
+    with pytest.raises(ValueError, match="maxcat"):
+        ExperimentConfig(problems=("maxcut", "maxcat"))
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="at least one shot"):
+            ExperimentConfig(mode="sampled", shots=shots)
+    assert ExperimentConfig(mode="exact", shots=0).shots == 0  # exact mode draws no shots
+
+
 def test_config_json_round_trip():
     cfg = ExperimentConfig(**TINY)
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg

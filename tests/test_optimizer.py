@@ -11,8 +11,8 @@ from cvarqopt.optimizer import (
 )
 
 
-def cfg(x0, budget=200, **kw):
-    return OptimizerConfig(max_evaluations=budget, initial_point=np.asarray(x0, float), **kw)
+def cfg(x0, budget=200):
+    return OptimizerConfig(max_evaluations=budget, initial_point=np.asarray(x0, float))
 
 
 def test_convex_quadratic_converges():
@@ -130,7 +130,5 @@ def test_best_observed_solution_empty_trace():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_evaluations=3, initial_point=np.zeros(2))  # needs >= dim+2
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_evaluations=50, initial_point=np.zeros(2), final_step=0.5)
     with pytest.raises(ValueError):
         OptimizerConfig(max_evaluations=50, initial_point=np.zeros((2, 2)))

@@ -8,6 +8,7 @@ from cvarqopt import fixtures
 from cvarqopt.hamiltonian import qubo_to_hamiltonian
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import (
+    PARAM_KEYS,
     PROBLEM_NAMES,
     Clause,
     InstanceSpec,
@@ -162,3 +163,33 @@ def test_one_qubit_instances_are_valid_or_rejected(problem):
 def test_unknown_problem_rejected():
     with pytest.raises(ValueError):
         InstanceSpec("knapsack", 6, 0)
+
+
+# every key a generator reads, each set away from its default
+ACCEPTED = {
+    "maxcut": (4, {"edges": [[0, 1], [1, 2]], "weights": [2.0, 3.0], "edge_density": 0.9}),
+    "stable_set": (6, {"edge_density": 0.9}),
+    "partition": (4, {"numbers": [1, 2, 3, 4]}),
+    "market_split": (6, {"constraints": 3}),
+    "max3sat": (6, {"clause_ratio": 2.0}),
+    "portfolio": (4, {"risk_factor": 0.3, "budget": 1, "penalty": 5.0}),
+}
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+def test_every_generator_takes_the_keys_it_reads(problem):
+    n, params = ACCEPTED[problem]
+    assert set(params) == set(PARAM_KEYS[problem])
+    default = generate(InstanceSpec(problem, n, seed=2))
+    for key, value in params.items():
+        qubo = generate(InstanceSpec(problem, n, 2, {key: value}))
+        changed = not (np.array_equal(qubo.b, default.b) and np.array_equal(qubo.A, default.A))
+        assert changed or key == "weights", key  # weights go with edges only
+    assert generate(InstanceSpec(problem, n, 2, params)).n == n
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+def test_unknown_generator_key_is_rejected_naming_the_accepted_ones(problem):
+    n, _ = ACCEPTED[problem]
+    with pytest.raises(ValueError, match=f"no parameter edge_densty; it reads {PARAM_KEYS[problem][0]}"):
+        InstanceSpec(problem, n, 0, {"edge_densty": 0.9})

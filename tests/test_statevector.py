@@ -11,6 +11,7 @@ from cvarqopt.statevector import (
     Gate,
     InvalidGateError,
     StateVector,
+    _entries,
     cnot,
     cz,
     diag,
@@ -88,7 +89,7 @@ def test_probabilities_reference_quarter_point():
     ids=lambda g: g.name,
 )
 def test_every_gate_matrix_is_unitary(gate):
-    m = gate.matrix()
+    m = np.array(_entries(gate.name, gate.angles[0]))
     np.testing.assert_allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=1e-12)
 
 
@@ -172,8 +173,6 @@ def test_diag_gate_keeps_a_read_only_copy():
     assert gate.diagonal[0] == 1.0 and not gate.diagonal.flags.writeable
     with pytest.raises(InvalidGateError):
         diag(np.ones((2, 2)))
-    with pytest.raises(InvalidGateError):
-        diag(np.ones(4)).matrix()
 
 
 def per_qubit(name, angles):
@@ -219,18 +218,20 @@ def test_wrong_size_layer_is_rejected(n, size):
         Circuit(n, [gate])
 
 
-def test_layer_gate_keeps_read_only_two_by_two_matrices():
-    m = np.array([np.eye(2)] * 3, dtype=complex)
-    gate = Gate("layer", (), matrices=m)
-    m[0, 0, 0] = 5.0  # the caller's array stays its own
-    assert gate.matrices[0, 0, 0] == 1.0 and not gate.matrices.flags.writeable
-    for shape in [(3, 2, 3), (3, 4), (2, 2)]:
+def test_rotation_gates_check_their_qubits_and_angles():
+    assert layer("ry", np.array([0.1, 0.2])).angles == (0.1, 0.2) and ry(2, 1).angles == (1.0,)
+    for qubits, angles in [((0,), ()), ((), ()), ((0, 1), (0.1, 0.2)), ((0,), (0.1, 0.2))]:
         with pytest.raises(InvalidGateError):
-            Gate("layer", (), matrices=np.ones(shape))
+            Gate("ry", qubits, angles)
+    for name, angles in [("h", (0.1,)), ("ry", (None,)), ("rx", (0.1, None)), ("layer", (0.1,))]:
+        with pytest.raises(InvalidGateError):
+            Gate(name, (), angles)
     with pytest.raises(InvalidGateError):
-        Gate("layer", ())
+        Gate("rz", (-1,), (0.1,))
     with pytest.raises(InvalidGateError):
-        Gate("ry", (0,), 0.1, matrices=m)
+        Gate("cz", (0, 1), (0.1,))
+    with pytest.raises(InvalidGateError):
+        Gate("diag", (), (0.1, 0.2), np.ones(4), np.zeros(4, dtype=int))  # one angle, not two
 
 
 def test_gates_compare_by_identity():
@@ -286,10 +287,10 @@ def test_real_amplitudes_stay_float64_and_others_turn_complex():
 
 
 def test_real_gates_keep_a_real_state_real(rng):
-    assert layer("ry", [0.3, 0.4]).matrices.dtype == np.float64
-    assert layer("h", [None]).matrices.dtype == np.float64
-    assert layer("rx", [0.3]).matrices.dtype == complex
-    assert ry(0, 0.3).matrix().dtype == np.float64 and rx(0, 0.3).matrix().dtype == complex
+    assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cz(0, 1)])
+    assert not diag(np.array([1, -1], dtype=np.int8)).is_complex
+    assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), rz(0, 0.3), diag(np.ones(2) + 0j)])
+    assert diag(np.ones(2), 0.3, np.zeros(2, dtype=int)).is_complex
     amps = rng.normal(size=8)
     gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(0, 2), cnot(2, 1)]
     out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))

@@ -2,6 +2,7 @@
 library's export list.  The benchmark traces the package by replacing module
 attributes (see `perfbench/tracing.py`); these tests keep the names it wraps
 alive and check that the package still reaches the simulator through them."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,8 @@ import cvarqopt
 from cvarqopt import flatness, harness
 from cvarqopt.problems import InstanceSpec, generate
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def wrapped_names():
@@ -35,6 +37,32 @@ def test_every_wrapped_name_exists():
         module = importlib.import_module(module_name)
         missing = [attr for attr in names if not callable(getattr(module, attr, None))]
         assert not missing, f"{module_name} lost {missing}"
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports but never reads (its `__all__` counts as a read)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return imported - read
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cvarqopt").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    """Only a name the benchmark wraps may be imported unused: it is there to be replaced."""
+    wrapped = wrapped_names().get(f"cvarqopt.{path.stem}", {})
+    assert unused_imports(path.read_text()) - set(wrapped) == set()
+
+
+def test_unused_import_check_sees_unused_names():
+    source = "from x import a, b as c\nimport d.e\nimport f\n__all__ = ['a']\nprint(d, c.attr)\n"
+    assert unused_imports(source) == {"f"}
 
 
 def counting(monkeypatch, module, attr, counts):
