@@ -51,7 +51,8 @@ def main():
 @click.option("--param", "params", multiple=True, metavar="KEY=VALUE",
               help="Class-specific generator parameter (repeatable).")
 @click.option("--published-fixture", is_flag=True,
-              help="Emit the six-asset portfolio reference case instead of a random draw.")
+              help="Emit the six-asset portfolio reference case instead of a random draw "
+                   "(takes no --param).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Instance JSON path (stdout if omitted).")
 def generate_cmd(problem, n_qubits, seed, params, published_fixture, output):
@@ -71,6 +72,8 @@ def generate_cmd(problem, n_qubits, seed, params, published_fixture, output):
                 raise click.UsageError(
                     f"--published-fixture is the {fixtures.PORTFOLIO_N}-asset portfolio case"
                 )
+            if parsed:
+                raise click.UsageError("--published-fixture is a fixed instance and takes no --param")
             from .problems import portfolio_qubo
 
             qubo = portfolio_qubo()

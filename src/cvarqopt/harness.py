@@ -66,6 +66,8 @@ def make_objective(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
+    if mode == "sampled" and shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
 
     def objective(theta: np.ndarray):
         state = run_circuit(circuit_fn(theta))

@@ -6,6 +6,12 @@ the boundary outcome fractionally so it is continuous in alpha; the sampled
 form averages the ceil(alpha*K) smallest of K draws.  Only that tail of the
 shots carries information, so for fixed K the estimator's standard error
 grows like 1/alpha; hold accuracy constant by scaling shots like K/alpha.
+
+Shots are drawn by inverse CDF from one `rng.random(K)` call.  When there
+are no more basis states than shots, each shot is looked up in a bucket
+table over [0, 1) (Chen & Asau's guide table), and only shots whose bucket
+holds a CDF step are binary-searched; the indices are identical to a
+per-shot binary search.
 """
 from __future__ import annotations
 
@@ -83,15 +89,47 @@ def cvar_exact(dist: OutcomeDistribution, alpha: float) -> float:
     return float((dist.values @ take) / alpha)
 
 
+def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, u, side="right")` for a nondecreasing `cum` in [0, 1]
+    and keys `u` in [0, 1), exactly.
+
+    With no more CDF entries than keys, [0, 1) is cut into G buckets
+    [b/G, (b+1)/G), G a power of two >= 4*cum.size so that `cum*G` and `u*G`
+    are exact.  `bounds[b] = #{j : cum[j] <= b/G}` comes from one `bincount`
+    of `ceil(cum*G)`; a key in bucket b has index `bounds[b]` when
+    `bounds[b] == bounds[b+1]`, and only keys in a bucket that holds a CDF
+    step are binary-searched.  At most one bucket in four holds a step, and a
+    uniform key falls in each bucket with probability 1/G, so on average at
+    least three keys in four skip the search.
+    """
+    if cum.size > u.size:  # the O(G) table would cost more than the searches it saves
+        return np.searchsorted(cum, u, side="right")
+    g = 4 << (cum.size - 1).bit_length()
+    bounds = np.cumsum(np.bincount(np.ceil(cum * g).astype(np.intp), minlength=g + 1))
+    table = np.where(bounds[1:] == bounds[:-1], bounds[:-1], -1)  # -1: a step in the bucket
+    indices = table[(u * g).astype(np.intp)]
+    stepped = np.flatnonzero(indices < 0)
+    indices[stepped] = np.searchsorted(cum, u[stepped], side="right")
+    return indices
+
+
 def sample_outcomes(
     state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw basis-index samples by inverse CDF; returns (indices, objective values)."""
+    """Draw basis-index samples by inverse CDF; returns (indices, objective values).
+
+    The stream advances by exactly one `rng.random(shots)`.  While 2^n <= shots
+    each shot's index comes from a bucket table (`inverse_cdf_indices`), with
+    a binary search only for shots in a bucket that holds a CDF step; every
+    index equals a per-shot binary search of the CDF.
+    """
     if state.n != ham.n:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
     cum = np.cumsum(probabilities(state))
+    if not (np.isfinite(cum[-1]) and cum[-1] > 0):  # a NaN, infinite or zero state has no CDF
+        raise ValueError("state probabilities must be finite with a positive total")
     cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
-    indices = np.searchsorted(cum, rng.random(shots), side="right")
+    indices = inverse_cdf_indices(cum, rng.random(shots))
     return indices, ham.ranking.values[ham.ranking.inverse[indices]]
 
 

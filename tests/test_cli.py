@@ -61,6 +61,14 @@ def test_generate_published_portfolio_fixture(runner, tmp_path):
     assert bad.exit_code != 0
 
 
+def test_generate_published_fixture_with_param_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "portfolio.json"
+    result = runner.invoke(main, ["generate", "--problem", "portfolio", "--n", "6",
+                                  "--published-fixture", "--param", "budget=2", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "takes no --param" in result.output and not out.exists()
+
+
 def test_generate_accepts_class_params(runner, tmp_path):
     out = tmp_path / "tri.json"
     result = runner.invoke(main, [
@@ -120,6 +128,15 @@ def test_run_from_instance_file(runner, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_run_sampled_without_shots_is_a_usage_error(runner, tmp_path, shots):
+    trace = tmp_path / "trace.csv"
+    result = runner.invoke(main, ["run", "--problem", "maxcut", "--n", "4", "--mode", "sampled",
+                                  "--shots", shots, "-o", str(trace)])
+    assert result.exit_code == 2, result.output
+    assert "shot count must be >= 1" in result.output and not trace.exists()
 
 
 def test_run_generated_on_the_fly_sampled(runner, tmp_path):

@@ -264,6 +264,10 @@ def test_make_objective_sampled_needs_rng():
         make_objective(REF_H, lambda t: fixtures.two_qubit_circuit(0.0), 0.5, mode="sampled")
     with pytest.raises(ValueError):
         make_objective(REF_H, lambda t: fixtures.two_qubit_circuit(0.0), 0.5, mode="shots")
+    for shots in (0, -3):
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
+            make_objective(REF_H, lambda t: fixtures.two_qubit_circuit(0.0), 0.5, mode="sampled",
+                           shots=shots, sample_rng=np.random.default_rng(0))
 
 
 def test_unknown_algo_rejected():

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distribution
 from cvarqopt import fixtures
@@ -13,11 +15,12 @@ from cvarqopt.objective import (
     cvar_exact,
     cvar_from_samples,
     cvar_sampled,
+    inverse_cdf_indices,
     outcome_distribution,
     overlap_with_optimum,
     sample_outcomes,
 )
-from cvarqopt.statevector import StateVector, run_circuit
+from cvarqopt.statevector import StateVector, probabilities, run_circuit
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -141,6 +144,86 @@ def test_sampling_never_lands_on_a_zero_probability_tail():
     indices, values = sample_outcomes(StateVector(2, amps), ham, 3, top_draw)
     np.testing.assert_array_equal(indices, [1, 1, 1])
     np.testing.assert_array_equal(values, [1.0, 1.0, 1.0])
+
+
+# zero-probability entries anywhere, and a total at or just under 1
+weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+weights = st.lists(weight, min_size=1, max_size=64)
+shortfall = st.integers(0, 64).map(lambda k: 1.0 - k * 2.0**-53)
+
+
+@st.composite
+def cdf_and_keys(draw):
+    """A CDF with leading, interior and trailing zero-probability entries, and
+    keys on bucket edges, on CDF values, next to them and anywhere in [0, 1)."""
+    w = np.array([0.0] * draw(st.integers(0, 3)) + draw(weights) + [0.0] * draw(st.integers(0, 3)))
+    assume(w.sum() > 0)
+    cum = np.minimum(np.cumsum(w / w.sum()) * draw(shortfall), 1.0)
+    g = 4 << (cum.size - 1).bit_length()  # the sampler's bucket count
+    edges = np.concatenate([np.arange(g) / g, cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    on_edge = st.sampled_from(sorted(set(edges[edges < 1.0].tolist())))
+    keys = st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_edge), min_size=1, max_size=160)
+    return cum, np.array(draw(keys))
+
+
+QUARTERS = np.array([0.25, 0.5, 0.75, 1.0])
+STEPS = np.cumsum([0.1, 0.2, 0.0, 0.3, 0.4])
+
+
+@settings(deadline=None)
+@given(cdf_and_keys())
+@example((np.array([0.3, 1.0]), np.arange(8) / 8))  # keys on bucket edges
+@example((QUARTERS, np.arange(16) / 16))  # bucket edges that are CDF values
+# keys on a CDF value and on its neighbours
+@example((STEPS, np.repeat([np.nextafter(STEPS[1], 0.0), STEPS[1], np.nextafter(STEPS[1], 1.0)], 2)))
+# zero-probability entries: leading, interior and trailing
+@example((np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]), np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])))
+@example((np.array([0.5, 1.0 - 2.0**-52]), np.full(4, 1.0 - 2.0**-53)))  # the top draw past a short CDF
+@example((np.array([1.0]), np.array([0.5])))  # one shot, table branch
+@example((QUARTERS, np.array([0.6])))  # one shot, binary-search branch
+@example((QUARTERS, np.full(4, 0.75)))  # as many entries as shots: table
+@example((QUARTERS, np.full(3, 0.75)))  # more entries than shots: binary search
+def test_bucket_table_gives_the_binary_search_indices(case):
+    cum, u = case
+    for c in (cum, cum / cum[-1]):  # as drawn, and normalised as `sample_outcomes` does
+        got, want = inverse_cdf_indices(c, u), np.searchsorted(c, u, side="right")
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+@st.composite
+def states_and_shots(draw):
+    n = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(weight, min_size=2**n, max_size=2**n)))
+    assume(w.sum() > 0)
+    state = StateVector(n, np.sqrt(w / w.sum() * draw(shortfall)))
+    return state, draw(st.integers(1, 100)), draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None)
+@given(states_and_shots())
+@example((StateVector(2, np.sqrt([0.0, 0.5, 0.0, 0.5 - 4e-16])), 1, 7))
+@example((StateVector.uniform(3), 8, 1))  # 2^n == shots: table
+@example((StateVector.uniform(3), 7, 1))  # 2^n > shots: binary search
+def test_sample_outcomes_draws_once_and_matches_the_binary_search(case):
+    state, shots, seed = case
+    table = np.arange(2**state.n) % 3 - 1.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    indices, values = sample_outcomes(state, DiagonalHamiltonian(state.n, table), shots, rng)
+    reference = np.random.Generator(np.random.PCG64(seed))
+    cum = np.cumsum(probabilities(state))
+    cum /= cum[-1]
+    np.testing.assert_array_equal(indices, np.searchsorted(cum, reference.random(shots), side="right"))
+    np.testing.assert_array_equal(values, table[indices])
+    assert rng.random() == reference.random()  # exactly `shots` doubles consumed
+
+
+@pytest.mark.parametrize("shots", [2, 8], ids=["binary-search", "table"])
+@pytest.mark.parametrize("amps", [[np.nan, 0.5, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0], [0.0] * 4],
+                         ids=["nan", "inf", "zero"])
+def test_sampling_a_state_without_a_cdf_is_an_error(amps, shots):
+    with pytest.raises(ValueError, match="finite with a positive total"):
+        sample_outcomes(StateVector(2, np.array(amps)), REF_H, shots, np.random.default_rng(0))
 
 
 def test_sampled_is_deterministic_given_seed():

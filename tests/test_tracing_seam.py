@@ -75,15 +75,20 @@ def counting(monkeypatch, module, attr, counts):
     monkeypatch.setattr(module, attr, wrapper)
 
 
-@pytest.mark.parametrize("algo,p", [("vqe", 1), ("qaoa", 2)])
-def test_run_single_builds_and_runs_one_circuit_per_evaluation(monkeypatch, algo, p):
+@pytest.mark.parametrize("algo,p,mode", [
+    ("vqe", 1, "exact"), ("qaoa", 2, "exact"), ("vqe", 1, "sampled"), ("qaoa", 2, "sampled"),
+], ids=["vqe-1", "qaoa-2", "vqe-1-sampled", "qaoa-2-sampled"])
+def test_run_single_builds_and_runs_one_circuit_per_evaluation(monkeypatch, algo, p, mode):
+    """In sampled mode every evaluation also draws its shots through `harness.sample_outcomes`."""
     counts = {}
-    for attr in ("build_circuit", "run_circuit"):
+    for attr in ("build_circuit", "run_circuit", "sample_outcomes"):
         counting(monkeypatch, harness, attr, counts)
     qubo = generate(InstanceSpec("maxcut", 4, seed=1))
-    trace = harness.run_single(qubo, algo, p=p, alpha=0.5, seed=3, max_evaluations=12)
+    trace = harness.run_single(qubo, algo, p=p, alpha=0.5, mode=mode, shots=64, seed=3,
+                               max_evaluations=12)
     assert trace.n_evaluations > 0
-    assert counts == {"build_circuit": trace.n_evaluations, "run_circuit": trace.n_evaluations}
+    per_evaluation = ("build_circuit", "run_circuit") + (("sample_outcomes",) if mode == "sampled" else ())
+    assert counts == dict.fromkeys(per_evaluation, trace.n_evaluations)
 
 
 def test_flatness_report_runs_one_circuit_per_layer(monkeypatch):
