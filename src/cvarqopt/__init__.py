@@ -3,7 +3,7 @@ simulator: QUBO/Ising encodings, hardware-efficient and alternating ansatz
 families, tail-focused objectives, a derivative-free outer loop, benchmark
 instance generators, and flatness diagnostics."""
 
-from .ansatz import AnsatzSpec, build_qaoa_circuit, build_vqe_circuit, trial_state
+from .ansatz import AnsatzSpec, build_circuit, trial_state
 from .hamiltonian import (
     DiagonalHamiltonian,
     IsingModel,
@@ -44,8 +44,7 @@ __all__ = [
     "RunTrace",
     "StateVector",
     "best_observed_solution",
-    "build_qaoa_circuit",
-    "build_vqe_circuit",
+    "build_circuit",
     "cvar_exact",
     "cvar_sampled",
     "enumerate_hamiltonian",

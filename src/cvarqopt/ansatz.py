@@ -5,16 +5,17 @@ Parameter layouts: the layered family takes n*(1+p) angles, ordered layer by
 layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
 gamma_1..gamma_p).
 
-Each family compiles to whole-register gates: VQE to RY on every qubit, then
-[diag, RY on every qubit] x p; QAOA to H on every qubit, then [cost diag, RX
-on every qubit] x p.  A
-CZ block is the +-1 vector (-1)^(number of its pairs with both bits set),
+`build_circuit` compiles either family to whole-register gates: VQE to RY on
+every qubit, then [diag, RY on every qubit] x p; QAOA to H on every qubit,
+then p x `qaoa_layer` = [cost diag, RX on every qubit].  A CZ block is the
++-1 vector (-1)^(number of its pairs with both bits set),
 cached per (n, entanglement); multiplying by -1 is exact, so the state equals
 the one the CZ gates give, bit for bit, and a VQE state stays real (float64)
 throughout.  The cost step exp(-i gamma * cost) is an angled `diag` over the
 Ising model's cached ranking of its cost diagonal, so it takes one exp per
 distinct cost value; the Ising offset is a global phase and is never applied.
-The mixer step is RX(2*beta) on every qubit (= exp(-i beta X)).
+The mixer step is RX(2*beta) on every qubit (= exp(-i beta X)).  `flatness`
+applies the same `qaoa_layer` gates layer by layer.
 `cost_layer_gates` keeps the gate-level compilation of the cost step,
 RZ(2*gamma*c_i) plus a CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a
 reference for tests.
@@ -26,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .hamiltonian import IsingModel
+from .hamiltonian import IsingModel, ValueRanking
 from .statevector import Circuit, Gate, StateVector, cnot, diag, layer, run_circuit, rz
 
 FAMILIES = ("vqe", "qaoa")
@@ -93,19 +94,6 @@ def entangler_signs(n: int, entanglement: str) -> np.ndarray:
     return signs
 
 
-def build_vqe_circuit(spec: AnsatzSpec, theta) -> Circuit:
-    """Y-rotation layer, then p repetitions of [CZ entangler, Y-rotation layer]."""
-    if spec.family != "vqe":
-        raise ValueError(f"expected a vqe spec, got {spec.family}")
-    theta = _check_params(spec, theta).tolist()
-    n = spec.n
-    gates: list[Gate] = [layer("ry", theta[:n])]
-    for k in range(1, spec.p + 1):
-        gates.append(diag(entangler_signs(n, spec.entanglement)))
-        gates.append(layer("ry", theta[k * n : (k + 1) * n]))
-    return Circuit(n, gates)
-
-
 def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
     """Gate-level exp(-i gamma * cost), the reference for the cost `diag`; zero terms emit nothing."""
     gates: list[Gate] = []
@@ -120,27 +108,26 @@ def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
     return gates
 
 
-def mixer_layer(n: int, beta: float) -> Gate:
-    """RX(2*beta) on every qubit, as one gate."""
-    return layer("rx", [2.0 * beta] * n)
-
-
-def build_qaoa_circuit(spec: AnsatzSpec, theta) -> Circuit:
-    """Hadamard layer, then p alternations of cost and mixer layers."""
-    if spec.family != "qaoa":
-        raise ValueError(f"expected a qaoa spec, got {spec.family}")
-    theta = _check_params(spec, theta)
-    betas, gammas = theta[: spec.p], theta[spec.p :]
-    cost = spec.ising.ranking
-    gates: list[Gate] = [layer("h", [None] * spec.n)]
-    for beta, gamma in zip(betas, gammas):
-        gates.append(diag(cost.values, gamma, cost.inverse))
-        gates.append(mixer_layer(spec.n, beta))
-    return Circuit(spec.n, gates)
+def qaoa_layer(cost: ValueRanking, n: int, beta: float, gamma: float) -> list[Gate]:
+    """One alternation: the cost step exp(-i gamma * cost) as an angled `diag`, then RX(2*beta) on every qubit."""
+    return [diag(cost.values, gamma, cost.inverse), layer("rx", [2.0 * beta] * n)]
 
 
 def build_circuit(spec: AnsatzSpec, theta) -> Circuit:
-    return build_vqe_circuit(spec, theta) if spec.family == "vqe" else build_qaoa_circuit(spec, theta)
+    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x `qaoa_layer`."""
+    theta = _check_params(spec, theta)
+    n = spec.n
+    if spec.family == "vqe":
+        angles = theta.tolist()
+        gates: list[Gate] = [layer("ry", angles[:n])]
+        for k in range(1, spec.p + 1):
+            gates.append(diag(entangler_signs(n, spec.entanglement)))
+            gates.append(layer("ry", angles[k * n : (k + 1) * n]))
+    else:
+        gates = [layer("h", [None] * n)]
+        for beta, gamma in zip(theta[: spec.p], theta[spec.p :]):
+            gates += qaoa_layer(spec.ising.ranking, n, beta, gamma)
+    return Circuit(n, gates)
 
 
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:

@@ -5,10 +5,10 @@ probability: if most diagonal values coincide (large delta) and most
 amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
-States are produced by exact per-layer phase application (the ansatz's cost
-`diag` gate, over the Hamiltonian's ranking) followed by an RX(2*beta) mixer
-layer, which also covers objectives (like the needle) that are not expressible
-as a quadratic Ising model.
+States start uniform and are evolved one `ansatz.qaoa_layer` at a time (the
+cost `diag` over the Hamiltonian's ranking, then RX(2*beta) on every qubit),
+so they cover objectives (like the needle) that are not expressible as a
+quadratic Ising model.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import mixer_layer
+from .ansatz import qaoa_layer
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import MAX_QUBITS, Circuit, StateVector, diag, run_circuit
+from .statevector import MAX_QUBITS, Circuit, StateVector, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -74,11 +74,10 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     if betas.shape != gammas.shape or betas.ndim != 1:
         raise ValueError("betas and gammas must be 1-D with equal length")
     n = ham.n
-    values, inverse = ham.ranking.values, ham.ranking.inverse
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        state = run_circuit(Circuit(n, [diag(values, gamma, inverse), mixer_layer(n, beta)]), state)
+        state = run_circuit(Circuit(n, qaoa_layer(ham.ranking, n, beta, gamma)), state)
         snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
     return snapshots
 
@@ -151,6 +150,8 @@ def needle_hamiltonian(n: int, index: int = 0) -> DiagonalHamiltonian:
     """Minimization needle: value 0 at one distinguished bitstring, 1 elsewhere."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    if not 0 <= index < 2**n:
+        raise ValueError(f"needle index must be in [0, {2**n}), got {index}")
     table = np.ones(2**n)
     table[index] = 0.0
     return DiagonalHamiltonian(n, table)

@@ -121,9 +121,13 @@ class DiagonalHamiltonian:
     ranking: ValueRanking
 
     def __init__(self, n: int, table):
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
         table = np.asarray(table, dtype=float)
         if table.shape != (2**n,):
             raise ValueError(f"expected {2**n} diagonal entries, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValueError("diagonal entries must be finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ranking", _ranking(*np.unique(table, return_inverse=True)))
 

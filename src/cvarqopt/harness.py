@@ -1,13 +1,18 @@
 """Experiment orchestration: single optimization runs, full sweeps over
 problem x size x algorithm x depth x alpha grids, and metric aggregation.
 
+A sweep is a list of grid keys (problem, n, instance index, algo, p, alpha);
+each key's instance seed, run seed and evaluation budget derive from the
+config alone, the instance and run seeds by hashing the key with SHA-256,
+so results are independent of scheduling and execution order.  (alpha,
+mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`.
+
 Iteration counting: one "iteration" is one objective-function evaluation
 (observable and optimizer-agnostic); normalized_iteration = evaluation/n.
-Per-run seeds derive from the master seed by hashing the row key with
-SHA-256, so results are independent of scheduling and execution order.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -25,6 +30,7 @@ from .hamiltonian import DiagonalHamiltonian, QuboProblem, ising_to_hamiltonian,
 from .hamiltonian import qubo_to_hamiltonian  # unused here; perfbench/tracing.py wraps this name
 from .objective import (
     PRNG_NAME,
+    CvarConfig,
     best_support_bitstring,
     cvar_exact,
     cvar_from_samples,
@@ -62,12 +68,9 @@ def make_objective(
     Overlap always comes from the exact state; in sampled mode the CVaR and
     the best-seen bitstring come from shots drawn off the run-owned stream.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    CvarConfig(alpha, mode, shots)  # validates alpha, mode and shot count
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
-    if mode == "sampled" and shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
 
     def objective(theta: np.ndarray):
         state = run_circuit(circuit_fn(theta))
@@ -112,12 +115,7 @@ def run_single(
     ising = qubo_to_ising(qubo)
     ham = ising_to_hamiltonian(ising)
     n = qubo.n
-    if algo == "vqe":
-        spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
-    elif algo == "qaoa":
-        spec = AnsatzSpec("qaoa", n=n, p=p, ising=ising)
-    else:
-        raise ValueError(f"unknown algo {algo!r}")
+    spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
     seq = np.random.SeedSequence(seed)
     init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
     theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
@@ -154,17 +152,14 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "vqe_depths", tuple(int(p) for p in self.vqe_depths))
         object.__setattr__(self, "qaoa_depths", tuple(int(p) for p in self.qaoa_depths))
-        if not self.problems or not self.sizes or not self.alphas:
-            raise ValueError("problems, sizes and alphas must be nonempty")
         unknown = [p for p in self.problems if p not in PROBLEM_NAMES]
         if unknown:
             raise ValueError(f"unknown problems {unknown}; choose from {', '.join(PROBLEM_NAMES)}")
-        if any(not 0.0 < a <= 1.0 for a in self.alphas):
-            raise ValueError("alphas must lie in (0, 1]")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError(f"sampled mode needs at least one shot, got {self.shots}")
+        for alpha in self.alphas:
+            CvarConfig(alpha, self.mode, self.shots)
+        if not _sweep_keys(self):
+            raise ValueError("the grid has no runs: a list or instances_per_size is empty, "
+                             "or only max3sat is asked for and no size is divisible by 3")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -207,69 +202,52 @@ class SweepResult:
         return cls(rows)
 
 
-def _sweep_tasks(cfg: ExperimentConfig) -> list[dict]:
-    tasks = []
+def _sweep_keys(cfg: ExperimentConfig) -> list[tuple]:
+    """Grid keys (problem, n, instance index, algo, p, alpha) in row order."""
     algos = [("vqe", p) for p in cfg.vqe_depths] + [("qaoa", p) for p in cfg.qaoa_depths]
-    for problem in cfg.problems:
-        for n in cfg.sizes:
-            if problem == "max3sat" and n % 3 != 0:
-                continue
-            for idx in range(cfg.instances_per_size):
-                inst_seed = derive_seed(cfg.master_seed, "instance", problem, n, idx)
-                for algo, p in algos:
-                    for alpha in cfg.alphas:
-                        tasks.append(
-                            dict(
-                                problem=problem,
-                                n=n,
-                                inst_seed=inst_seed,
-                                algo=algo,
-                                p=p,
-                                alpha=alpha,
-                                run_seed=derive_seed(
-                                    cfg.master_seed, "run", problem, n, idx, algo, p, alpha
-                                ),
-                                mode=cfg.mode,
-                                shots=cfg.shots,
-                                budget=cfg.iteration_budget_per_qubit * n,
-                                entanglement=cfg.entanglement,
-                                initial_point=cfg.initial_point,
-                            )
-                        )
-    return tasks
+    return [
+        (problem, n, idx, algo, p, alpha)
+        for problem in cfg.problems
+        for n in cfg.sizes
+        if problem != "max3sat" or n % 3 == 0
+        for idx in range(cfg.instances_per_size)
+        for algo, p in algos
+        for alpha in cfg.alphas
+    ]
 
 
-def _execute_task(task: dict) -> tuple[list[tuple], tuple[str, str] | None]:
-    """The task's rows, or no rows and (message, traceback) if it failed."""
-    key = "{problem}/n={n}/seed={inst_seed}/{algo}/p={p}/alpha={alpha}".format(**task)
+def _execute_task(cfg: ExperimentConfig, key: tuple) -> tuple[list[tuple], tuple[str, str] | None]:
+    """The key's rows, or no rows and (message, traceback) if its run failed."""
+    problem, n, idx, algo, p, alpha = key
+    inst_seed = derive_seed(cfg.master_seed, "instance", problem, n, idx)
     try:
-        qubo = generate(InstanceSpec(task["problem"], task["n"], task["inst_seed"]))
         trace = run_single(
-            qubo,
-            algo=task["algo"],
-            p=task["p"],
-            alpha=task["alpha"],
-            mode=task["mode"],
-            shots=task["shots"],
-            seed=task["run_seed"],
-            entanglement=task["entanglement"],
-            max_evaluations=task["budget"],
-            initial_point=task["initial_point"],
+            generate(InstanceSpec(problem, n, inst_seed)),
+            algo=algo,
+            p=p,
+            alpha=alpha,
+            mode=cfg.mode,
+            shots=cfg.shots,
+            seed=derive_seed(cfg.master_seed, "run", *key),
+            entanglement=cfg.entanglement,
+            max_evaluations=cfg.iteration_budget_per_qubit * n,
+            initial_point=cfg.initial_point,
         )
     except Exception as exc:  # keep the sweep alive; report at the end
-        return [], (f"{key}: {exc}", traceback.format_exc())
-    row_key = (task[k] for k in ("problem", "n", "inst_seed", "algo", "p", "alpha"))
-    return trace_to_rows(trace, *row_key), None
+        where = f"{problem}/n={n}/seed={inst_seed}/{algo}/p={p}/alpha={alpha}"
+        return [], (f"{where}: {exc}", traceback.format_exc())
+    return trace_to_rows(trace, problem, n, inst_seed, algo, p, alpha), None
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run the full grid; rows arrive in deterministic task order."""
-    tasks = _sweep_tasks(cfg)
+    """Run the full grid; rows arrive in deterministic grid order."""
+    keys = _sweep_keys(cfg)
+    task = functools.partial(_execute_task, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_execute_task, tasks, chunksize=4))
+            outcomes = list(pool.map(task, keys, chunksize=4))
     else:
-        outcomes = [_execute_task(t) for t in tasks]
+        outcomes = [task(key) for key in keys]
     result = SweepResult(rows=[])
     for rows, failure in outcomes:
         result.rows.extend(rows)
@@ -292,24 +270,6 @@ def _reach_points(result: SweepResult, algo: str, p: int, alpha: float, threshol
         if ov >= threshold and ni < reach.get(inst, math.inf):
             reach[inst] = ni
     return {inst: reach.get(inst, math.inf) for inst in horizon}
-
-
-def fraction_reached(result, algo, p, alpha, threshold) -> float:
-    """Fraction of instances whose best-so-far overlap ever reaches the threshold."""
-    points = _reach_points(result, algo, p, alpha, threshold)
-    if not points:
-        return 0.0
-    return sum(1 for t in points.values() if t < math.inf) / len(points)
-
-
-def median_reach(result, algo, p, alpha, threshold) -> float:
-    """Median normalized iteration to reach the threshold; non-reachers count as inf."""
-    points = sorted(_reach_points(result, algo, p, alpha, threshold).values())
-    if not points:
-        return math.inf
-    k = len(points)
-    mid = points[k // 2] if k % 2 == 1 else (points[k // 2 - 1] + points[k // 2]) / 2.0
-    return mid
 
 
 def aggregate_fraction_curves(result: SweepResult, threshold: float) -> list[tuple]:

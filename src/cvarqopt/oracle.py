@@ -8,7 +8,7 @@ import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian
 from .objective import cvar_exact, outcome_distribution
-from .statevector import MAX_QUBITS, StateVector
+from .statevector import StateVector
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,6 @@ class GroundTruth:
 
 def enumerate_hamiltonian(ham: DiagonalHamiltonian) -> GroundTruth:
     """Exhaustive scan of all 2^n basis states."""
-    if ham.n > MAX_QUBITS:
-        raise ValueError(f"n={ham.n} exceeds the {MAX_QUBITS}-qubit enumeration limit")
     table = ham.table
     min_value = float(table.min())
     minimizers = tuple(int(j) for j in np.flatnonzero(table == min_value))

@@ -9,16 +9,14 @@ from conftest import random_qubo
 from cvarqopt.ansatz import (
     ENTANGLEMENTS,
     AnsatzSpec,
-    build_qaoa_circuit,
-    build_vqe_circuit,
+    build_circuit,
     cost_layer_gates,
     entangler_pairs,
     entangler_signs,
-    mixer_layer,
     trial_state,
 )
 from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, cz, diag, h, probabilities, run_circuit, rx, ry
+from cvarqopt.statevector import Circuit, StateVector, cz, diag, h, layer, probabilities, run_circuit, rx, ry
 
 
 def gate_counts(circuit):
@@ -40,13 +38,13 @@ def cz_reference_circuit(spec, theta):
 
 def test_layered_counts_three_qubits_depth_two():
     spec = AnsatzSpec("vqe", n=3, p=2)
-    circ = build_vqe_circuit(spec, np.zeros(9))
+    circ = build_circuit(spec, np.zeros(9))
     assert gate_counts(circ) == {"ry": 3, "diag": 2}
 
 
 def test_ring_counts_six_qubits():
     spec = AnsatzSpec("vqe", n=6, p=1, entanglement="ring")
-    circ = build_vqe_circuit(spec, np.zeros(12))
+    circ = build_circuit(spec, np.zeros(12))
     assert gate_counts(circ) == {"ry": 2, "diag": 1}
     assert entangler_pairs(6, "ring") == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
     signs = next(g.diagonal for g in circ.gates if g.name == "diag")
@@ -131,7 +129,7 @@ def test_zero_angles_give_uniform_state(rng):
 def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
     assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "rz": 1}
-    circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
+    circ = build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
     assert gate_counts(circ) == {"h": 1, "rx": 1, "diag": 1}
 
 
@@ -149,24 +147,16 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     counts = gate_counts(Circuit(n, [g for _ in range(p) for g in cost_layer_gates(ising, 1.0)]))
     assert counts["cnot"] == 2 * pairs * p
     assert counts["rz"] == (pairs + np.count_nonzero(ising.c)) * p
-    circ = build_qaoa_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
+    circ = build_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
     assert gate_counts(circ) == {"h": 1, "rx": p, "diag": p}
 
 
 def test_parameter_length_mismatch():
     with pytest.raises(ValueError):
-        build_vqe_circuit(AnsatzSpec("vqe", n=3, p=1), np.zeros(5))
+        build_circuit(AnsatzSpec("vqe", n=3, p=1), np.zeros(5))
     ising = IsingModel(2, c=np.zeros(2), Q=np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        build_qaoa_circuit(AnsatzSpec("qaoa", n=2, p=2, ising=ising), np.zeros(3))
-
-
-def test_wrong_family_rejected(rng):
-    ising = qubo_to_ising(random_qubo(rng, 3))
-    with pytest.raises(ValueError):
-        build_vqe_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), np.zeros(2))
-    with pytest.raises(ValueError):
-        build_qaoa_circuit(AnsatzSpec("vqe", n=3, p=1), np.zeros(6))
+        build_circuit(AnsatzSpec("qaoa", n=2, p=2, ising=ising), np.zeros(3))
 
 
 def test_spec_validation():
@@ -201,7 +191,7 @@ def test_qaoa_state_matches_gate_level_cost_layers(n, p, rng):
     theta = rng.uniform(-np.pi, np.pi, 2 * p)
     gates = [h(q) for q in range(n)]
     for beta, gamma in zip(theta[:p], theta[p:]):
-        gates += [*cost_layer_gates(ising, gamma), mixer_layer(n, beta)]
+        gates += [*cost_layer_gates(ising, gamma), layer("rx", [2.0 * beta] * n)]
     want = run_circuit(Circuit(n, gates)).amplitudes
     got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
     k = int(np.argmax(np.abs(want)))
@@ -247,7 +237,7 @@ def test_vqe_float64_state_equals_complex_evolution(n, p, entanglement, seed):
     spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.parameter_count)
     got = trial_state(spec, theta).amplitudes
-    want = run_circuit(build_vqe_circuit(spec, theta), StateVector.zero(n)).amplitudes
+    want = run_circuit(build_circuit(spec, theta), StateVector.zero(n)).amplitudes
     assert got.dtype == np.float64 and want.dtype == complex
     assert np.array_equal(got, want)
 

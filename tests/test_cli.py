@@ -201,8 +201,13 @@ def test_sweep_rejects_bad_config(runner, tmp_path):
     assert result.exit_code != 0
 
 
-@pytest.mark.parametrize("change", [{"problems": ["maxcat"]}, {"mode": "sampled", "shots": 0}],
-                         ids=["unknown-problem", "no-shots"])
+@pytest.mark.parametrize("change", [
+    {"problems": ["maxcat"]},
+    {"mode": "sampled", "shots": 0},
+    {"instances_per_size": 0},
+    {"vqe_depths": [], "qaoa_depths": []},
+    {"problems": ["max3sat"]},
+], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size"])
 def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, **change}))

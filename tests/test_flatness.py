@@ -130,6 +130,13 @@ def test_depth_zero_bound_is_equality():
     assert report.bound_holds
 
 
+@pytest.mark.parametrize("index", [-1, 16, 17])
+def test_needle_index_out_of_range_rejected(index):
+    with pytest.raises(ValueError, match="needle index"):
+        needle_hamiltonian(4, index)
+    assert needle_hamiltonian(4, 15).ranking.ground.tolist() == [15]
+
+
 def test_needle_single_layer_bound_holds(rng):
     ham = needle_hamiltonian(8)
     for _ in range(10):

@@ -69,6 +69,18 @@ def test_diagonal_sums_to_offset_times_dimension(n, rng):
     assert ham.table.sum() == pytest.approx(2**n * m.offset, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_diagonal_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiagonalHamiltonian(2, [0.0, bad, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [0, -1, 21])
+def test_diagonal_rejects_qubit_count_out_of_range(n):
+    with pytest.raises(ValueError, match="qubit count"):
+        DiagonalHamiltonian(n, [1.0])
+
+
 def test_evaluate_bitstring_reference_diagonal():
     ham = DiagonalHamiltonian(2, [0.0, 1.0, 1.0, 2.0])
     assert evaluate_bitstring(ham, 3) == 2.0

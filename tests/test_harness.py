@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,8 @@ from cvarqopt.harness import (
     SweepResult,
     aggregate_fraction_curves,
     derive_seed,
-    fraction_reached,
     initial_parameters,
     make_objective,
-    median_reach,
     run_single,
     run_sweep,
     trace_to_rows,
@@ -191,6 +187,36 @@ def test_sweep_skips_invalid_max3sat_sizes():
     assert {r[1] for r in res.rows} == {6}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_are_the_grid_runs_in_grid_order(workers):
+    """Each grid key runs once with seeds derived from its key and a budget of per_qubit * n."""
+    cfg = ExperimentConfig(problems=("maxcut", "max3sat"), sizes=(4, 6), instances_per_size=1,
+                           alphas=(0.5,), vqe_depths=(0,), qaoa_depths=(1,),
+                           iteration_budget_per_qubit=4, master_seed=5, workers=workers)
+    expected = []
+    for problem, n in (("maxcut", 4), ("maxcut", 6), ("max3sat", 6)):
+        inst_seed = derive_seed(5, "instance", problem, n, 0)
+        qubo = generate(InstanceSpec(problem, n, inst_seed))
+        for algo, p in (("vqe", 0), ("qaoa", 1)):
+            trace = run_single(qubo, algo, p, 0.5, seed=derive_seed(5, "run", problem, n, 0, algo, p, 0.5),
+                               max_evaluations=4 * n, initial_point="random")
+            expected += trace_to_rows(trace, problem, n, inst_seed, algo, p, 0.5)
+    result = run_sweep(cfg)
+    assert not result.failures
+    assert result.rows == expected
+
+
+@pytest.mark.parametrize("change", [
+    {"alphas": ()},
+    {"instances_per_size": 0},
+    {"vqe_depths": (), "qaoa_depths": ()},
+    {"problems": ("max3sat",), "sizes": (4, 5)},
+], ids=["no-alphas", "no-instances", "no-depths", "no-max3sat-size"])
+def test_config_rejects_a_grid_with_no_runs(change):
+    with pytest.raises(ValueError, match="no runs"):
+        ExperimentConfig(**{**TINY, **change})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(problems=())
@@ -206,7 +232,7 @@ def test_config_rejects_unknown_problems_and_sampling_without_shots():
     with pytest.raises(ValueError, match="maxcat"):
         ExperimentConfig(problems=("maxcut", "maxcat"))
     for shots in (0, -5):
-        with pytest.raises(ValueError, match="at least one shot"):
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
             ExperimentConfig(mode="sampled", shots=shots)
     assert ExperimentConfig(mode="exact", shots=0).shots == 0  # exact mode draws no shots
 
@@ -236,19 +262,11 @@ def test_fraction_curves_step_at_reach_points():
 def test_fraction_curves_empty_when_never_reached():
     curves = aggregate_fraction_curves(synthetic_result(), threshold=0.9)
     assert curves == []
-    assert fraction_reached(synthetic_result(), "vqe", 1, 0.25, 0.9) == 0.0
 
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
         aggregate_fraction_curves(synthetic_result(), threshold=1.0)
-
-
-def test_fraction_and_median_helpers():
-    res = synthetic_result()
-    assert fraction_reached(res, "vqe", 1, 0.25, 0.1) == 1.0
-    assert median_reach(res, "vqe", 1, 0.25, 0.1) == (0.5 + 1.5) / 2
-    assert median_reach(res, "vqe", 1, 0.25, 0.9) == math.inf
 
 
 def test_trace_to_rows_layout():

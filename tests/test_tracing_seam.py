@@ -96,3 +96,17 @@ def test_flatness_report_runs_one_circuit_per_layer(monkeypatch):
     counting(monkeypatch, flatness, "run_circuit", counts)
     flatness.flatness_report(flatness.needle_hamiltonian(4), np.array([0.3, -0.2]), np.array([1.1, 0.4]))
     assert counts == {"run_circuit": 2}
+
+
+def test_serial_sweep_generates_and_runs_once_per_grid_key(monkeypatch):
+    """The tracer sees a sweep's instances and runs only through these two module globals."""
+    counts = {}
+    for attr in ("generate", "run_single"):
+        counting(monkeypatch, harness, attr, counts)
+    cfg = harness.ExperimentConfig(problems=("maxcut", "max3sat"), sizes=(4, 6), instances_per_size=1,
+                                   alphas=(0.25, 1.0), vqe_depths=(0,), qaoa_depths=(1,),
+                                   iteration_budget_per_qubit=4)
+    result = harness.run_sweep(cfg)
+    assert not result.failures
+    keys = 3 * 2 * 2  # (problem, n) in {maxcut 4, maxcut 6, max3sat 6} x 2 depths x 2 alphas
+    assert counts == {"generate": keys, "run_single": keys}
