@@ -15,10 +15,9 @@ throughout.  The cost step exp(-i gamma * cost) is an angled `diag` over the
 Ising model's cached ranking of its cost diagonal, so it takes one exp per
 distinct cost value; the Ising offset is a global phase and is never applied.
 The mixer step is RX(2*beta) on every qubit (= exp(-i beta X)).  `flatness`
-applies the same `qaoa_layer` gates layer by layer.
-`cost_layer_gates` keeps the gate-level compilation of the cost step,
-RZ(2*gamma*c_i) plus a CNOT/RZ(2*gamma*2Q_ik)/CNOT block per coupling, as a
-reference for tests.
+applies the same `qaoa_layer` gates layer by layer.  Every problem here has a
+diagonal cost, so the RZ/CNOT compilation a hardware backend would need is
+never built.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import Circuit, Gate, StateVector, cnot, diag, layer, run_circuit, rz
+from .statevector import Circuit, Gate, StateVector, diag, layer, run_circuit
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -92,20 +91,6 @@ def entangler_signs(n: int, entanglement: str) -> np.ndarray:
     signs = (1 - 2 * (parity & 1)).astype(np.int8)
     signs.flags.writeable = False
     return signs
-
-
-def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
-    """Gate-level exp(-i gamma * cost), the reference for the cost `diag`; zero terms emit nothing."""
-    gates: list[Gate] = []
-    for i in range(ising.n):
-        if ising.c[i] != 0.0:
-            gates.append(rz(i, 2.0 * gamma * ising.c[i]))
-    for i, k in zip(*np.nonzero(ising.Q)):
-        w = 2.0 * ising.Q[i, k]  # combined coefficient of z_i z_k
-        gates.append(cnot(i, k))
-        gates.append(rz(k, 2.0 * gamma * w))
-        gates.append(cnot(i, k))
-    return gates
 
 
 def qaoa_layer(cost: ValueRanking, n: int, beta: float, gamma: float) -> list[Gate]:

@@ -82,11 +82,6 @@ class IsingModel:
         """
         return _ranking(*np.unique(_spin_table(self.n, self.c, self.Q), return_inverse=True))
 
-    @property
-    def cost_values(self) -> np.ndarray:
-        """Energies without the offset for every basis index, as a new read-only array."""
-        return _unrank(self.ranking)
-
 
 class ValueRanking(NamedTuple):
     values: np.ndarray  # distinct table values, strictly increasing
@@ -101,12 +96,6 @@ def _ranking(values: np.ndarray, inverse: np.ndarray) -> ValueRanking:
     for a in ranking:
         a.flags.writeable = False
     return ranking
-
-
-def _unrank(ranking: ValueRanking) -> np.ndarray:
-    table = ranking.values[ranking.inverse]
-    table.flags.writeable = False
-    return table
 
 
 @dataclass(frozen=True, init=False)
@@ -141,7 +130,9 @@ class DiagonalHamiltonian:
     @property
     def table(self) -> np.ndarray:
         """The 2^n values as given to the constructor, as a new read-only array."""
-        return _unrank(self.ranking)
+        table = self.ranking.values[self.ranking.inverse]
+        table.flags.writeable = False
+        return table
 
 
 def _spin_table(n: int, c: np.ndarray, Q: np.ndarray) -> np.ndarray:

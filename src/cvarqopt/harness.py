@@ -5,7 +5,9 @@ A sweep is a list of grid keys (problem, n, instance index, algo, p, alpha);
 each key's instance seed, run seed and evaluation budget derive from the
 config alone, the instance and run seeds by hashing the key with SHA-256,
 so results are independent of scheduling and execution order.  (alpha,
-mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`.
+mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`;
+`ExperimentConfig` builds each run shape's specs once, so it rejects up front
+a grid with a shape that no run could execute.
 
 Iteration counting: one "iteration" is one objective-function evaluation
 (observable and optimizer-agnostic); normalized_iteration = evaluation/n.
@@ -26,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .ansatz import AnsatzSpec, build_circuit
-from .hamiltonian import DiagonalHamiltonian, QuboProblem, ising_to_hamiltonian, qubo_to_ising
+from .hamiltonian import DiagonalHamiltonian, IsingModel, QuboProblem, ising_to_hamiltonian, qubo_to_ising
 from .hamiltonian import qubo_to_hamiltonian  # unused here; perfbench/tracing.py wraps this name
 from .objective import (
     PRNG_NAME,
@@ -157,9 +159,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown problems {unknown}; choose from {', '.join(PROBLEM_NAMES)}")
         for alpha in self.alphas:
             CvarConfig(alpha, self.mode, self.shots)
-        if not _sweep_keys(self):
+        keys = _sweep_keys(self)
+        if not keys:
             raise ValueError("the grid has no runs: a list or instances_per_size is empty, "
                              "or only max3sat is asked for and no size is divisible by 3")
+        # each run shape once, through the owner of each rule a run would meet
+        for problem, n, algo, p in dict.fromkeys((k[0], k[1], k[3], k[4]) for k in keys):
+            InstanceSpec(problem, n, 0)
+            Circuit(n)
+            ising = IsingModel(n, np.zeros(n), np.zeros((n, n))) if algo == "qaoa" else None
+            spec = AnsatzSpec(algo, n=n, p=p, entanglement=self.entanglement, ising=ising)
+            theta0 = initial_parameters(spec.parameter_count, self.initial_point, 0)
+            OptimizerConfig(self.iteration_budget_per_qubit * n, theta0)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

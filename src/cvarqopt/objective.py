@@ -67,10 +67,14 @@ class CvarConfig:
             raise ValueError(f"shot count must be >= 1, got {self.shots}")
 
 
-def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
-    """Distribution of objective values induced by measuring the trial state."""
+def _check_sizes(state: StateVector, ham: DiagonalHamiltonian) -> None:
     if state.n != ham.n:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
+
+
+def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
+    """Distribution of objective values induced by measuring the trial state."""
+    _check_sizes(state, ham)
     values, inverse = ham.ranking.values, ham.ranking.inverse
     merged = np.bincount(inverse, weights=probabilities(state), minlength=values.size)
     keep = merged > 0.0  # outcomes outside the support are not part of the distribution
@@ -129,8 +133,7 @@ def sample_outcomes(
     a binary search only for shots in a bucket that holds a CDF step; every
     index equals a per-shot binary search of the CDF.
     """
-    if state.n != ham.n:
-        raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
+    _check_sizes(state, ham)
     cum = np.cumsum(probabilities(state))
     if not (np.isfinite(cum[-1]) and cum[-1] > 0):  # a NaN, infinite or zero state has no CDF
         raise ValueError("state probabilities must be finite with a positive total")
@@ -161,8 +164,7 @@ def cvar_sampled(state: StateVector, ham: DiagonalHamiltonian, cfg: CvarConfig) 
 
 def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian) -> float:
     """Total probability mass on minimum-value basis states (all degenerate minima count)."""
-    if state.n != ham.n:
-        raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
+    _check_sizes(state, ham)
     return float((np.abs(state.amplitudes[ham.ranking.ground]) ** 2).sum())
 
 
@@ -172,6 +174,7 @@ def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tupl
     Among states of equal value the lowest index wins.  The ground states are
     tried first; the whole support is scanned only when none of them is in it.
     """
+    _check_sizes(state, ham)
     values, inverse, ground = ham.ranking
     on_ground = np.abs(state.amplitudes[ground]) ** 2 > SUPPORT_EPS
     if on_ground.any():

@@ -1,17 +1,18 @@
-"""Dense state-vector simulation of the small gate set used by the ansatz builders.
+"""Dense state-vector simulation of the gates the ansatz builders and fixtures run:
+RY, RX, H, CNOT and `diag`.
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y, Z}; a rotation gate holds only its
+R_A(t) = exp(-i t A / 2) for A in {X, Y}; a rotation gate holds only its
 angles, one per qubit.  Two gates act on every qubit: `diag` multiplies
 amplitude j by d[j], or by exp(-i * angle * values[ranks[j]]) given an angle,
 distinct values and per-state ranks (one exp per distinct value); `layer` is
 a rotation on every qubit, applied qubit 0 first, and a run from |0...0> that
 opens with one starts from that layer's product state.
 
-A state stays float64 while every gate it meets is real (h, ry, cz, cnot, a
-real diag), and turns complex128 the first time a complex gate (rx, rz, an
-angled diag, a complex diag) meets it; the cast is exact, and real
+A state stays float64 while every gate it meets is real (h, ry, cnot, a real
+diag), and turns complex128 the first time a complex gate (rx, an angled diag,
+a complex diag) meets it; the cast is exact, and real
 arithmetic gives the same values as complex arithmetic on the real parts.
 """
 from __future__ import annotations
@@ -23,9 +24,8 @@ import numpy as np
 
 MAX_QUBITS = 20
 
-GATE_NAMES = ("ry", "rx", "rz", "h", "cz", "cnot", "diag")
-_ROTATIONS = ("h", "ry", "rx", "rz")
-_TWO_QUBIT = ("cz", "cnot")
+GATE_NAMES = ("ry", "rx", "h", "cnot", "diag")
+_ROTATIONS = ("h", "ry", "rx")
 
 
 class InvalidGateError(ValueError):
@@ -61,9 +61,9 @@ class Gate:
             if not self.angles or len(self.qubits) > 1 or (self.qubits and len(self.angles) > 1):
                 raise InvalidGateError(f"{self.name} takes one qubit and one angle, or every qubit and an angle each")
             if any((a is None) != (self.name == "h") for a in self.angles):
-                raise InvalidGateError(f"h takes no angle and ry, rx and rz one per qubit, got {self.name} {self.angles}")
+                raise InvalidGateError(f"h takes no angle and ry and rx one per qubit, got {self.name} {self.angles}")
         else:
-            want = 2 if self.name in _TWO_QUBIT else 0
+            want = 2 if self.name == "cnot" else 0
             if len(self.qubits) != want or len(self.angles) > (self.name == "diag"):
                 raise InvalidGateError(f"{self.name} takes {want} qubit(s) and no angle, or one if diag: {self}")
 
@@ -72,7 +72,7 @@ class Gate:
         """Whether applying this gate can give a real state a nonzero imaginary part."""
         if self.name == "diag":
             return bool(self.angles) or self.diagonal.dtype.kind == "c"
-        return self.name in ("rx", "rz")
+        return self.name == "rx"
 
 
 def _read_only(a) -> np.ndarray:
@@ -85,12 +85,10 @@ def _read_only(a) -> np.ndarray:
 
 
 def _entries(name: str, angle: float | None) -> list:
-    """Entries of the h, ry, rx or rz matrix as nested Python scalars (h has no angle)."""
+    """Entries of the h, ry or rx matrix as nested Python scalars (h has no angle)."""
     if name == "h":
         r = 1 / math.sqrt(2)
         return [[r, r], [r, -r]]
-    if name == "rz":
-        return [[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]]
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return [[c, -s], [s, c]] if name == "ry" else [[c, -1j * s], [-1j * s, c]]
 
@@ -99,20 +97,8 @@ def ry(qubit: int, angle: float) -> Gate:
     return Gate("ry", (qubit,), (float(angle),))
 
 
-def rx(qubit: int, angle: float) -> Gate:
-    return Gate("rx", (qubit,), (float(angle),))
-
-
-def rz(qubit: int, angle: float) -> Gate:
-    return Gate("rz", (qubit,), (float(angle),))
-
-
 def h(qubit: int) -> Gate:
     return Gate("h", (qubit,), (None,))
-
-
-def cz(a: int, b: int) -> Gate:
-    return Gate("cz", (a, b))
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -126,7 +112,7 @@ def diag(d: np.ndarray, angle: float | None = None, ranks: np.ndarray | None = N
 
 
 def layer(name: str, angles) -> Gate:
-    """An h, ry, rx or rz rotation on every qubit: qubit q turns by angles[q]."""
+    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]."""
     return Gate(name, (), tuple(angles))
 
 
@@ -178,9 +164,6 @@ class StateVector:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
         return cls(n, np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _apply_matrix(amps: np.ndarray, q: int, m: list) -> None:
     """Apply the 2x2 matrix m, nested Python scalars, to qubit q of the 1-D amplitude array, in place."""
@@ -204,13 +187,6 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
     elif gate.name in _ROTATIONS:
         for q, angle in zip(gate.qubits or range(n), gate.angles):
             _apply_matrix(amps, q, _entries(gate.name, angle))
-    elif gate.name == "cz":
-        psi = amps.reshape([2] * n)  # qubit q is axis q
-        a, b = gate.qubits
-        idx = [slice(None)] * n
-        idx[a] = 1
-        idx[b] = 1
-        psi[tuple(idx)] *= -1.0
     else:  # cnot
         psi = amps.reshape([2] * n)  # qubit q is axis q
         c, t = gate.qubits

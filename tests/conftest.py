@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvarqopt import harness
 from cvarqopt.hamiltonian import QuboProblem
 from cvarqopt.objective import OutcomeDistribution
 
@@ -33,3 +34,17 @@ def all_bitstrings(n: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def portfolio_runs_fail(monkeypatch):
+    """Make every sweep run of a portfolio instance fail, through the generator
+    `run_sweep` looks up when it runs; other problems run as usual."""
+    generate = harness.generate
+
+    def failing(spec):
+        if spec.problem == "portfolio":
+            raise ValueError("injected portfolio failure")
+        return generate(spec)
+
+    monkeypatch.setattr(harness, "generate", failing)

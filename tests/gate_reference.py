@@ -1,0 +1,54 @@
+"""Gate-level references that the package itself never runs.
+
+Every problem gives a diagonal Hamiltonian, so the package applies a CZ
+entangler block as one +-1 `diag` and the QAOA cost step exp(-i gamma * cost)
+as one angled `diag`.  These helpers build the gate-by-gate forms from the
+gates the simulator keeps (`diag`, `cnot` and single-qubit `rx`), so tests can
+check the whole-register gates against them:
+
+- `cz(n, a, b)`: CZ on qubits a and b as an exact +-1 int8 `diag`;
+- `rz(n, q, t)`: RZ(t) = exp(-i t Z / 2) on qubit q as a phase `diag`;
+- `rx(q, t)`: RX(t) on one qubit;
+- `cost_layer_gates`: the hardware compilation of the cost step,
+  RZ(2*gamma*c_i) per field and a CNOT/RZ(2*gamma*2Q_ik)/CNOT block per
+  coupling;
+- `spin_cost`: the cost (offset excluded) of every basis state, summed
+  spin by spin.
+"""
+import numpy as np
+
+from cvarqopt.hamiltonian import IsingModel
+from cvarqopt.statevector import Gate, cnot, diag
+
+
+def bit(n: int, q: int) -> np.ndarray:
+    """Value of qubit q in every basis index (qubit 0 is the most significant bit)."""
+    return (np.arange(2**n) >> (n - 1 - q)) & 1
+
+
+def cz(n: int, a: int, b: int) -> Gate:
+    return diag((1 - 2 * (bit(n, a) & bit(n, b))).astype(np.int8))
+
+
+def rz(n: int, q: int, t: float) -> Gate:
+    return diag(np.where(bit(n, q) == 1, np.exp(0.5j * t), np.exp(-0.5j * t)))
+
+
+def rx(q: int, t: float) -> Gate:
+    return Gate("rx", (q,), (float(t),))
+
+
+def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
+    """Gate-level exp(-i gamma * cost); zero terms emit nothing."""
+    n = ising.n
+    gates = [rz(n, i, 2.0 * gamma * ising.c[i]) for i in range(n) if ising.c[i] != 0.0]
+    for i, k in zip(*np.nonzero(ising.Q)):
+        w = 2.0 * ising.Q[i, k]  # combined coefficient of z_i z_k
+        gates += [cnot(i, k), rz(n, k, 2.0 * gamma * w), cnot(i, k)]
+    return gates
+
+
+def spin_cost(ising: IsingModel) -> np.ndarray:
+    """c.z + sum_{i<k} 2*Q[i,k]*z_i*z_k for every basis index (bit 0 is z = +1)."""
+    z = 1.0 - 2.0 * np.stack([bit(ising.n, q) for q in range(ising.n)], axis=1)
+    return z @ ising.c + 2.0 * ((z @ ising.Q) * z).sum(axis=1)

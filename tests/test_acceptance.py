@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_distribution, random_qubo
 from cvarqopt import fixtures
-from cvarqopt.ansatz import AnsatzSpec, cost_layer_gates, trial_state
+from cvarqopt.ansatz import AnsatzSpec, qaoa_layer, trial_state
 from cvarqopt.flatness import flatness_report, needle_hamiltonian
 from cvarqopt.hamiltonian import ising_to_hamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.harness import ExperimentConfig, derive_seed, run_single, run_sweep
@@ -19,6 +19,7 @@ from cvarqopt.objective import CvarConfig, cvar_exact, cvar_sampled, outcome_dis
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
 from cvarqopt.statevector import Circuit, StateVector, run_circuit
+from gate_reference import cost_layer_gates, spin_cost
 
 
 def announce(num, text):
@@ -72,7 +73,8 @@ def test_criterion_03_encoding_round_trip():
 
 
 def test_criterion_04_cost_unitary_matches_exact_phases():
-    """Compiled cost layer == exp(-i*gamma*cost) elementwise, < 1e-9 deviation."""
+    """The cost diag QAOA runs == exp(-i*gamma*cost) elementwise (cost summed spin by spin)
+    and == its gate-level RZ/CNOT compilation, < 1e-9 deviation."""
     rng = np.random.default_rng(40)
     worst = 0.0
     for _ in range(20):
@@ -81,15 +83,14 @@ def test_criterion_04_cost_unitary_matches_exact_phases():
         gamma = float(rng.uniform(-np.pi, np.pi))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        got = run_circuit(
-            Circuit(n, cost_layer_gates(ising, gamma)), StateVector(n, amps)
-        ).amplitudes
-        want = amps * np.exp(-1j * gamma * ising.cost_values)
-        k = int(np.argmax(np.abs(want)))
-        got = got * (want[k] / got[k])  # align the one free global phase
-        worst = max(worst, float(np.abs(got - want).max()))
+        cost_step = qaoa_layer(ising.ranking, n, beta=0.0, gamma=gamma)[0]
+        assert cost_step.name == "diag"
+        got = run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes
+        exact = amps * np.exp(-1j * gamma * spin_cost(ising))
+        compiled = run_circuit(Circuit(n, cost_layer_gates(ising, gamma)), StateVector(n, amps)).amplitudes
+        worst = max(worst, float(np.abs(got - exact).max()), float(np.abs(got - compiled).max()))
     assert worst < 1e-9
-    announce(4, f"20 random cost unitaries match exact phases (worst dev {worst:.2e})")
+    announce(4, f"20 random cost diags match exact phases and RZ/CNOT gates (worst dev {worst:.2e})")
 
 
 def test_criterion_05_amplitude_bound_never_falsified():

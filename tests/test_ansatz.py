@@ -10,13 +10,13 @@ from cvarqopt.ansatz import (
     ENTANGLEMENTS,
     AnsatzSpec,
     build_circuit,
-    cost_layer_gates,
     entangler_pairs,
     entangler_signs,
     trial_state,
 )
 from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, cz, diag, h, layer, probabilities, run_circuit, rx, ry
+from cvarqopt.statevector import Circuit, StateVector, diag, h, layer, probabilities, run_circuit, ry
+from gate_reference import cost_layer_gates, cz, rx, spin_cost
 
 
 def gate_counts(circuit):
@@ -31,7 +31,7 @@ def cz_reference_circuit(spec, theta):
     n = spec.n
     gates = [ry(q, theta[q]) for q in range(n)]
     for k in range(1, spec.p + 1):
-        gates += [cz(a, b) for a, b in entangler_pairs(n, spec.entanglement)]
+        gates += [cz(n, a, b) for a, b in entangler_pairs(n, spec.entanglement)]
         gates += [ry(q, theta[k * n + q]) for q in range(n)]
     return Circuit(n, gates)
 
@@ -68,7 +68,7 @@ def test_sign_entangler_state_equals_cz_gates_bit_for_bit(entanglement):
 def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
     for n in range(1, 9):
         ising = qubo_to_ising(random_qubo(rng, n))
-        values, ranks = np.unique(ising.cost_values, return_inverse=True)
+        values, ranks = ising.ranking.values, ising.ranking.inverse
         for p in range(1, 4):
             theta = rng.uniform(-np.pi, np.pi, 2 * p)
             gates = [h(q) for q in range(n)]
@@ -128,7 +128,7 @@ def test_zero_angles_give_uniform_state(rng):
 
 def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
-    assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "rz": 1}
+    assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "diag": 1}  # the RZ is a diag
     circ = build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
     assert gate_counts(circ) == {"h": 1, "rx": 1, "diag": 1}
 
@@ -146,7 +146,7 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     pairs = np.count_nonzero(ising.Q)
     counts = gate_counts(Circuit(n, [g for _ in range(p) for g in cost_layer_gates(ising, 1.0)]))
     assert counts["cnot"] == 2 * pairs * p
-    assert counts["rz"] == (pairs + np.count_nonzero(ising.c)) * p
+    assert counts["diag"] == (pairs + np.count_nonzero(ising.c)) * p  # one RZ diag per term
     circ = build_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
     assert gate_counts(circ) == {"h": 1, "rx": p, "diag": p}
 
@@ -178,7 +178,7 @@ def test_cost_layer_equals_exact_phase_multiplication(n, rng):
     pre = np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)) / math.sqrt(2**n)
     circ = Circuit(n, cost_layer_gates(ising, gamma))
     got = run_circuit(circ, StateVector(n, pre)).amplitudes
-    want = pre * np.exp(-1j * gamma * ising.cost_values)
+    want = pre * np.exp(-1j * gamma * spin_cost(ising))
     phase = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
     assert abs(abs(phase) - 1.0) < 1e-9
     np.testing.assert_allclose(got, want * phase, atol=1e-9)
@@ -206,8 +206,8 @@ def test_probabilities_periodic_in_gamma_for_integer_values(rng):
     qubo = generate(InstanceSpec("maxcut", 4, seed=3))
     ising = qubo_to_ising(qubo)
     spec = AnsatzSpec("qaoa", n=4, p=1, ising=ising)
-    table = ising.cost_values + ising.offset
-    diffs = np.unique(np.round(table - table.min()).astype(int))
+    values = ising.ranking.values + ising.offset
+    diffs = np.unique(np.round(values - values.min()).astype(int))
     g = int(np.gcd.reduce(diffs[diffs > 0]))
     beta, gamma = 0.4, 1.1
     p1 = probabilities(trial_state(spec, [beta, gamma]))
@@ -223,7 +223,7 @@ def test_entangler_order_does_not_matter(rng):
     for _ in range(3):
         rng.shuffle(pairs)
         gates = [ry(q, theta[q]) for q in range(n)]
-        gates += [cz(a, b) for a, b in pairs]
+        gates += [cz(n, a, b) for a, b in pairs]
         gates += [ry(q, theta[n + q]) for q in range(n)]
         out = run_circuit(Circuit(n, gates))
         np.testing.assert_allclose(out.amplitudes, reference.amplitudes, atol=1e-12)

@@ -207,7 +207,8 @@ def test_sweep_rejects_bad_config(runner, tmp_path):
     {"instances_per_size": 0},
     {"vqe_depths": [], "qaoa_depths": []},
     {"problems": ["max3sat"]},
-], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size"])
+    {"entanglement": "bogus"},
+], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size", "unrunnable-shape"])
 def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, **change}))
@@ -284,16 +285,16 @@ def test_flatness_without_draws_is_a_usage_error(runner, tmp_path, draws):
     assert "--draws" in result.output and not out.exists()
 
 
-def test_sweep_meta_records_each_failure_with_its_traceback(runner, tmp_path):
-    # budget 1*n is below the initial simplex of the layered family, so its runs fail
-    cfg_doc = {**TINY_CONFIG, "iteration_budget_per_qubit": 1}
+def test_sweep_meta_records_each_failure_with_its_traceback(runner, tmp_path, portfolio_runs_fail):
+    cfg_doc = {**TINY_CONFIG, "problems": ["maxcut", "portfolio"]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_doc))
     out = tmp_path / "res.csv"
     result = runner.invoke(main, ["sweep", "--config", str(cfg), "-o", str(out)])
     assert result.exit_code == 1
     failures = json.loads((tmp_path / "res.csv.meta.json").read_text())["failures"]
-    assert failures and all(f["kind"] == "run" and "max_evaluations" in f["message"] for f in failures)
+    assert len(failures) == 2 and all(
+        f["kind"] == "run" and f["message"].startswith("portfolio/") and "injected" in f["message"] for f in failures)
     assert all(f["traceback"].startswith("Traceback") and "ValueError" in f["traceback"] for f in failures)
     lines = [line for line in result.output.splitlines() if line.startswith("[run failed]")]
     assert lines == [f"[run failed] {f['message']}" for f in failures]  # one stderr line each

@@ -17,7 +17,8 @@ from cvarqopt.flatness import (
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.problems import InstanceSpec, generate
-from cvarqopt.statevector import Circuit, StateVector, diag, run_circuit, rx
+from cvarqopt.statevector import Circuit, StateVector, diag, run_circuit
+from gate_reference import rx
 
 
 def test_delta_of_reference_diagonal():

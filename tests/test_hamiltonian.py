@@ -8,6 +8,7 @@ from cvarqopt.hamiltonian import (
     DiagonalHamiltonian,
     IsingModel,
     QuboProblem,
+    _spin_table,
     evaluate_bitstring,
     ising_to_hamiltonian,
     qubo_to_hamiltonian,
@@ -125,9 +126,9 @@ def test_table_agrees_with_model_value(rng):
 
 
 def assert_ranks_shifted_table(ising):
-    """The Hamiltonian's ranking equals ranking offset + cost_values from scratch."""
+    """The Hamiltonian's ranking equals ranking offset + the model's cost table from scratch."""
     got = ising_to_hamiltonian(ising).ranking
-    values, inverse = np.unique(ising.offset + ising.cost_values, return_inverse=True)
+    values, inverse = np.unique(ising.offset + _spin_table(ising.n, ising.c, ising.Q), return_inverse=True)
     assert np.array_equal(got.values, values) and np.array_equal(got.inverse, inverse)
     assert np.array_equal(got.ground, np.flatnonzero(inverse == 0))
     assert got.inverse.dtype == np.min_scalar_type(values.size - 1)
@@ -166,7 +167,6 @@ def test_offset_that_rounds_two_values_together_merges_them():
 def test_ising_keeps_its_cost_diagonal_as_a_ranking():
     ising = qubo_to_ising(generate(InstanceSpec("maxcut", 10, seed=1)))
     assert ising.ranking is ising.ranking
-    table = ising.cost_values
-    assert not table.flags.writeable and table is not ising.cost_values
+    table = _spin_table(ising.n, ising.c, ising.Q)
     assert np.array_equal(table, ising.ranking.values[ising.ranking.inverse])
     assert all(not a.flags.writeable for a in ising.ranking)

@@ -173,12 +173,13 @@ def test_sweep_csv_rejects_malformed_rows_by_line(bad_row, detail):
     assert str(err.value).endswith(detail)
 
 
-def test_sweep_records_failures_and_continues():
-    # budget 1*n is below dim+2 for the layered family but fine for p=1 alternating
-    cfg = ExperimentConfig(**{**TINY, "iteration_budget_per_qubit": 1})
+def test_sweep_records_failures_and_continues(portfolio_runs_fail):
+    cfg = ExperimentConfig(**{**TINY, "problems": ("maxcut", "portfolio")})
     res = run_sweep(cfg)
-    assert res.failures and all("max_evaluations" in msg for _, msg in res.failures)
-    assert res.rows and {r[3] for r in res.rows} == {"qaoa"}
+    assert len(res.failures) == 8  # 2 instances x 2 algorithms x 2 alphas
+    assert all(kind == "run" and msg.startswith("portfolio/") and "injected portfolio failure" in msg
+               for kind, msg in res.failures)
+    assert res.rows and {r[0] for r in res.rows} == {"maxcut"}
 
 
 def test_sweep_skips_invalid_max3sat_sizes():
@@ -214,6 +215,23 @@ def test_sweep_rows_are_the_grid_runs_in_grid_order(workers):
 ], ids=["no-alphas", "no-instances", "no-depths", "no-max3sat-size"])
 def test_config_rejects_a_grid_with_no_runs(change):
     with pytest.raises(ValueError, match="no runs"):
+        ExperimentConfig(**{**TINY, **change})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"entanglement": "bogus"}, "unknown entanglement"),
+    ({"initial_point": "bogus"}, "unknown initial point mode"),
+    ({"sizes": (0,)}, "n_qubits must be positive"),
+    ({"sizes": (21,)}, "qubit count must be in"),
+    ({"iteration_budget_per_qubit": 0}, "max_evaluations must be >="),
+    ({"iteration_budget_per_qubit": 1}, "max_evaluations must be >="),
+    ({"vqe_depths": (-1,)}, "vqe depth must be >= 0"),
+    ({"qaoa_depths": (0,)}, "qaoa depth must be >= 1"),
+    ({"sizes": (2, 4), "entanglement": "ring"}, "ring entanglement needs n >= 3"),
+], ids=["entanglement", "initial-point", "size-zero", "size-too-large", "no-budget", "budget-below-simplex",
+        "vqe-depth", "qaoa-depth", "ring-too-small"])
+def test_config_rejects_a_run_shape_no_run_can_execute(change, message):
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{**TINY, **change})
 
 

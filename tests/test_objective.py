@@ -289,3 +289,5 @@ def test_validation_errors():
         OutcomeDistribution([1.0, 1.0], [0.5, 0.5])  # not strictly increasing
     with pytest.raises(ValueError):
         outcome_distribution(StateVector.zero(2), DiagonalHamiltonian(3, np.zeros(8)))
+    with pytest.raises(ValueError, match="state has n=3, hamiltonian has n=2"):
+        best_support_bitstring(StateVector.zero(3), DiagonalHamiltonian(2, np.zeros(4)))

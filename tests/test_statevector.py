@@ -6,23 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvarqopt import fixtures
+from cvarqopt.ansatz import AnsatzSpec, build_circuit
+from cvarqopt.hamiltonian import IsingModel
 from cvarqopt.statevector import (
+    GATE_NAMES,
     Circuit,
     Gate,
     InvalidGateError,
     StateVector,
     _entries,
     cnot,
-    cz,
     diag,
     h,
     layer,
     probabilities,
     run_circuit,
-    rx,
     ry,
-    rz,
 )
+from gate_reference import cz, rx, rz
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -33,7 +34,7 @@ def test_hadamard_on_zero():
 
 
 def test_cz_identity_on_zero():
-    out = run_circuit(Circuit(2, [cz(0, 1)]))
+    out = run_circuit(Circuit(2, [cz(2, 0, 1)]))
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
@@ -85,7 +86,7 @@ def test_probabilities_reference_quarter_point():
 
 @pytest.mark.parametrize(
     "gate",
-    [h(0), ry(0, 0.7), rx(0, -1.3), rz(0, 2.9)],
+    [h(0), ry(0, 0.7), rx(0, -1.3)],
     ids=lambda g: g.name,
 )
 def test_every_gate_matrix_is_unitary(gate):
@@ -102,17 +103,17 @@ def test_random_circuit_preserves_norm(n, rng):
         q2 = int((q + 1 + rng.integers(n - 1)) % n)
         angle = float(rng.uniform(-np.pi, np.pi))
         gates.append(
-            [h(q), ry(q, angle), rx(q, angle), rz(q, angle), cz(q, q2), cnot(q, q2)][kind]
+            [h(q), ry(q, angle), rx(q, angle), rz(n, q, angle), cz(n, q, q2), cnot(q, q2)][kind]
         )
     out = run_circuit(Circuit(n, gates))
-    assert abs(out.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
 def test_cz_is_symmetric(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = StateVector(3, amps / np.linalg.norm(amps))
-    a = run_circuit(Circuit(3, [cz(0, 2)]), state)
-    b = run_circuit(Circuit(3, [cz(2, 0)]), state)
+    a = run_circuit(Circuit(3, [cz(3, 0, 2)]), state)
+    b = run_circuit(Circuit(3, [cz(3, 2, 0)]), state)
     np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
@@ -120,7 +121,7 @@ def test_gate_index_out_of_range():
     with pytest.raises(InvalidGateError):
         run_circuit(Circuit(2, [ry(2, 0.5)]))
     with pytest.raises(InvalidGateError):
-        Circuit(2, [cz(0, 3)])
+        Circuit(2, [cnot(0, 3)])
 
 
 def test_control_equals_target_rejected():
@@ -137,7 +138,7 @@ def test_run_circuit_leaves_initial_state_untouched():
     """Snapshots of a state evolved layer by layer rely on this."""
     state = StateVector.zero(2)
     before = state.amplitudes.copy()
-    gates = [h(0), diag(np.array([1, -1, -1, 1])), layer("ry", [0.3, -0.4]), cz(0, 1), cnot(1, 0), rz(1, 0.2)]
+    gates = [h(0), diag(np.array([1, -1, -1, 1])), layer("ry", [0.3, -0.4]), cnot(1, 0), rx(1, 0.2)]
     assert not np.array_equal(run_circuit(Circuit(2, gates), state).amplitudes, before)
     np.testing.assert_array_equal(state.amplitudes, before)
 
@@ -146,7 +147,7 @@ def test_run_circuit_leaves_initial_state_untouched():
 def test_wrong_length_diag_is_rejected(n, length):
     gate = diag(np.ones(length))
     if length == 2**n:
-        assert run_circuit(Circuit(n, [gate])).norm() == 1.0
+        assert np.linalg.norm(run_circuit(Circuit(n, [gate])).amplitudes) == 1.0
         return
     with pytest.raises(InvalidGateError):
         Circuit(n, [gate])
@@ -212,7 +213,7 @@ def test_one_qubit_layers_match_closed_forms():
 def test_wrong_size_layer_is_rejected(n, size):
     gate = layer("ry", [0.3] * size)
     if size == n:
-        assert abs(run_circuit(Circuit(n, [gate])).norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(run_circuit(Circuit(n, [gate])).amplitudes) - 1.0) < 1e-12
         return
     with pytest.raises(InvalidGateError):
         Circuit(n, [gate])
@@ -227,11 +228,26 @@ def test_rotation_gates_check_their_qubits_and_angles():
         with pytest.raises(InvalidGateError):
             Gate(name, (), angles)
     with pytest.raises(InvalidGateError):
-        Gate("rz", (-1,), (0.1,))
+        Gate("ry", (-1,), (0.1,))
     with pytest.raises(InvalidGateError):
-        Gate("cz", (0, 1), (0.1,))
+        Gate("cnot", (0, 1), (0.1,))
+    for name in ("rz", "cz"):  # tests build these as diags; the package runs neither
+        with pytest.raises(InvalidGateError, match="unknown gate"):
+            Gate(name, (0,), (0.1,))
     with pytest.raises(InvalidGateError):
         Gate("diag", (), (0.1, 0.2), np.ones(4), np.zeros(4, dtype=int))  # one angle, not two
+
+
+def test_package_keeps_only_the_gate_kinds_it_runs():
+    """Every gate kind is emitted by an ansatz build or the published two-qubit circuit."""
+    ising = IsingModel(3, np.ones(3), np.triu(np.ones((3, 3)), 1))
+    circuits = [
+        build_circuit(AnsatzSpec("vqe", n=3, p=1), np.zeros(6)),
+        build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), np.zeros(2)),
+        fixtures.two_qubit_circuit(0.3),
+    ]
+    assert {g.name for c in circuits for g in c.gates} == set(GATE_NAMES)
+    assert GATE_NAMES == ("ry", "rx", "h", "cnot", "diag")
 
 
 def test_gates_compare_by_identity():
@@ -287,12 +303,12 @@ def test_real_amplitudes_stay_float64_and_others_turn_complex():
 
 
 def test_real_gates_keep_a_real_state_real(rng):
-    assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cz(0, 1)])
+    assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cnot(0, 1)])
     assert not diag(np.array([1, -1], dtype=np.int8)).is_complex
-    assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), rz(0, 0.3), diag(np.ones(2) + 0j)])
+    assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), diag(np.ones(2) + 0j)])
     assert diag(np.ones(2), 0.3, np.zeros(2, dtype=int)).is_complex
     amps = rng.normal(size=8)
-    gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(0, 2), cnot(2, 1)]
+    gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2), cnot(2, 1)]
     out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))
     assert out.amplitudes.dtype == np.float64
 
