@@ -27,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import Circuit, Gate, StateVector, diag, layer, run_circuit
+from .statevector import Circuit, Gate, StateVector, diag, layer, layer_states, rotate_states, run_circuit
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -118,3 +118,34 @@ def build_circuit(spec: AnsatzSpec, theta) -> Circuit:
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:
     """Run the built circuit on |0...0>."""
     return run_circuit(build_circuit(spec, theta))
+
+
+def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
+    """(B, 2^n) amplitudes whose row r equals `trial_state(specs[r], thetas[r]).amplitudes`
+    (before its norm check), bit for bit.
+
+    The specs share family, n, p and entanglement; qaoa specs may differ in
+    their Ising models.  Each row meets the gates `build_circuit` emits, with
+    the same arithmetic on each amplitude; rows are only stacked so that one
+    numpy call applies a gate to all of them.
+    """
+    spec = specs[0]
+    n, p = spec.n, spec.p
+    angles = [_check_params(s, t).tolist() for s, t in zip(specs, thetas)]
+    if spec.family == "vqe":
+        amps = layer_states("ry", [a[:n] for a in angles])
+        signs = entangler_signs(n, spec.entanglement)
+        for k in range(1, p + 1):
+            amps *= signs
+            rotate_states(amps, "ry", [a[k * n : (k + 1) * n] for a in angles])
+        return amps
+    amps = np.tile(layer_states("h", [[None] * n]), (len(specs), 1)).astype(complex)
+    factors = np.empty_like(amps)
+    for k in range(p):
+        for row, s, a in zip(factors, specs, angles):
+            cost = s.ising.ranking
+            phases = np.multiply(cost.values, -1j * a[p + k])  # as the angled diag: one exp per distinct value
+            np.take(np.exp(phases, out=phases), cost.inverse, out=row)
+        amps *= factors
+        rotate_states(amps, "rx", [[2.0 * a[k]] * n for a in angles])
+    return amps

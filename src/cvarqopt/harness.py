@@ -1,5 +1,13 @@
-"""Experiment orchestration: single optimization runs, full sweeps over
-problem x size x algorithm x depth x alpha grids, and metric aggregation.
+"""Experiment orchestration: single optimization runs, batches of runs,
+full sweeps over problem x size x algorithm x depth x alpha grids, and
+metric aggregation.
+
+`run_batch` runs a list of `run_single` argument sets.  With one worker it
+calls `run_single` for each in turn, the reference path.  With more, pool
+workers advance runs of one circuit shape in lockstep, evolving their
+current points as one stacked array, and every trace still equals the
+reference path's bit for bit.  `run_sweep` generates each grid key's
+instance and hands the runs to `run_batch`.
 
 A sweep is a list of grid keys (problem, n, instance index, algo, p, alpha);
 each key's instance seed, run seed and evaluation budget derive from the
@@ -7,27 +15,29 @@ config alone, the instance and run seeds by hashing the key with SHA-256,
 so results are independent of scheduling and execution order.  (alpha,
 mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`;
 `ExperimentConfig` builds each run shape's specs once, so it rejects up front
-a grid with a shape that no run could execute.
+a grid with a shape that no run could execute; its sizes, depths, counts,
+seed, budget and worker count must be integers, with at least one worker.
 
 Iteration counting: one "iteration" is one objective-function evaluation
 (observable and optimizer-agnostic); normalized_iteration = evaluation/n.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
+import inspect
 import io
 import json
 import math
+import numbers
 import platform
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_circuit
+from .ansatz import AnsatzSpec, build_circuit, evolve_states
 from .hamiltonian import DiagonalHamiltonian, IsingModel, QuboProblem, ising_to_hamiltonian, qubo_to_ising
 from .hamiltonian import qubo_to_hamiltonian  # unused here; perfbench/tracing.py wraps this name
 from .objective import (
@@ -40,9 +50,9 @@ from .objective import (
     overlap_with_optimum,
     sample_outcomes,
 )
-from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize
+from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import Circuit, run_circuit
+from .statevector import Circuit, StateVector, checked_state, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -57,15 +67,14 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") % 2**63
 
 
-def make_objective(
+def make_scorer(
     ham: DiagonalHamiltonian,
-    circuit_fn: Callable[[np.ndarray], Circuit],
     alpha: float,
     mode: str = "exact",
     shots: int = 8192,
     sample_rng: np.random.Generator | None = None,
-) -> Callable:
-    """Objective closure returning (cvar value, per-evaluation extras).
+) -> Callable[[StateVector], tuple[float, dict]]:
+    """Scoring closure: a trial state's (cvar value, per-evaluation extras).
 
     Overlap always comes from the exact state; in sampled mode the CVaR and
     the best-seen bitstring come from shots drawn off the run-owned stream.
@@ -74,8 +83,7 @@ def make_objective(
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
 
-    def objective(theta: np.ndarray):
-        state = run_circuit(circuit_fn(theta))
+    def score(state: StateVector):
         overlap = overlap_with_optimum(state, ham)
         if mode == "exact":
             value = cvar_exact(outcome_distribution(state, ham), alpha)
@@ -86,6 +94,24 @@ def make_objective(
             k = int(np.argmin(values))
             bitstring, bit_value = int(indices[k]), float(values[k])
         return value, {"overlap": overlap, "bitstring": bitstring, "bitstring_value": bit_value}
+
+    return score
+
+
+def make_objective(
+    ham: DiagonalHamiltonian,
+    circuit_fn: Callable[[np.ndarray], Circuit],
+    alpha: float,
+    mode: str = "exact",
+    shots: int = 8192,
+    sample_rng: np.random.Generator | None = None,
+) -> Callable:
+    """Objective closure returning (cvar value, per-evaluation extras): the
+    state `circuit_fn(theta)` prepares, scored by `make_scorer`."""
+    score = make_scorer(ham, alpha, mode, shots, sample_rng)
+
+    def objective(theta: np.ndarray):
+        return score(run_circuit(circuit_fn(theta)))
 
     return objective
 
@@ -98,6 +124,23 @@ def initial_parameters(n_params: int, how: str, seed: int | None = None) -> np.n
         rng = np.random.Generator(np.random.PCG64(seed))
         return rng.uniform(-np.pi, np.pi, size=n_params)
     raise ValueError(f"unknown initial point mode {how!r}")
+
+
+def _prepare(qubo, algo, p, alpha, mode, shots, seed, entanglement, max_evaluations, initial_point):
+    """A run's ansatz spec, Hamiltonian, optimizer config and sampling stream."""
+    ising = qubo_to_ising(qubo)
+    ham = ising_to_hamiltonian(ising)
+    n = qubo.n
+    spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
+    seq = np.random.SeedSequence(seed)
+    init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
+    theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
+    cfg = OptimizerConfig(
+        max_evaluations=max_evaluations if max_evaluations is not None else 50 * n,
+        initial_point=theta0,
+    )
+    sample_rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sampled" else None
+    return spec, ham, cfg, sample_rng
 
 
 def run_single(
@@ -114,22 +157,151 @@ def run_single(
     observer: Callable[[EvalRecord], None] | None = None,
 ) -> RunTrace:
     """One optimization run; deterministic given all arguments."""
-    ising = qubo_to_ising(qubo)
-    ham = ising_to_hamiltonian(ising)
-    n = qubo.n
-    spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
-    seq = np.random.SeedSequence(seed)
-    init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
-    theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
-    cfg = OptimizerConfig(
-        max_evaluations=max_evaluations if max_evaluations is not None else 50 * n,
-        initial_point=theta0,
+    spec, ham, cfg, sample_rng = _prepare(
+        qubo, algo, p, alpha, mode, shots, seed, entanglement, max_evaluations, initial_point
     )
-    sample_rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sampled" else None
     objective = make_objective(
         ham, lambda t: build_circuit(spec, t), alpha, mode=mode, shots=shots, sample_rng=sample_rng
     )
     return minimize(objective, cfg, observer=observer)
+
+
+_RUN_SIGNATURE = inspect.signature(run_single)
+
+# A lockstep group holds at most this many amplitudes, B * 2^n.  Measured per
+# row against run_circuit(build_circuit(...)) on one core, the stacked
+# evolution's gain stops rising at about B=16 at n=10 (x1.3-2.7) and at
+# B=16-32 at n=6 and 8 (x3-5); bigger groups would only cost pool balance.
+LOCKSTEP_AMPLITUDES = 2**14
+
+
+class RunFailure(NamedTuple):
+    """A run that raised: the exception's message and formatted traceback."""
+
+    message: str
+    traceback: str
+
+
+def _failure(exc: Exception) -> RunFailure:
+    return RunFailure(str(exc), traceback.format_exc())
+
+
+def _arguments(run: dict) -> dict:
+    """All of `run_single`'s arguments for one run, defaults filled in; a TypeError if they do not bind."""
+    bound = _RUN_SIGNATURE.bind(**run)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def _run_one(run: dict) -> RunTrace | RunFailure:
+    try:
+        return run_single(**run)
+    except Exception as exc:  # one failed run does not stop the batch
+        return _failure(exc)
+
+
+def _run_lockstep(runs: list[dict]) -> list[RunTrace | RunFailure]:
+    """Advance runs of one circuit shape together; each run is a dict of all
+    of `run_single`'s arguments.
+
+    Each run keeps its own optimizer (`run_steps`), scorer and sampling
+    stream, set up as `run_single` sets them up.  Per step, the current points
+    of the runs still going are evolved as one stacked array
+    (`evolve_states`); each row is then norm-checked and scored on its own, so
+    every trace equals `run_single`'s.  A run that raises stops alone.
+    """
+    outcomes: list = [None] * len(runs)
+    live = []  # (index, spec, scorer, steps) of each run still going
+    points = []  # each live run's next point
+    for i, run in enumerate(runs):
+        args = dict(run)
+        observer = args.pop("observer")
+        try:
+            spec, ham, cfg, sample_rng = _prepare(**args)
+            score = make_scorer(ham, args["alpha"], args["mode"], args["shots"], sample_rng)
+            steps = run_steps(cfg, observer)
+            points.append(next(steps))
+            live.append((i, spec, score, steps))
+        except Exception as exc:
+            outcomes[i] = _failure(exc)
+    while live:
+        amps = evolve_states([spec for _, spec, _, _ in live], points)
+        going, points = [], []
+        for (i, spec, score, steps), row in zip(live, amps):
+            try:
+                points.append(steps.send(score(checked_state(spec.n, row))))
+                going.append((i, spec, score, steps))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:
+                outcomes[i] = _failure(exc)
+        live = going
+    return outcomes
+
+
+def _run_group(runs: list[dict]) -> list[RunTrace | RunFailure]:
+    """A pool task: one run alone goes through `run_single`, several in lockstep."""
+    return [_run_one(runs[0])] if len(runs) == 1 else _run_lockstep(runs)
+
+
+def _lockstep_groups(runs: list[dict]) -> list[list[int]]:
+    """Indices of runs (dicts of all of `run_single`'s arguments) grouped by
+    circuit shape (n, algo, p, entanglement).  Each shape is cut into
+    near-equal groups of at most `LOCKSTEP_AMPLITUDES` amplitudes; the groups
+    with the most amplitudes come first."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        shape = (run["qubo"].n, run["algo"], run["p"], run["entanglement"])
+        shapes.setdefault(shape, []).append(i)
+    sized = []
+    for (n, *_), members in shapes.items():
+        # as few groups as the cap allows, and never an empty one
+        count = min(len(members), -(-len(members) * 2**n // LOCKSTEP_AMPLITUDES))
+        cut = [len(members) * j // count for j in range(count + 1)]
+        sized += [(len(members[a:b]) * 2**n, members[a:b]) for a, b in zip(cut, cut[1:])]
+    sized.sort(key=lambda g: -g[0])
+    return [members for _, members in sized]
+
+
+def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFailure]:
+    """Run every entry of `runs`, each a dict of `run_single`'s keyword
+    arguments, and return their traces in the same order.
+
+    A run that raises gives a `RunFailure` in its place; entries that do not
+    bind to `run_single` raise a TypeError before any run starts.
+
+    With one worker every run goes through `run_single`, in order, in this
+    process: that is the reference path, and the one a tracer sees.  With more,
+    runs of one circuit shape (n, algo, p, entanglement) are cut into groups
+    of at most `LOCKSTEP_AMPLITUDES` amplitudes, which go onto a process pool
+    largest first.  A worker advances a group's runs in lockstep: their
+    current points evolve as one (B, 2^n) array, while each run keeps its own
+    optimizer, scoring and bookkeeping, so every trace equals the reference
+    path's bit for bit.  A group of one runs through `run_single`.  Observers
+    run in the worker, so they must pickle.  The pool is shut down before
+    this returns.
+    """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    runs = [_arguments(run) for run in runs]
+    if workers == 1:
+        return [_run_one(run) for run in runs]
+    outcomes: list = [None] * len(runs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [(group, pool.submit(_run_group, [runs[i] for i in group])) for group in _lockstep_groups(runs)]
+        for group, future in futures:
+            for i, outcome in zip(group, future.result()):
+                outcomes[i] = outcome
+    return outcomes
+
+
+def _whole(name: str, value) -> int:
+    """An integer config entry as an int; a ValueError for a bool, a string or a fractional number."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} takes integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +322,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "vqe_depths", tuple(int(p) for p in self.vqe_depths))
-        object.__setattr__(self, "qaoa_depths", tuple(int(p) for p in self.qaoa_depths))
+        for name in ("sizes", "vqe_depths", "qaoa_depths"):
+            object.__setattr__(self, name, tuple(_whole(name, v) for v in getattr(self, name)))
+        for name in ("instances_per_size", "shots", "master_seed", "iteration_budget_per_qubit", "workers"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = [p for p in self.problems if p not in PROBLEM_NAMES]
         if unknown:
             raise ValueError(f"unknown problems {unknown}; choose from {', '.join(PROBLEM_NAMES)}")
@@ -227,44 +402,40 @@ def _sweep_keys(cfg: ExperimentConfig) -> list[tuple]:
     ]
 
 
-def _execute_task(cfg: ExperimentConfig, key: tuple) -> tuple[list[tuple], tuple[str, str] | None]:
-    """The key's rows, or no rows and (message, traceback) if its run failed."""
-    problem, n, idx, algo, p, alpha = key
-    inst_seed = derive_seed(cfg.master_seed, "instance", problem, n, idx)
-    try:
-        trace = run_single(
-            generate(InstanceSpec(problem, n, inst_seed)),
-            algo=algo,
-            p=p,
-            alpha=alpha,
-            mode=cfg.mode,
-            shots=cfg.shots,
-            seed=derive_seed(cfg.master_seed, "run", *key),
-            entanglement=cfg.entanglement,
-            max_evaluations=cfg.iteration_budget_per_qubit * n,
-            initial_point=cfg.initial_point,
-        )
-    except Exception as exc:  # keep the sweep alive; report at the end
-        where = f"{problem}/n={n}/seed={inst_seed}/{algo}/p={p}/alpha={alpha}"
-        return [], (f"{where}: {exc}", traceback.format_exc())
-    return trace_to_rows(trace, problem, n, inst_seed, algo, p, alpha), None
-
-
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run the full grid; rows arrive in deterministic grid order."""
+    """Run the full grid; rows arrive in deterministic grid order.
+
+    Each grid key's instance is generated here, and its run goes through
+    `run_batch` with the config's worker count.  Every trace is the one the
+    serial reference path gives, so rows and CSV bytes do not depend on the
+    worker count.  A key whose instance or run fails leaves no rows and one
+    failure, with its traceback.
+    """
     keys = _sweep_keys(cfg)
-    task = functools.partial(_execute_task, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(task, keys, chunksize=4))
-    else:
-        outcomes = [task(key) for key in keys]
+    seeds = [derive_seed(cfg.master_seed, "instance", problem, n, idx) for problem, n, idx, *_ in keys]
+    outcomes: dict[int, RunTrace | RunFailure] = {}
+    runs: dict[int, dict] = {}
+    for i, ((problem, n, idx, algo, p, alpha), inst_seed) in enumerate(zip(keys, seeds)):
+        try:
+            qubo = generate(InstanceSpec(problem, n, inst_seed))
+        except Exception as exc:  # keep the sweep alive; report at the end
+            outcomes[i] = _failure(exc)
+            continue
+        runs[i] = dict(
+            qubo=qubo, algo=algo, p=p, alpha=alpha, mode=cfg.mode, shots=cfg.shots,
+            seed=derive_seed(cfg.master_seed, "run", *keys[i]), entanglement=cfg.entanglement,
+            max_evaluations=cfg.iteration_budget_per_qubit * n, initial_point=cfg.initial_point,
+        )
+    outcomes.update(zip(runs, run_batch(list(runs.values()), cfg.workers)))
     result = SweepResult(rows=[])
-    for rows, failure in outcomes:
-        result.rows.extend(rows)
-        if failure is not None:
-            result.failures.append(("run", failure[0]))
-            result.tracebacks.append(failure[1])
+    for i, ((problem, n, idx, algo, p, alpha), inst_seed) in enumerate(zip(keys, seeds)):
+        outcome = outcomes.pop(i)
+        if isinstance(outcome, RunFailure):
+            where = f"{problem}/n={n}/seed={inst_seed}/{algo}/p={p}/alpha={alpha}"
+            result.failures.append(("run", f"{where}: {outcome.message}"))
+            result.tracebacks.append(outcome.traceback)
+        else:
+            result.rows.extend(trace_to_rows(outcome, problem, n, inst_seed, algo, p, alpha))
     return result
 
 

@@ -98,20 +98,21 @@ def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     and keys `u` in [0, 1), exactly.
 
     With no more CDF entries than keys, [0, 1) is cut into G buckets
-    [b/G, (b+1)/G), G a power of two >= 4*cum.size so that `cum*G` and `u*G`
-    are exact.  `bounds[b] = #{j : cum[j] <= b/G}` comes from one `bincount`
-    of `ceil(cum*G)`; a key in bucket b has index `bounds[b]` unless a CDF
-    value lies strictly inside the bucket (a value on its upper edge exceeds
-    every key in it), and only keys in such a bucket are binary-searched.  At
-    most one bucket in four holds a value, and a uniform key falls in each
-    bucket with probability 1/G, so on average at least three keys in four
-    skip the search.  When every CDF value is a multiple of 1/cum.size (a
-    uniform state over an even number of qubits), each lies on an edge and no
-    key is searched.
+    [b/G, (b+1)/G), G a power of two so that `cum*G` and `u*G` are exact.
+    `bounds[b] = #{j : cum[j] <= b/G}` comes from one `bincount` of
+    `ceil(cum*G)`; a key in bucket b has index `bounds[b]` unless a CDF value
+    lies strictly inside the bucket (a value on its upper edge exceeds every
+    key in it), and only keys in such a bucket are binary-searched.  G is at
+    least 4*cum.size, so at most one bucket in four holds a value, and at
+    least half the number of keys, so with few CDF entries a key seldom meets
+    one: a uniform key falls in each bucket with probability 1/G, so on
+    average at most cum.size/G of the keys are searched.  When every CDF
+    value is a multiple of 1/cum.size (a uniform state over an even number of
+    qubits), each lies on an edge and no key is searched.
     """
     if cum.size > u.size:  # the O(G) table would cost more than the searches it saves
         return np.searchsorted(cum, u, side="right")
-    g = 4 << (cum.size - 1).bit_length()
+    g = max(4 << (cum.size - 1).bit_length(), (1 << (u.size - 1).bit_length()) // 2)
     x = cum * g
     f = np.floor(x)
     bounds = np.cumsum(np.bincount(np.ceil(x).astype(np.intp), minlength=g + 1))

@@ -166,14 +166,49 @@ class StateVector:
 
 
 def _apply_matrix(amps: np.ndarray, q: int, m: list) -> None:
-    """Apply the 2x2 matrix m, nested Python scalars, to qubit q of the 1-D amplitude array, in place."""
-    # contiguous view: axis 1 is the qubit, axes 0 and 2 the more and less significant bits
-    psi = amps.reshape(2**q, 2, -1)
-    v0, v1 = psi[:, 0], psi[:, 1]
+    """Apply the 2x2 matrix m to qubit q of the amplitudes, in place.
+
+    `amps` is one state (2^n,) with m's entries Python scalars, or a stack of
+    states (B, 2^n) with each entry a (B, 1, 1) array of per-state values."""
+    # contiguous view: axis 0 is the state, axis 2 the qubit, axes 1 and 3 the more and less significant bits
+    psi = amps.reshape(-1, 2**q, 2, amps.shape[-1] >> (q + 1))
+    v0, v1 = psi[:, :, 0], psi[:, :, 1]
     (a, b), (c, d) = m
     r0 = v0.copy()
     v0[...] = a * r0 + b * v1
     v1[...] = c * r0 + d * v1
+
+
+def _stacked_entries(name: str, angles) -> np.ndarray:
+    """`_entries(name, angles[r][q])` for every state r and qubit q, as a (B, n, 2, 2) array."""
+    return np.array([[_entries(name, angle) for angle in row] for row in angles])
+
+
+def layer_states(name: str, angles) -> np.ndarray:
+    """(B, 2^n) product states: row r is what the layer `layer(name, angles[r])` makes of |0...0>.
+
+    Each qubit's column-0 entry multiplies the amplitudes so far, qubit 0
+    first, as the layer's gates would."""
+    columns = _stacked_entries(name, angles)[..., None, :, 0]  # (B, n, 1, 2)
+    amps = columns[:, 0, 0].copy()
+    for k in range(1, columns.shape[1]):
+        amps = np.multiply(columns[:, k], amps[:, :, None]).reshape(len(amps), -1)
+    return amps
+
+
+def rotate_states(amps: np.ndarray, name: str, angles) -> None:
+    """Apply `layer(name, angles[r])` to row r of the (B, 2^n) stack, in place."""
+    entries = _stacked_entries(name, angles).transpose(1, 2, 3, 0)[..., None, None]  # (n, 2, 2, B, 1, 1)
+    for q, m in enumerate(entries):
+        _apply_matrix(amps, q, m)
+
+
+def checked_state(n: int, amps: np.ndarray) -> StateVector:
+    """The state with these amplitudes; a FloatingPointError if its norm left 1 by more than 1e-10."""
+    nrm = np.linalg.norm(amps)
+    if abs(nrm - 1.0) > 1e-10:
+        raise FloatingPointError(f"state norm drifted to {nrm}")
+    return StateVector(n, amps)
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
@@ -203,11 +238,7 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
         raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
     gates = circuit.gates
     if initial is None and gates and gates[0].name in _ROTATIONS and not gates[0].qubits:
-        # the layer's product state: column-0 entry times amplitude so far, qubit 0 first, as gates do
-        columns = np.array([_entries(gates[0].name, angle) for angle in gates[0].angles])[:, :, 0]
-        amps = columns[0].copy()
-        for column in columns[1:]:
-            amps = np.multiply(column[None, :], amps[:, None]).ravel()
+        amps = layer_states(gates[0].name, [gates[0].angles])[0]
         gates = gates[1:]
     else:
         amps = (StateVector.zero(circuit.n) if initial is None else initial).amplitudes.copy()
@@ -215,10 +246,7 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
         _apply_inplace(amps, gate, circuit.n)
-    nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-10:
-        raise FloatingPointError(f"state norm drifted to {nrm}")
-    return StateVector(circuit.n, amps)
+    return checked_state(circuit.n, amps)
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -14,7 +14,7 @@ from cvarqopt import fixtures
 from cvarqopt.ansatz import AnsatzSpec, qaoa_layer, trial_state
 from cvarqopt.flatness import flatness_report, needle_hamiltonian
 from cvarqopt.hamiltonian import ising_to_hamiltonian, qubo_to_hamiltonian, qubo_to_ising
-from cvarqopt.harness import ExperimentConfig, derive_seed, run_single, run_sweep
+from cvarqopt.harness import ExperimentConfig, RunFailure, derive_seed, run_batch, run_single, run_sweep
 from cvarqopt.objective import CvarConfig, cvar_exact, cvar_sampled, outcome_distribution
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
@@ -146,29 +146,55 @@ def _first_reach(trace, threshold, n):
 
 
 @pytest.fixture(scope="module")
-def trend_runs():
+def trend_batch():
     """Shared batch for criteria 6 and 7: n=10, exact mode, budget 50*n,
-    random seeded starts, 5 master seeds over 10 maxcut + 10 portfolio."""
+    random seeded starts, 5 master seeds over 10 maxcut + 10 portfolio.
+
+    The 300 runs go through `run_batch` on two workers, which advance runs of
+    one circuit shape in lockstep.  Returns each grid point's reach
+    iterations and every 25th (run, trace) pair for the check against
+    `run_single`."""
     n = 10
     instances = [("maxcut", s) for s in range(10)] + [("portfolio", s) for s in range(10)]
     grid = [("vqe", 1, 0.10), ("vqe", 1, 1.00), ("qaoa", 2, 0.10)]
+    runs = [
+        dict(
+            qubo=generate(InstanceSpec(problem, n, inst_seed)),
+            algo=algo,
+            p=p,
+            alpha=alpha,
+            seed=derive_seed(master, "trend", problem, inst_seed, algo, p, alpha),
+            initial_point="random",
+            max_evaluations=50 * n,
+        )
+        for algo, p, alpha in grid
+        for master in range(5)
+        for problem, inst_seed in instances
+    ]
+    traces = run_batch(runs, workers=2)
     reaches = {key: {"r1": [], "r10": []} for key in grid}
-    for algo, p, alpha in grid:
-        for master in range(5):
-            for problem, inst_seed in instances:
-                qubo = generate(InstanceSpec(problem, n, inst_seed))
-                trace = run_single(
-                    qubo,
-                    algo,
-                    p=p,
-                    alpha=alpha,
-                    seed=derive_seed(master, "trend", problem, inst_seed, algo, p, alpha),
-                    initial_point="random",
-                    max_evaluations=50 * n,
-                )
-                reaches[(algo, p, alpha)]["r1"].append(_first_reach(trace, 0.01, n))
-                reaches[(algo, p, alpha)]["r10"].append(_first_reach(trace, 0.10, n))
-    return reaches
+    for run, trace in zip(runs, traces):
+        assert not isinstance(trace, RunFailure), trace
+        key = (run["algo"], run["p"], run["alpha"])
+        reaches[key]["r1"].append(_first_reach(trace, 0.01, n))
+        reaches[key]["r10"].append(_first_reach(trace, 0.10, n))
+    return {"reaches": reaches, "sample": [(runs[i], traces[i]) for i in range(0, len(runs), 25)]}
+
+
+@pytest.fixture(scope="module")
+def trend_runs(trend_batch):
+    return trend_batch["reaches"]
+
+
+def test_trend_batch_traces_equal_run_single(trend_batch):
+    """The lockstep traces behind criteria 6 and 7 are the serial reference path's, bit for bit."""
+    for run, trace in trend_batch["sample"]:
+        want = run_single(**run)
+        assert trace.stop_reason == want.stop_reason
+        assert [(r.index, r.value, r.overlap, r.bitstring, r.bitstring_value) for r in trace.records] == \
+            [(r.index, r.value, r.overlap, r.bitstring, r.bitstring_value) for r in want.records]
+        assert all(np.array_equal(a.theta, b.theta) for a, b in zip(trace.records, want.records))
+    print(f"\n[trend batch] {len(trend_batch['sample'])} lockstep traces equal run_single's")
 
 
 def _median(values):

@@ -12,6 +12,7 @@ from cvarqopt.ansatz import (
     build_circuit,
     entangler_pairs,
     entangler_signs,
+    evolve_states,
     trial_state,
 )
 from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
@@ -247,3 +248,25 @@ def test_vqe_trial_state_is_float64_and_qaoa_complex(rng):
     assert trial_state(spec, rng.uniform(-np.pi, np.pi, spec.parameter_count)).amplitudes.dtype == np.float64
     spec = AnsatzSpec("qaoa", n=6, p=2, ising=qubo_to_ising(random_qubo(rng, 6)))
     assert trial_state(spec, rng.uniform(-np.pi, np.pi, 4)).amplitudes.dtype == complex
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(["vqe", "qaoa"]), st.integers(1, 10), st.integers(0, 3), st.sampled_from(ENTANGLEMENTS),
+       st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_stacked_rows_equal_the_built_circuit_bit_for_bit(family, n, p, entanglement, rows, seed):
+    """Each row of `evolve_states` is `run_circuit(build_circuit(spec, theta))` for its own spec and point;
+    qaoa rows come from different instances."""
+    if entanglement == "ring" and n < 3:
+        entanglement = "all-to-all"
+    rng = np.random.default_rng(seed)
+    if family == "qaoa":
+        specs = [AnsatzSpec("qaoa", n=n, p=max(p, 1), ising=qubo_to_ising(random_qubo(rng, n))) for _ in range(rows)]
+    else:
+        specs = [AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)] * rows
+    thetas = [rng.uniform(-np.pi, np.pi, specs[0].parameter_count) for _ in range(rows)]
+    stacked = evolve_states(specs, thetas)
+    assert stacked.shape == (rows, 2**n)
+    for spec, theta, row in zip(specs, thetas, stacked):
+        want = run_circuit(build_circuit(spec, theta)).amplitudes
+        assert row.dtype == want.dtype
+        assert np.array_equal(row, want)

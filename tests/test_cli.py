@@ -208,7 +208,16 @@ def test_sweep_rejects_bad_config(runner, tmp_path):
     {"vqe_depths": [], "qaoa_depths": []},
     {"problems": ["max3sat"]},
     {"entanglement": "bogus"},
-], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size", "unrunnable-shape"])
+    {"workers": 0},
+    {"workers": 2.5},
+    {"master_seed": "abc"},
+    {"master_seed": 1.5},
+    {"mode": "sampled", "shots": 64.5},
+    {"iteration_budget_per_qubit": 4.5},
+    {"sizes": [6.5]},
+], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size", "unrunnable-shape",
+        "no-workers", "fractional-workers", "string-seed", "fractional-seed", "fractional-shots", "fractional-budget",
+        "fractional-size"])
 def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, **change}))
@@ -216,6 +225,15 @@ def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
     result = runner.invoke(main, ["sweep", "--config", str(cfg), "-o", str(out)])
     assert result.exit_code == 2, result.output
     assert "bad config" in result.output and not out.exists()
+
+
+def test_sweep_rejects_a_worker_count_below_one(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--workers", "0", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "bad config" in result.output and "workers must be >= 1" in result.output and not out.exists()
 
 
 def test_report_rejects_bad_threshold(runner, tmp_path):

@@ -1,21 +1,29 @@
+import math
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from cvarqopt import fixtures, hamiltonian
+from cvarqopt import fixtures, hamiltonian, harness
 from cvarqopt.hamiltonian import qubo_to_hamiltonian
 from cvarqopt.harness import (
     CSV_HEADER,
+    LOCKSTEP_AMPLITUDES,
     ExperimentConfig,
+    RunFailure,
     SweepResult,
     aggregate_fraction_curves,
     derive_seed,
     initial_parameters,
+    _arguments,
+    _lockstep_groups,
     make_objective,
+    run_batch,
     run_single,
     run_sweep,
     trace_to_rows,
 )
-from cvarqopt.optimizer import OptimizerConfig, best_observed_solution, minimize
+from cvarqopt.optimizer import ObjectiveValueError, OptimizerConfig, best_observed_solution, minimize
 from cvarqopt.oracle import enumerate_hamiltonian, ground_value
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
 
@@ -143,10 +151,126 @@ def test_sweep_rows_are_complete_and_deterministic():
         assert 0.0 <= ov <= 1.0
 
 
-def test_sweep_workers_do_not_change_bytes():
-    cfg1 = ExperimentConfig(**TINY)
-    cfg2 = ExperimentConfig(**{**TINY, "workers": 2})
-    assert run_sweep(cfg1).to_csv() == run_sweep(cfg2).to_csv()
+# the grid of acceptance criterion 9, 1484 rows
+CRITERION_9 = dict(problems=("maxcut", "portfolio"), sizes=(4, 6), instances_per_size=2, alphas=(0.25, 1.0),
+                   vqe_depths=(1,), qaoa_depths=(1,), iteration_budget_per_qubit=10, master_seed=9)
+# a sampled sweep over all six generators at n=6 and 8, 6633 rows
+SAMPLED = dict(sizes=(6, 8), instances_per_size=1, alphas=(0.05, 0.25, 1.0), vqe_depths=(0, 1), qaoa_depths=(1, 2),
+               mode="sampled", shots=2048, master_seed=4, iteration_budget_per_qubit=15)
+# ring entanglement; n=4 has one run per circuit shape, so those groups run alone
+RING = dict(problems=("maxcut", "max3sat"), sizes=(3, 4), instances_per_size=1, alphas=(0.5,),
+            vqe_depths=(0, 1, 2), qaoa_depths=(1,), entanglement="ring", iteration_budget_per_qubit=6)
+
+
+@pytest.mark.parametrize("grid, fail, rows, failures", [
+    (TINY, False, None, 0),
+    (CRITERION_9, False, 1484, 0),
+    (SAMPLED, False, 6633, 0),
+    ({**TINY, "problems": ("maxcut", "portfolio")}, True, None, 8),
+    (RING, False, None, 0),
+], ids=["tiny", "criterion-9", "sampled", "failing", "ring-single-runs"])
+def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures):
+    """Pool workers advance same-shape runs in lockstep; rows, CSV bytes and failure messages equal the serial path's."""
+    if fail:
+        request.getfixturevalue("portfolio_runs_fail")
+    serial = run_sweep(ExperimentConfig(**grid))
+    pooled = run_sweep(ExperimentConfig(**grid, workers=2))
+    assert multiprocessing.active_children() == []  # the pool is shut down
+    assert pooled.to_csv() == serial.to_csv()
+    assert pooled.failures == serial.failures and len(serial.failures) == failures
+    assert len(pooled.tracebacks) == failures
+    assert rows is None or len(serial.rows) == rows
+    if grid is RING:
+        shapes = [(n, algo, p) for n in (3, 4) for algo, p in (("vqe", 0), ("vqe", 1), ("vqe", 2), ("qaoa", 1))]
+        runs = [_arguments(dict(qubo=generate(InstanceSpec(problem, n, 0)), algo=algo, p=p, alpha=0.5,
+                                entanglement="ring"))
+                for n, algo, p in shapes for problem in ("maxcut", "max3sat") if problem == "maxcut" or n == 3]
+        assert sorted(len(g) for g in _lockstep_groups(runs)) == [1] * 4 + [2] * 4
+
+
+def test_lockstep_groups_respect_the_amplitude_cap():
+    qubo, wide = generate(InstanceSpec("maxcut", 10, 0)), generate(InstanceSpec("maxcut", 15, 0))
+    runs = [dict(qubo=qubo, algo="vqe", p=1, alpha=0.1, seed=s) for s in range(40)]
+    runs += [dict(qubo=qubo, algo="qaoa", p=2, alpha=0.1, seed=s) for s in range(3)]
+    runs += [dict(qubo=wide, algo="vqe", p=1, alpha=0.1, seed=s) for s in range(3)]  # past the cap alone
+    groups = _lockstep_groups([_arguments(run) for run in runs])
+    assert sorted(i for g in groups for i in g) == list(range(46))
+    assert all(len(g) * 2**10 <= LOCKSTEP_AMPLITUDES for g in groups if g[0] < 43)
+    assert sorted(len(g) for g in groups if g[0] >= 43) == [1, 1, 1]
+    vqe = [len(g) for g in groups if g[0] < 40]
+    assert len(vqe) > 1 and max(vqe) - min(vqe) <= 1  # a shape is cut into near-equal groups
+    amplitudes = [len(g) * 2 ** (15 if g[0] >= 43 else 10) for g in groups]
+    assert amplitudes == sorted(amplitudes, reverse=True)  # largest first
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_run_batch_traces_equal_run_single(mode):
+    """Lockstep rows whose runs stop at different evaluations keep their own traces and stop reasons."""
+    runs = [dict(qubo=generate(InstanceSpec(problem, 5, s)), algo=algo, p=p, alpha=alpha, mode=mode, shots=256,
+                 seed=s, initial_point="random", max_evaluations=budget)
+            for s, problem in enumerate(("maxcut", "portfolio", "partition"))
+            for algo, p in (("vqe", 1), ("qaoa", 2))
+            for alpha, budget in ((0.2, 400), (1.0, 30))]
+    pooled = run_batch(runs, workers=2)
+    assert multiprocessing.active_children() == []
+    reasons = set()
+    for run, trace in zip(runs, pooled):
+        assert_same_trace(trace, run_single(**run))
+        reasons.add(trace.stop_reason)
+    assert reasons == {"budget", "converged"}
+
+
+def assert_same_trace(got, want):
+    assert got.stop_reason == want.stop_reason
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert np.array_equal(a.theta, b.theta)
+        assert (a.index, a.value, a.overlap, a.bitstring, a.bitstring_value) == \
+            (b.index, b.value, b.overlap, b.bitstring, b.bitstring_value)
+
+
+def test_lockstep_row_with_a_non_finite_objective_fails_alone(monkeypatch):
+    """The row fails with the serial path's message at the same evaluation; its group-mates run on unchanged."""
+    runs = [dict(qubo=generate(InstanceSpec("maxcut", 5, s)), algo="vqe", p=1, alpha=alpha, seed=s,
+                 initial_point="random", max_evaluations=60) for s, alpha in enumerate((0.25, 0.3, 0.5))]
+    expected = [run_single(**run) for run in runs]
+    cvar_exact = harness.cvar_exact
+
+    def nan_at_seventh(calls):
+        def cvar(dist, alpha):
+            if alpha == 0.3:
+                calls.append(alpha)
+                if len(calls) == 7:
+                    return math.nan
+            return cvar_exact(dist, alpha)
+        return cvar
+
+    monkeypatch.setattr(harness, "cvar_exact", nan_at_seventh([]))
+    with pytest.raises(ObjectiveValueError) as serial:
+        run_single(**runs[1])
+    monkeypatch.setattr(harness, "cvar_exact", nan_at_seventh([]))
+    outcomes = harness._run_lockstep([_arguments(run) for run in runs])
+    assert isinstance(outcomes[1], RunFailure)
+    assert outcomes[1].message == str(serial.value)
+    assert str(serial.value).startswith("objective returned nan at evaluation 7, theta=")
+    assert "ObjectiveValueError" in outcomes[1].traceback
+    for i in (0, 2):
+        assert_same_trace(outcomes[i], expected[i])
+
+
+def test_run_batch_reports_failed_runs_in_place_on_both_paths():
+    good = dict(qubo=generate(InstanceSpec("maxcut", 4, 0)), algo="vqe", p=1, alpha=0.5, max_evaluations=12)
+    runs = [good, {**good, "initial_point": "bogus"}, {**good, "algo": "annealer"}, good]
+    for workers in (1, 2):
+        outcomes = run_batch(runs, workers=workers)
+        assert [type(o).__name__ for o in outcomes] == ["RunTrace", "RunFailure", "RunFailure", "RunTrace"]
+        assert "unknown initial point mode" in outcomes[1].message
+        assert "unknown family" in outcomes[2].message
+    with pytest.raises(TypeError):
+        run_batch([{**good, "bogus": 1}], workers=2)
+    for workers in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="workers"):
+            run_batch([good], workers=workers)
 
 
 def test_sweep_csv_round_trip():
@@ -228,11 +352,29 @@ def test_config_rejects_a_grid_with_no_runs(change):
     ({"vqe_depths": (-1,)}, "vqe depth must be >= 0"),
     ({"qaoa_depths": (0,)}, "qaoa depth must be >= 1"),
     ({"sizes": (2, 4), "entanglement": "ring"}, "ring entanglement needs n >= 3"),
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"workers": -3}, "workers must be >= 1"),
+    ({"workers": 2.5}, "workers takes integers"),
+    ({"master_seed": "abc"}, "master_seed takes integers"),
+    ({"master_seed": 1.5}, "master_seed takes integers"),
+    ({"mode": "sampled", "shots": 64.5}, "shots takes integers"),
+    ({"iteration_budget_per_qubit": 4.5}, "iteration_budget_per_qubit takes integers"),
+    ({"sizes": (6.5,)}, "sizes takes integers"),
+    ({"instances_per_size": True}, "instances_per_size takes integers"),
+    ({"qaoa_depths": ("1",)}, "qaoa_depths takes integers"),
 ], ids=["entanglement", "initial-point", "size-zero", "size-too-large", "no-budget", "budget-below-simplex",
-        "vqe-depth", "qaoa-depth", "ring-too-small"])
+        "vqe-depth", "qaoa-depth", "ring-too-small", "no-workers", "negative-workers", "fractional-workers",
+        "string-seed", "fractional-seed", "fractional-shots", "fractional-budget", "fractional-size", "bool-instances",
+        "string-depth"])
 def test_config_rejects_a_run_shape_no_run_can_execute(change, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{**TINY, **change})
+
+
+def test_config_takes_integral_floats_as_integers():
+    cfg = ExperimentConfig(**{**TINY, "sizes": (4.0,), "master_seed": 7.0, "workers": 2.0})
+    assert cfg.sizes == (4,) and cfg.master_seed == 7 and cfg.workers == 2
+    assert all(type(v) is int for v in (cfg.sizes[0], cfg.master_seed, cfg.workers))
 
 
 def test_config_validation():

@@ -159,7 +159,8 @@ def cdf_and_keys(draw):
     w = np.array([0.0] * draw(st.integers(0, 3)) + draw(weights) + [0.0] * draw(st.integers(0, 3)))
     assume(w.sum() > 0)
     cum = np.minimum(np.cumsum(w / w.sum()) * draw(shortfall), 1.0)
-    g = 4 << (cum.size - 1).bit_length()  # the sampler's bucket count
+    # the finest bucket table the sampler builds for this CDF and up to 160 keys; coarser tables' edges are among its edges
+    g = max(4 << (cum.size - 1).bit_length(), 128)
     edges = np.concatenate([np.arange(g) / g, cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
     on_edge = st.sampled_from(sorted(set(edges[edges < 1.0].tolist())))
     keys = st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_edge), min_size=1, max_size=160)
@@ -173,6 +174,7 @@ STEPS = np.cumsum([0.1, 0.2, 0.0, 0.3, 0.4])
 @settings(deadline=None)
 @given(cdf_and_keys())
 @example((np.array([0.3, 1.0]), np.arange(8) / 8))  # keys on bucket edges
+@example((np.array([0.3, 1.0]), np.arange(64) / 64))  # on the edges of a table sized by the key count
 @example((QUARTERS, np.arange(16) / 16))  # bucket edges that are CDF values
 # keys on a CDF value and on its neighbours
 @example((STEPS, np.repeat([np.nextafter(STEPS[1], 0.0), STEPS[1], np.nextafter(STEPS[1], 1.0)], 2)))
