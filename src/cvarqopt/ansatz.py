@@ -137,7 +137,7 @@ def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
         signs = entangler_signs(n, spec.entanglement)
         for k in range(1, p + 1):
             amps *= signs
-            rotate_states(amps, "ry", [a[k * n : (k + 1) * n] for a in angles])
+            amps = rotate_states(amps, "ry", [a[k * n : (k + 1) * n] for a in angles])
         return amps
     amps = np.tile(layer_states("h", [[None] * n]), (len(specs), 1)).astype(complex)
     factors = np.empty_like(amps)
@@ -147,5 +147,5 @@ def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
             phases = np.multiply(cost.values, -1j * a[p + k])  # as the angled diag: one exp per distinct value
             np.take(np.exp(phases, out=phases), cost.inverse, out=row)
         amps *= factors
-        rotate_states(amps, "rx", [[2.0 * a[k]] * n for a in angles])
+        amps = rotate_states(amps, "rx", [[2.0 * a[k]] * n for a in angles])
     return amps

@@ -16,7 +16,8 @@ so results are independent of scheduling and execution order.  (alpha,
 mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`;
 `ExperimentConfig` builds each run shape's specs once, so it rejects up front
 a grid with a shape that no run could execute; its sizes, depths, counts,
-seed, budget and worker count must be integers, with at least one worker.
+seed, budget and worker count must be integers, with at least one worker,
+and its alphas numbers (not bools or strings).
 
 Iteration counting: one "iteration" is one objective-function evaluation
 (observable and optimizer-agnostic); normalized_iteration = evaluation/n.
@@ -82,6 +83,7 @@ def make_scorer(
     CvarConfig(alpha, mode, shots)  # validates alpha, mode and shot count
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
+    table = ham.table if mode == "sampled" else None  # each shot's value in one gather
 
     def score(state: StateVector):
         overlap = overlap_with_optimum(state, ham)
@@ -89,7 +91,7 @@ def make_scorer(
             value = cvar_exact(outcome_distribution(state, ham), alpha)
             bitstring, bit_value = best_support_bitstring(state, ham)
         else:
-            indices, values = sample_outcomes(state, ham, shots, sample_rng)
+            indices, values = sample_outcomes(state, ham, shots, sample_rng, _table=table)
             value = cvar_from_samples(values, alpha)
             k = int(np.argmin(values))
             bitstring, bit_value = int(indices[k]), float(values[k])
@@ -322,6 +324,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in self.alphas):
+            raise ValueError(f"alphas takes numbers, got {self.alphas!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         for name in ("sizes", "vqe_depths", "qaoa_depths"):
             object.__setattr__(self, name, tuple(_whole(name, v) for v in getattr(self, name)))

@@ -125,14 +125,15 @@ def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_outcomes(
-    state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator
+    state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator, *, _table=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw basis-index samples by inverse CDF; returns (indices, objective values).
 
     The stream advances by exactly one `rng.random(shots)`.  While 2^n <= shots
     each shot's index comes from a bucket table (`inverse_cdf_indices`), with
     a binary search only for shots in a bucket that holds a CDF step; every
-    index equals a per-shot binary search of the CDF.
+    index equals a per-shot binary search of the CDF.  Each shot's value is
+    read from `ham.table`; a caller that draws often builds it once as `_table`.
     """
     _check_sizes(state, ham)
     cum = np.cumsum(probabilities(state))
@@ -140,7 +141,7 @@ def sample_outcomes(
         raise ValueError("state probabilities must be finite with a positive total")
     cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
     indices = inverse_cdf_indices(cum, rng.random(shots))
-    return indices, ham.ranking.values[ham.ranking.inverse[indices]]
+    return indices, (ham.table if _table is None else _table)[indices]
 
 
 def cvar_from_samples(values: np.ndarray, alpha: float) -> float:

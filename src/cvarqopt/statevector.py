@@ -8,7 +8,11 @@ angles, one per qubit.  Two gates act on every qubit: `diag` multiplies
 amplitude j by d[j], or by exp(-i * angle * values[ranks[j]]) given an angle,
 distinct values and per-state ranks (one exp per distinct value); `layer` is
 a rotation on every qubit, applied qubit 0 first, and a run from |0...0> that
-opens with one starts from that layer's product state.
+opens with one starts from that layer's product state.  A layer takes n
+steps over two buffers: each writes a*v0 + b*v1 and c*v0 + d*v1, from the top
+qubit's contiguous halves v0 and v1, to the even and odd slots of the other
+buffer, so the next qubit comes on top.  Each amplitude gets the products and
+sum of the 2x2 matrix product, so the bytes equal one qubit at a time.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 the first time a complex gate (rx, an angled diag,
@@ -165,18 +169,25 @@ class StateVector:
         return cls(n, np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex))
 
 
-def _apply_matrix(amps: np.ndarray, q: int, m: list) -> None:
-    """Apply the 2x2 matrix m to qubit q of the amplitudes, in place.
-
-    `amps` is one state (2^n,) with m's entries Python scalars, or a stack of
-    states (B, 2^n) with each entry a (B, 1, 1) array of per-state values."""
-    # contiguous view: axis 0 is the state, axis 2 the qubit, axes 1 and 3 the more and less significant bits
-    psi = amps.reshape(-1, 2**q, 2, amps.shape[-1] >> (q + 1))
-    v0, v1 = psi[:, :, 0], psi[:, :, 1]
+def _mix(m, v0: np.ndarray, v1: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
+    """even = a*v0 + b*v1 and odd = c*v0 + d*v1 for m = ((a, b), (c, d)); leaves v0 and v1 overwritten."""
     (a, b), (c, d) = m
-    r0 = v0.copy()
-    v0[...] = a * r0 + b * v1
-    v1[...] = c * r0 + d * v1
+    np.multiply(a, v0, out=even)
+    np.multiply(d, v1, out=odd)
+    np.add(even, np.multiply(b, v1, out=v1), out=even)  # v1 and then v0 are read: they are scratch now
+    np.add(np.multiply(c, v0, out=v0), odd, out=odd)
+
+
+def _rotate(amps: np.ndarray, matrices) -> np.ndarray:
+    """Apply matrices[q], entries Python scalars or (B, 1) per-state arrays, to qubit q of the
+    (..., 2^n) amplitudes as the module describes a layer; returns the result, leaving `amps` overwritten."""
+    cur, nxt = amps, np.empty_like(amps)
+    half = amps.shape[-1] // 2
+    for m in matrices:
+        out = nxt.reshape(*nxt.shape[:-1], half, 2)
+        _mix(m, cur[..., :half], cur[..., half:], out[..., 0], out[..., 1])
+        cur, nxt = nxt, cur
+    return cur
 
 
 def _stacked_entries(name: str, angles) -> np.ndarray:
@@ -187,20 +198,26 @@ def _stacked_entries(name: str, angles) -> np.ndarray:
 def layer_states(name: str, angles) -> np.ndarray:
     """(B, 2^n) product states: row r is what the layer `layer(name, angles[r])` makes of |0...0>.
 
-    Each qubit's column-0 entry multiplies the amplitudes so far, qubit 0
-    first, as the layer's gates would."""
-    columns = _stacked_entries(name, angles)[..., None, :, 0]  # (B, n, 1, 2)
-    amps = columns[:, 0, 0].copy()
+    Each qubit's column-0 entries multiply the amplitudes so far, qubit 0
+    first, as the layer's gates would: once the stack is long, as two
+    column multiplies into the even and odd slots of the next stack."""
+    columns = _stacked_entries(name, angles)[..., 0]  # (B, n, 2)
+    amps = columns[:, 0].copy()
     for k in range(1, columns.shape[1]):
-        amps = np.multiply(columns[:, k], amps[:, :, None]).reshape(len(amps), -1)
+        if amps.size < 256:  # one broadcast call costs less than two multiplies here
+            out = np.multiply(columns[:, k, None], amps[:, :, None])
+        else:
+            out = np.empty((*amps.shape, 2), columns.dtype)
+            np.multiply(columns[:, k, :1], amps, out=out[..., 0])
+            np.multiply(columns[:, k, 1:], amps, out=out[..., 1])
+        amps = out.reshape(len(amps), -1)
     return amps
 
 
-def rotate_states(amps: np.ndarray, name: str, angles) -> None:
-    """Apply `layer(name, angles[r])` to row r of the (B, 2^n) stack, in place."""
-    entries = _stacked_entries(name, angles).transpose(1, 2, 3, 0)[..., None, None]  # (n, 2, 2, B, 1, 1)
-    for q, m in enumerate(entries):
-        _apply_matrix(amps, q, m)
+def rotate_states(amps: np.ndarray, name: str, angles) -> np.ndarray:
+    """Apply `layer(name, angles[r])` to row r of the (B, 2^n) stack; returns it, leaving `amps` overwritten."""
+    entries = _stacked_entries(name, angles).transpose(1, 2, 3, 0)[..., None]  # (n, 2, 2, B, 1)
+    return _rotate(amps, entries)
 
 
 def checked_state(n: int, amps: np.ndarray) -> StateVector:
@@ -211,17 +228,19 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
     return StateVector(n, amps)
 
 
-def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Mutate the 1-D amplitude array in place."""
+def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """Apply the gate to the 1-D amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
         if not gate.angles:
             amps *= gate.diagonal
         else:
             phases = np.multiply(gate.diagonal, -1j * gate.angles[0])  # one exp per distinct value
             amps *= np.exp(phases, out=phases)[gate.ranks]
+    elif gate.name in _ROTATIONS and not gate.qubits:
+        return _rotate(amps, [_entries(gate.name, angle) for angle in gate.angles])
     elif gate.name in _ROTATIONS:
-        for q, angle in zip(gate.qubits or range(n), gate.angles):
-            _apply_matrix(amps, q, _entries(gate.name, angle))
+        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)  # axis 1 is the qubit
+        _mix(_entries(gate.name, gate.angles[0]), psi[:, 0].copy(), psi[:, 1].copy(), psi[:, 0], psi[:, 1])
     else:  # cnot
         psi = amps.reshape([2] * n)  # qubit q is axis q
         c, t = gate.qubits
@@ -230,6 +249,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n: int) -> None:
         sub = psi[tuple(idx)]
         # after fixing the control axis, the target axis shifts down by one if it came later
         psi[tuple(idx)] = np.flip(sub, axis=t if t < c else t - 1)
+    return amps
 
 
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -245,7 +265,7 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
-        _apply_inplace(amps, gate, circuit.n)
+        amps = _apply_gate(amps, gate, circuit.n)
     return checked_state(circuit.n, amps)
 
 

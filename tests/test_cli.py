@@ -215,9 +215,11 @@ def test_sweep_rejects_bad_config(runner, tmp_path):
     {"mode": "sampled", "shots": 64.5},
     {"iteration_budget_per_qubit": 4.5},
     {"sizes": [6.5]},
+    {"alphas": ["0.5"]},
+    {"alphas": [0.5, True]},
 ], ids=["unknown-problem", "no-shots", "no-instances", "no-depths", "no-max3sat-size", "unrunnable-shape",
         "no-workers", "fractional-workers", "string-seed", "fractional-seed", "fractional-shots", "fractional-budget",
-        "fractional-size"])
+        "fractional-size", "string-alpha", "bool-alpha"])
 def test_sweep_rejects_a_config_every_task_would_fail(runner, tmp_path, change):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, **change}))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 
@@ -162,15 +163,23 @@ RING = dict(problems=("maxcut", "max3sat"), sizes=(3, 4), instances_per_size=1, 
             vqe_depths=(0, 1, 2), qaoa_depths=(1,), entanglement="ring", iteration_budget_per_qubit=6)
 
 
-@pytest.mark.parametrize("grid, fail, rows, failures", [
-    (TINY, False, None, 0),
-    (CRITERION_9, False, 1484, 0),
-    (SAMPLED, False, 6633, 0),
-    ({**TINY, "problems": ("maxcut", "portfolio")}, True, None, 8),
-    (RING, False, None, 0),
+# SHA-256 of the CSV bytes as this x86-64 host computes them with its numpy and
+# OpenBLAS builds; they are not yet portable: another BLAS kernel or SIMD level
+# can move the last bits (ROADMAP item 1)
+CRITERION_9_SHA256 = "a93b2c56c5ef2b6b89e2a82e042073a0940957b82c1c10c1986d1986185ebb10"
+SAMPLED_SHA256 = "7265b03b5d5938f545f451ee9f6af18131b1929d94b88c01730bf56a7df47e13"
+
+
+@pytest.mark.parametrize("grid, fail, rows, failures, sha256", [
+    (TINY, False, None, 0, None),
+    (CRITERION_9, False, 1484, 0, CRITERION_9_SHA256),
+    (SAMPLED, False, 6633, 0, SAMPLED_SHA256),
+    ({**TINY, "problems": ("maxcut", "portfolio")}, True, None, 8, None),
+    (RING, False, None, 0, None),
 ], ids=["tiny", "criterion-9", "sampled", "failing", "ring-single-runs"])
-def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures):
-    """Pool workers advance same-shape runs in lockstep; rows, CSV bytes and failure messages equal the serial path's."""
+def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures, sha256):
+    """Pool workers advance same-shape runs in lockstep; rows, CSV bytes and failure messages equal
+    the serial path's, and the pinned sweeps keep their bytes."""
     if fail:
         request.getfixturevalue("portfolio_runs_fail")
     serial = run_sweep(ExperimentConfig(**grid))
@@ -180,6 +189,7 @@ def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures):
     assert pooled.failures == serial.failures and len(serial.failures) == failures
     assert len(pooled.tracebacks) == failures
     assert rows is None or len(serial.rows) == rows
+    assert sha256 is None or hashlib.sha256(serial.to_csv().encode()).hexdigest() == sha256
     if grid is RING:
         shapes = [(n, algo, p) for n in (3, 4) for algo, p in (("vqe", 0), ("vqe", 1), ("vqe", 2), ("qaoa", 1))]
         runs = [_arguments(dict(qubo=generate(InstanceSpec(problem, n, 0)), algo=algo, p=p, alpha=0.5,
@@ -362,10 +372,12 @@ def test_config_rejects_a_grid_with_no_runs(change):
     ({"sizes": (6.5,)}, "sizes takes integers"),
     ({"instances_per_size": True}, "instances_per_size takes integers"),
     ({"qaoa_depths": ("1",)}, "qaoa_depths takes integers"),
+    ({"alphas": ("0.5", 1.0)}, "alphas takes numbers"),
+    ({"alphas": (0.5, True)}, "alphas takes numbers"),
 ], ids=["entanglement", "initial-point", "size-zero", "size-too-large", "no-budget", "budget-below-simplex",
         "vqe-depth", "qaoa-depth", "ring-too-small", "no-workers", "negative-workers", "fractional-workers",
         "string-seed", "fractional-seed", "fractional-shots", "fractional-budget", "fractional-size", "bool-instances",
-        "string-depth"])
+        "string-depth", "string-alpha", "bool-alpha"])
 def test_config_rejects_a_run_shape_no_run_can_execute(change, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{**TINY, **change})

@@ -19,11 +19,13 @@ from cvarqopt.statevector import (
     diag,
     h,
     layer,
+    layer_states,
     probabilities,
+    rotate_states,
     run_circuit,
     ry,
 )
-from gate_reference import cz, rx, rz
+from gate_reference import apply_matrix, bit, cz, product_states, rotate_per_qubit, rx, rz
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -193,6 +195,60 @@ def test_layer_equals_its_single_qubit_gates(name, rng):
         # from |0...0> a leading layer starts from its product state instead
         want = run_circuit(Circuit(n, per_qubit(name, angles))).amplitudes
         assert np.array_equal(run_circuit(Circuit(n, [layer(name, angles)])).amplitudes, want), n
+
+
+# angles whose matrices hold exact and signed zeros (+-0 gives the identity), and any others
+layer_angle = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([math.pi, -math.pi, 2 * math.pi]),
+                        st.floats(-7.0, 7.0))
+
+
+@st.composite
+def layers_and_states(draw):
+    """A rotation kind, per-row angles and a (B, 2^n) stack of amplitudes; B = 1
+    stands for a single state.  Scattered zeros and one qubit's half of the
+    register are +-0 in each part, so a qubit at angle +-0 carries signed zeros
+    to the output."""
+    name = draw(st.sampled_from(["h", "ry", "rx"]))
+    n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    dtype = complex if name == "rx" else draw(st.sampled_from([np.float64, complex]))
+    angles = [[None] * n if name == "h" else draw(st.lists(layer_angle, min_size=n, max_size=n))
+              for _ in range(rows)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(rows, 2**n)).astype(dtype)
+    if dtype is complex:
+        amps.imag = rng.normal(size=(rows, 2**n))
+    zero = (rng.random((rows, 2**n)) < 0.2) | (bit(n, int(rng.integers(n))) == rng.integers(2))
+    for part in (amps.real, amps.imag) if dtype is complex else (amps,):
+        part[zero] = np.where(rng.random((rows, 2**n)) < 0.5, -0.0, 0.0)[zero]
+    amps[~amps.any(axis=1), 0] = 1.0  # every row has a norm
+    return name, angles, amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(layers_and_states())
+def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
+    """A layer, on one state or a stack, its single-qubit gates, and its product state
+    from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`, so signed zeros count)."""
+    name, angles, amps = case
+    want = amps.copy()
+    rotate_per_qubit(want, name, angles)
+    assert rotate_states(amps.copy(), name, angles).tobytes() == want.tobytes()
+    n = len(angles[0])
+    for row, row_angles, start in zip(want, angles, amps):
+        for gates in ([layer(name, row_angles)], per_qubit(name, row_angles)):
+            assert run_circuit(Circuit(n, gates), StateVector(n, start)).amplitudes.tobytes() == row.tobytes()
+    assert layer_states(name, angles).tobytes() == product_states(name, angles).tobytes()
+
+
+@pytest.mark.parametrize("name", ["ry", "rx"])
+def test_layer_kernel_at_twenty_qubits(name, rng):
+    angles = rng.uniform(-np.pi, np.pi, 20).tolist()
+    amps = rng.normal(size=2**20) + (1j * rng.normal(size=2**20) if name == "rx" else 0.0)
+    amps /= np.linalg.norm(amps)
+    want = amps.copy()
+    for q, angle in enumerate(angles):
+        apply_matrix(want, q, _entries(name, angle))
+    assert run_circuit(Circuit(20, [layer(name, angles)]), StateVector(20, amps)).amplitudes.tobytes() == want.tobytes()
 
 
 def test_product_state_start_at_twenty_qubits(rng):
