@@ -7,17 +7,16 @@ gamma_1..gamma_p).
 
 `build_circuit` compiles either family to whole-register gates: VQE to RY on
 every qubit, then [diag, RY on every qubit] x p; QAOA to H on every qubit,
-then p x `qaoa_layer` = [cost diag, RX on every qubit].  A CZ block is the
-+-1 vector (-1)^(number of its pairs with both bits set),
-cached per (n, entanglement); multiplying by -1 is exact, so the state equals
-the one the CZ gates give, bit for bit, and a VQE state stays real (float64)
-throughout.  The cost step exp(-i gamma * cost) is an angled `diag` over the
-Ising model's cached ranking of its cost diagonal, so it takes one exp per
-distinct cost value; the Ising offset is a global phase and is never applied.
-The mixer step is RX(2*beta) on every qubit (= exp(-i beta X)).  `flatness`
-applies the same `qaoa_layer` gates layer by layer.  Every problem here has a
-diagonal cost, so the RZ/CNOT compilation a hardware backend would need is
-never built.
+then p x `qaoa_layer` = [cost diag, RX(2*beta) = exp(-i beta X) on every
+qubit].  A CZ block is the +-1 vector (-1)^(number of its pairs with both
+bits set), cached per (n, entanglement); multiplying by -1 is exact, so the
+state equals the one the CZ gates give, bit for bit, and a VQE state stays
+real (float64).  The cost step exp(-i gamma * cost) is a complex `diag`
+gathered from one exp per distinct value of the Ising model's cached cost
+ranking; the Ising offset is a global phase and is never applied.  `flatness`
+applies the same `qaoa_layer` gates, and `evolve_states` builds the gates with
+one row per state of a stack.  Every problem here has a diagonal cost, so
+the RZ/CNOT compilation a hardware backend would need is never built.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import Circuit, Gate, StateVector, diag, layer, layer_states, rotate_states, run_circuit
+from .statevector import Circuit, Gate, StateVector, diag, layer, run_circuit, run_stack
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -67,10 +66,8 @@ class AnsatzSpec:
 def _check_params(spec: AnsatzSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.parameter_count,):
-        raise ValueError(
-            f"{spec.family} n={spec.n} p={spec.p} takes {spec.parameter_count} "
-            f"parameters, got shape {theta.shape}"
-        )
+        raise ValueError(f"{spec.family} n={spec.n} p={spec.p} takes {spec.parameter_count} parameters, "
+                         f"got shape {theta.shape}")
     return theta
 
 
@@ -93,26 +90,41 @@ def entangler_signs(n: int, entanglement: str) -> np.ndarray:
     return signs
 
 
-def qaoa_layer(cost: ValueRanking, n: int, beta: float, gamma: float) -> list[Gate]:
-    """One alternation: the cost step exp(-i gamma * cost) as an angled `diag`, then RX(2*beta) on every qubit."""
-    return [diag(cost.values, gamma, cost.inverse), layer("rx", [2.0 * beta] * n)]
+def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: list[float]) -> list[Gate]:
+    """One alternation for each state r of a stack (one row applies to every state): the cost step
+    exp(-i gammas[r] * costs[r]) as a complex `diag`, its phases gathered from one exp per distinct
+    value, then RX(2*betas[r]) on every qubit."""
+    rows = []
+    for cost, gamma in zip(costs, gammas):
+        step = np.multiply(cost.values, -1j * float(gamma))
+        rows.append(np.exp(step, out=step)[cost.inverse])  # in place: a ranking can hold 2^n values
+    phases = rows[0] if len(rows) == 1 else np.stack(rows)
+    phases.flags.writeable = False  # a fresh array: the gate need not copy it
+    return [diag(phases), layer("rx", [[2.0 * beta] * n for beta in betas])]
+
+
+def _build(specs: list[AnsatzSpec], thetas) -> Circuit:
+    """The circuit whose row r is `build_circuit(specs[r], thetas[r])`; the specs share family, n, p and
+    entanglement, and qaoa specs may differ in their Ising models."""
+    spec = specs[0]
+    n, p = spec.n, spec.p
+    angles = [_check_params(s, t).tolist() for s, t in zip(specs, thetas)]
+    if spec.family == "vqe":
+        signs = diag(entangler_signs(n, spec.entanglement))
+        gates: list[Gate] = [layer("ry", [a[:n] for a in angles])]
+        for k in range(1, p + 1):
+            gates += [signs, layer("ry", [a[k * n : (k + 1) * n] for a in angles])]
+    else:
+        gates = [layer("h", [None] * n)]
+        costs = [s.ising.ranking for s in specs]
+        for k in range(p):
+            gates += qaoa_layer(costs, n, [a[k] for a in angles], [a[p + k] for a in angles])
+    return Circuit(n, gates)
 
 
 def build_circuit(spec: AnsatzSpec, theta) -> Circuit:
     """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x `qaoa_layer`."""
-    theta = _check_params(spec, theta)
-    n = spec.n
-    if spec.family == "vqe":
-        angles = theta.tolist()
-        gates: list[Gate] = [layer("ry", angles[:n])]
-        for k in range(1, spec.p + 1):
-            gates.append(diag(entangler_signs(n, spec.entanglement)))
-            gates.append(layer("ry", angles[k * n : (k + 1) * n]))
-    else:
-        gates = [layer("h", [None] * n)]
-        for beta, gamma in zip(theta[: spec.p], theta[spec.p :]):
-            gates += qaoa_layer(spec.ising.ranking, n, beta, gamma)
-    return Circuit(n, gates)
+    return _build([spec], [theta])
 
 
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:
@@ -122,30 +134,5 @@ def trial_state(spec: AnsatzSpec, theta) -> StateVector:
 
 def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
     """(B, 2^n) amplitudes whose row r equals `trial_state(specs[r], thetas[r]).amplitudes`
-    (before its norm check), bit for bit.
-
-    The specs share family, n, p and entanglement; qaoa specs may differ in
-    their Ising models.  Each row meets the gates `build_circuit` emits, with
-    the same arithmetic on each amplitude; rows are only stacked so that one
-    numpy call applies a gate to all of them.
-    """
-    spec = specs[0]
-    n, p = spec.n, spec.p
-    angles = [_check_params(s, t).tolist() for s, t in zip(specs, thetas)]
-    if spec.family == "vqe":
-        amps = layer_states("ry", [a[:n] for a in angles])
-        signs = entangler_signs(n, spec.entanglement)
-        for k in range(1, p + 1):
-            amps *= signs
-            amps = rotate_states(amps, "ry", [a[k * n : (k + 1) * n] for a in angles])
-        return amps
-    amps = np.tile(layer_states("h", [[None] * n]), (len(specs), 1)).astype(complex)
-    factors = np.empty_like(amps)
-    for k in range(p):
-        for row, s, a in zip(factors, specs, angles):
-            cost = s.ising.ranking
-            phases = np.multiply(cost.values, -1j * a[p + k])  # as the angled diag: one exp per distinct value
-            np.take(np.exp(phases, out=phases), cost.inverse, out=row)
-        amps *= factors
-        amps = rotate_states(amps, "rx", [[2.0 * a[k]] * n for a in angles])
-    return amps
+    (before its norm check), bit for bit: the built circuit with one row per spec, run as one stack."""
+    return run_stack(_build(specs, thetas))

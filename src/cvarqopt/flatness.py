@@ -6,9 +6,9 @@ amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
 States start uniform and are evolved one `ansatz.qaoa_layer` at a time (the
-cost `diag` over the Hamiltonian's ranking, then RX(2*beta) on every qubit),
-so they cover objectives (like the needle) that are not expressible as a
-quadratic Ising model.
+cost `diag` gathered from the Hamiltonian's ranking, then RX(2*beta) on every
+qubit), so they cover objectives (like the needle) that are not expressible
+as a quadratic Ising model.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .ansatz import qaoa_layer
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import MAX_QUBITS, Circuit, StateVector, run_circuit
+from .statevector import Circuit, StateVector, check_qubits, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -77,7 +77,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        state = run_circuit(Circuit(n, qaoa_layer(ham.ranking, n, beta, gamma)), state)
+        state = run_circuit(Circuit(n, qaoa_layer([ham.ranking], n, [beta], [gamma])), state)
         snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
     return snapshots
 
@@ -148,8 +148,7 @@ def cluster_fraction_lower_bound(n: int, p: int, delta: float) -> float:
 
 def needle_hamiltonian(n: int, index: int = 0) -> DiagonalHamiltonian:
     """Minimization needle: value 0 at one distinguished bitstring, 1 elsewhere."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    check_qubits(n)
     if not 0 <= index < 2**n:
         raise ValueError(f"needle index must be in [0, {2**n}), got {index}")
     table = np.ones(2**n)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import MAX_QUBITS
+from .statevector import check_qubits
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class DiagonalHamiltonian:
     ranking: ValueRanking
 
     def __init__(self, n: int, table):
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        check_qubits(n)
         table = np.asarray(table, dtype=float)
         if table.shape != (2**n,):
             raise ValueError(f"expected {2**n} diagonal entries, got {table.shape}")
@@ -161,14 +160,13 @@ def qubo_to_ising(q: QuboProblem) -> IsingModel:
 
 
 def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
-    """The diagonal offset + cost values (n capped at MAX_QUBITS), ranked from the model's ranking.
+    """The diagonal offset + cost values (n within the simulator's limit), ranked from the model's ranking.
 
     Only the distinct values are shifted and ranked; the basis states' ranks
     compose with that ranking, so the result equals ranking the shifted 2^n
     table without sorting it.
     """
-    if m.n > MAX_QUBITS:
-        raise ValueError(f"n={m.n} exceeds the {MAX_QUBITS}-qubit dense limit")
+    check_qubits(m.n)
     values, inverse, ground = m.ranking
     shifted, merged = np.unique(m.offset + values, return_inverse=True)
     if shifted.size == values.size:  # no two values merged: the ranks carry over unchanged

@@ -241,11 +241,6 @@ def _run_lockstep(runs: list[dict]) -> list[RunTrace | RunFailure]:
     return outcomes
 
 
-def _run_group(runs: list[dict]) -> list[RunTrace | RunFailure]:
-    """A pool task: one run alone goes through `run_single`, several in lockstep."""
-    return [_run_one(runs[0])] if len(runs) == 1 else _run_lockstep(runs)
-
-
 def _lockstep_groups(runs: list[dict]) -> list[list[int]]:
     """Indices of runs (dicts of all of `run_single`'s arguments) grouped by
     circuit shape (n, algo, p, entanglement).  Each shape is cut into
@@ -277,11 +272,11 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
     runs of one circuit shape (n, algo, p, entanglement) are cut into groups
     of at most `LOCKSTEP_AMPLITUDES` amplitudes, which go onto a process pool
     largest first.  A worker advances a group's runs in lockstep: their
-    current points evolve as one (B, 2^n) array, while each run keeps its own
-    optimizer, scoring and bookkeeping, so every trace equals the reference
-    path's bit for bit.  A group of one runs through `run_single`.  Observers
-    run in the worker, so they must pickle.  The pool is shut down before
-    this returns.
+    points evolve as one (B, 2^n) array from `build_circuit`'s recipe (one
+    state for a group of one), while each run keeps its own optimizer, scoring
+    and bookkeeping, so every trace equals the reference path's bit for bit.
+    Observers run in the worker, so they must pickle.  The pool is shut down
+    before this returns.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -290,7 +285,7 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
         return [_run_one(run) for run in runs]
     outcomes: list = [None] * len(runs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(group, pool.submit(_run_group, [runs[i] for i in group])) for group in _lockstep_groups(runs)]
+        futures = [(group, pool.submit(_run_lockstep, [runs[i] for i in group])) for group in _lockstep_groups(runs)]
         for group, future in futures:
             for i, outcome in zip(group, future.result()):
                 outcomes[i] = outcome

@@ -19,17 +19,14 @@ class GroundTruth:
 
 
 def enumerate_hamiltonian(ham: DiagonalHamiltonian) -> GroundTruth:
-    """Exhaustive scan of all 2^n basis states."""
-    table = ham.table
-    min_value = float(table.min())
-    minimizers = tuple(int(j) for j in np.flatnonzero(table == min_value))
-    values, counts = np.unique(table, return_counts=True)
-    histogram = {float(v): int(c) for v, c in zip(values, counts)}
-    return GroundTruth(min_value=min_value, minimizers=minimizers, histogram=histogram)
+    """All 2^n basis states' values, read off the Hamiltonian's ranking (it holds only values that occur)."""
+    values, inverse, ground = ham.ranking
+    histogram = dict(zip(values.tolist(), np.bincount(inverse, minlength=values.size).tolist()))
+    return GroundTruth(min_value=float(values[0]), minimizers=tuple(ground.tolist()), histogram=histogram)
 
 
 def ground_value(ham: DiagonalHamiltonian) -> float:
-    return float(ham.table.min())
+    return float(ham.ranking.values[0])
 
 
 def exact_cvar_landscape(

@@ -8,6 +8,7 @@ d_i = floor(rowsum/2) and ceil(n/5) constraints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,25 @@ def _random_edges(n: int, density: float, rng: np.random.Generator) -> list[tupl
     return edges
 
 
+def _edge(n: int, edge) -> tuple[int, int]:
+    """An edge given as two distinct integer vertices in [0, n); a ValueError otherwise."""
+    ends = tuple(edge) if isinstance(edge, (list, tuple)) else ()
+    vertices = [v for v in ends if isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < n]
+    if len(ends) != 2 or len(set(vertices)) != 2:
+        raise ValueError(f"a maxcut edge is two distinct integer vertices in [0, {n}), got {edge!r}")
+    return int(ends[0]), int(ends[1])
+
+
 def _maxcut(n: int, seed: int, params: dict) -> QuboProblem:
     """Minimize -sum_{(i,j) in E} w_ij (x_i + x_j - 2 x_i x_j)."""
     rng = np.random.default_rng(seed)
     if "edges" in params:
-        edges = [tuple(e) for e in params["edges"]]
+        edges = [_edge(n, e) for e in params["edges"]]
         weights = list(params.get("weights", [1.0] * len(edges)))
+        if len(weights) != len(edges):
+            raise ValueError(f"maxcut takes one weight per edge, got {len(weights)} for {len(edges)} edges")
+    elif "weights" in params:
+        raise ValueError("maxcut weights go with edges: give edges too")
     else:
         edges = _random_edges(n, params.get("edge_density", 0.5), rng)
         weights = rng.integers(1, 11, size=len(edges)).tolist()

@@ -3,21 +3,21 @@ RY, RX, H, CNOT and `diag`.
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y}; a rotation gate holds only its
-angles, one per qubit.  Two gates act on every qubit: `diag` multiplies
-amplitude j by d[j], or by exp(-i * angle * values[ranks[j]]) given an angle,
-distinct values and per-state ranks (one exp per distinct value); `layer` is
-a rotation on every qubit, applied qubit 0 first, and a run from |0...0> that
-opens with one starts from that layer's product state.  A layer takes n
-steps over two buffers: each writes a*v0 + b*v1 and c*v0 + d*v1, from the top
-qubit's contiguous halves v0 and v1, to the even and odd slots of the other
-buffer, so the next qubit comes on top.  Each amplitude gets the products and
-sum of the 2x2 matrix product, so the bytes equal one qubit at a time.
+R_A(t) = exp(-i t A / 2) for A in {X, Y}.  Two gates act on every qubit:
+`diag` multiplies amplitude j by d[j]; `layer` is a rotation on every qubit,
+applied qubit 0 first in n two-buffer steps (`_rotate`) whose bytes equal one
+qubit at a time, and a run from |0...0> that opens with one starts from that
+layer's product state.
+
+One interpreter runs a circuit on one state (`run_circuit`, a 1-D array) or
+on a stack of B states (`run_stack`, (B, 2^n)), with the same arithmetic on
+each row.  A `diag` or `layer` holds one row of parameters, which every state
+takes (a layer's entries then are Python scalars), or one row per state.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
-diag), and turns complex128 the first time a complex gate (rx, an angled diag,
-a complex diag) meets it; the cast is exact, and real
-arithmetic gives the same values as complex arithmetic on the real parts.
+diag), and turns complex128 at the first complex gate (rx, a complex diag);
+the cast is exact, and real arithmetic gives the same values as complex
+arithmetic on the real parts.
 """
 from __future__ import annotations
 
@@ -36,56 +36,49 @@ class InvalidGateError(ValueError):
     """Raised for malformed gates or gate indices out of range."""
 
 
+def check_qubits(n: int) -> None:
+    """A ValueError unless 1 <= n <= MAX_QUBITS, the sizes the dense simulator holds."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+
+
 @dataclass(frozen=True, eq=False)  # by identity: field-wise == would ignore or mis-compare the arrays
 class Gate:
     name: str
     qubits: tuple[int, ...]  # () for a gate on every qubit: diag, or a rotation layer
-    angles: tuple = ()  # rotations: one per qubit, None for h; an angled diag: its one angle
-    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only; read-only
-    ranks: np.ndarray | None = field(default=None, repr=False)  # angled diag only; read-only
+    angles: tuple = ()  # one qubit's rotation: its angle; a layer: rows of one angle per qubit, None for h
+    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only: (2^n,) or (B, 2^n); read-only
+    rows: int = field(init=False, default=1)  # states it holds parameters for; one row applies to every state
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise InvalidGateError(f"unknown gate {self.name!r}")
-        if any(q < 0 for q in self.qubits) or len(set(self.qubits)) != len(self.qubits):
+        if self.qubits and (min(self.qubits) < 0 or len(set(self.qubits)) != len(self.qubits)):
             raise InvalidGateError(f"negative or repeated qubit index in {self.qubits}")
         if (self.name == "diag") != (self.diagonal is not None):
             raise InvalidGateError("a diagonal goes with diag, and only there")
-        if (self.name == "diag" and len(self.angles) == 1) != (self.ranks is not None):
-            raise InvalidGateError("an angled diag takes distinct values and per-state ranks, and only it takes ranks")
         if self.name == "diag":
-            object.__setattr__(self, "diagonal", _read_only(self.diagonal))
-            if self.diagonal.ndim != 1:
-                raise InvalidGateError(f"diag takes a 1-D vector, got shape {self.diagonal.shape}")
-        if self.ranks is not None:
-            object.__setattr__(self, "ranks", _read_only(self.ranks))
-            if self.ranks.ndim != 1 or self.ranks.dtype.kind not in "iu":
-                raise InvalidGateError(f"diag ranks must be a 1-D integer vector, got {self.ranks.dtype} {self.ranks.shape}")
-        if self.name in _ROTATIONS:
-            if not self.angles or len(self.qubits) > 1 or (self.qubits and len(self.angles) > 1):
-                raise InvalidGateError(f"{self.name} takes one qubit and one angle, or every qubit and an angle each")
-            if any((a is None) != (self.name == "h") for a in self.angles):
-                raise InvalidGateError(f"h takes no angle and ry and rx one per qubit, got {self.name} {self.angles}")
-        else:
-            want = 2 if self.name == "cnot" else 0
-            if len(self.qubits) != want or len(self.angles) > (self.name == "diag"):
-                raise InvalidGateError(f"{self.name} takes {want} qubit(s) and no angle, or one if diag: {self}")
+            d = np.asarray(self.diagonal)
+            d = d.copy() if d.flags.writeable else d  # read-only, so the gate cannot change once built
+            d.flags.writeable = False
+            object.__setattr__(self, "diagonal", d[0] if d.ndim == 2 and len(d) == 1 else d)  # one row: every state's
+            object.__setattr__(self, "rows", len(d) if d.ndim == 2 else 1)
+            if d.ndim not in (1, 2) or self.angles or self.qubits:
+                raise InvalidGateError(f"diag takes a vector or one row per state, and no qubit or angle: {self}")
+        elif self.name in _ROTATIONS:
+            rows = (self.angles,) if self.qubits else self.angles
+            if not rows or len(self.qubits) > 1 or (self.qubits and len(self.angles) > 1) or not all(
+                    type(row) is tuple and row and row.count(None) == (self.name == "h") * len(row) for row in rows):
+                raise InvalidGateError(f"{self.name} takes one qubit and an angle, or every qubit and rows of an angle "
+                                       f"each (None for h), got {self.qubits} {self.angles}")
+            object.__setattr__(self, "rows", 1 if self.qubits else len(self.angles))
+        elif len(self.qubits) != 2 or self.angles:
+            raise InvalidGateError(f"cnot takes 2 qubits and no angle: {self}")
 
     @property
     def is_complex(self) -> bool:
         """Whether applying this gate can give a real state a nonzero imaginary part."""
-        if self.name == "diag":
-            return bool(self.angles) or self.diagonal.dtype.kind == "c"
-        return self.name == "rx"
-
-
-def _read_only(a) -> np.ndarray:
-    """`a` as an array that cannot change after the gate is built: a read-only copy unless it is one."""
-    a = np.asarray(a)
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
+        return self.diagonal.dtype.kind == "c" if self.name == "diag" else self.name == "rx"
 
 
 def _entries(name: str, angle: float | None) -> list:
@@ -109,34 +102,38 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
 
-def diag(d: np.ndarray, angle: float | None = None, ranks: np.ndarray | None = None) -> Gate:
-    """Multiply amplitude j by d[j]; or, given an angle, d as distinct values and
-    per-state ranks, by exp(-i * angle * d[ranks[j]])."""
-    return Gate("diag", (), () if angle is None else (float(angle),), d, ranks)
+def diag(d: np.ndarray) -> Gate:
+    """Multiply amplitude j by d[j]; given a (B, 2^n) array, amplitude j of state r by d[r, j]."""
+    return Gate("diag", (), (), d)
 
 
 def layer(name: str, angles) -> Gate:
-    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]."""
-    return Gate(name, (), tuple(angles))
+    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]; given
+    one row of angles per state of a stack, qubit q of state r by angles[r][q]."""
+    stacked = len(angles) and isinstance(angles[0], (list, tuple, np.ndarray))
+    return Gate(name, (), tuple(map(tuple, angles)) if stacked else (tuple(angles),))
 
 
 @dataclass(frozen=True)
 class Circuit:
     n: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
+    rows: int = field(init=False, default=1)  # states it runs on: its gates' row count, or 1
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        check_qubits(self.n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
+            if g.qubits and max(g.qubits) >= self.n:
                 raise InvalidGateError(f"gate {g} out of range for n={self.n}")
-            length = (g.diagonal if g.ranks is None else g.ranks).size if g.name == "diag" else 2**self.n
-            if length != 2**self.n:
-                raise InvalidGateError(f"diag of length {length} does not fit n={self.n}")
-            if g.name in _ROTATIONS and not g.qubits and len(g.angles) != self.n:
-                raise InvalidGateError(f"{g.name} on every qubit with {len(g.angles)} angles does not fit n={self.n}")
+            if g.name == "diag" and g.diagonal.shape[-1] != 2**self.n:
+                raise InvalidGateError(f"diag of width {g.diagonal.shape[-1]} does not fit n={self.n}")
+            if g.name in _ROTATIONS and not g.qubits and set(map(len, g.angles)) != {self.n}:
+                raise InvalidGateError(f"{g.name} rows of {[len(r) for r in g.angles]} angles do not fit n={self.n}")
+        rows = {g.rows for g in self.gates} - {1}
+        if len(rows) > 1:
+            raise InvalidGateError(f"gates hold {sorted(rows)} rows of parameters")
+        object.__setattr__(self, "rows", rows.pop() if rows else 1)
 
 
 @dataclass(frozen=True)
@@ -155,17 +152,13 @@ class StateVector:
     @classmethod
     def zero(cls, n: int) -> "StateVector":
         """|0...0> on n qubits."""
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-        amps = np.zeros(2**n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
+        check_qubits(n)
+        return cls(n, np.eye(1, 2**n, dtype=complex)[0])
 
     @classmethod
     def uniform(cls, n: int) -> "StateVector":
         """Equal-amplitude superposition, the n-Hadamard state."""
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        check_qubits(n)
         return cls(n, np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex))
 
 
@@ -214,12 +207,6 @@ def layer_states(name: str, angles) -> np.ndarray:
     return amps
 
 
-def rotate_states(amps: np.ndarray, name: str, angles) -> np.ndarray:
-    """Apply `layer(name, angles[r])` to row r of the (B, 2^n) stack; returns it, leaving `amps` overwritten."""
-    entries = _stacked_entries(name, angles).transpose(1, 2, 3, 0)[..., None]  # (n, 2, 2, B, 1)
-    return _rotate(amps, entries)
-
-
 def checked_state(n: int, amps: np.ndarray) -> StateVector:
     """The state with these amplitudes; a FloatingPointError if its norm left 1 by more than 1e-10."""
     nrm = np.linalg.norm(amps)
@@ -229,44 +216,64 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
 
 
 def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply the gate to the 1-D amplitudes; returns the result and leaves `amps` overwritten."""
+    """Apply the gate to the (..., 2^n) amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
-        if not gate.angles:
-            amps *= gate.diagonal
-        else:
-            phases = np.multiply(gate.diagonal, -1j * gate.angles[0])  # one exp per distinct value
-            amps *= np.exp(phases, out=phases)[gate.ranks]
+        amps *= gate.diagonal
     elif gate.name in _ROTATIONS and not gate.qubits:
-        return _rotate(amps, [_entries(gate.name, angle) for angle in gate.angles])
+        if gate.rows == 1:
+            return _rotate(amps, [_entries(gate.name, angle) for angle in gate.angles[0]])
+        return _rotate(amps, _stacked_entries(gate.name, gate.angles).transpose(1, 2, 3, 0)[..., None])
     elif gate.name in _ROTATIONS:
-        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)  # axis 1 is the qubit
-        _mix(_entries(gate.name, gate.angles[0]), psi[:, 0].copy(), psi[:, 1].copy(), psi[:, 0], psi[:, 1])
+        psi = amps.reshape(*amps.shape[:-1], 2 ** gate.qubits[0], 2, -1)  # axis -2 is the qubit
+        v0, v1 = psi[..., 0, :], psi[..., 1, :]
+        _mix(_entries(gate.name, gate.angles[0]), v0.copy(), v1.copy(), v0, v1)
     else:  # cnot
-        psi = amps.reshape([2] * n)  # qubit q is axis q
+        psi = amps.reshape(*amps.shape[:-1], *[2] * n)  # qubit q is axis q - n
         c, t = gate.qubits
-        idx = [slice(None)] * n
-        idx[c] = 1
-        sub = psi[tuple(idx)]
-        # after fixing the control axis, the target axis shifts down by one if it came later
-        psi[tuple(idx)] = np.flip(sub, axis=t if t < c else t - 1)
+        on = (..., 1) + (slice(None),) * (n - 1 - c)  # the control set
+        # with the control axis fixed, the target's axis from the end moves up by one if it came before
+        psi[on] = np.flip(psi[on], axis=t - n + (t < c))
     return amps
 
 
-def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply all gates in order, starting from |0...0> unless an initial state is given."""
-    if initial is not None and initial.n != circuit.n:
-        raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
+def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
+    """Apply the circuit's gates in order to `amps`, (2^n,) or (B, 2^n) and left overwritten,
+    or else to |0...0>: as one (2^n,) state for a circuit of one row, or in each of its rows."""
     gates = circuit.gates
-    if initial is None and gates and gates[0].name in _ROTATIONS and not gates[0].qubits:
-        amps = layer_states(gates[0].name, [gates[0].angles])[0]
-        gates = gates[1:]
-    else:
-        amps = (StateVector.zero(circuit.n) if initial is None else initial).amplitudes.copy()
+    if amps is None:
+        if gates and gates[0].name in _ROTATIONS and not gates[0].qubits:
+            amps = layer_states(gates[0].name, gates[0].angles)
+            gates = gates[1:]
+        else:
+            amps = StateVector.zero(circuit.n).amplitudes[None]
+        if circuit.rows == 1:
+            amps = amps[0]
+        elif len(amps) == 1:
+            amps = np.repeat(amps, circuit.rows, axis=0)
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
         amps = _apply_gate(amps, gate, circuit.n)
-    return checked_state(circuit.n, amps)
+    return amps
+
+
+def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
+    """Apply all gates of a one-row circuit in order, starting from |0...0> unless an initial state is given."""
+    if circuit.rows != 1:
+        raise ValueError(f"a circuit of {circuit.rows} rows runs on a stack (run_stack)")
+    if initial is not None and initial.n != circuit.n:
+        raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
+    return checked_state(circuit.n, _run(circuit, None if initial is None else initial.amplitudes.copy()))
+
+
+def run_stack(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """(B, 2^n) amplitudes, not norm-checked: row r is the circuit's row r run on |0...0>,
+    or on row r of the (B, 2^n) `initial` stack, which is left as it is."""
+    if initial is not None:
+        initial = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
+        if initial.shape[1:] != (2**circuit.n,) or circuit.rows not in (1, len(initial)):
+            raise ValueError(f"stack of shape {initial.shape} for {circuit.rows} row(s) and n={circuit.n}")
+    return _run(circuit, initial).reshape(-1, 2**circuit.n)
 
 
 def probabilities(state: StateVector) -> np.ndarray:

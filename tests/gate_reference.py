@@ -2,7 +2,7 @@
 
 Every problem gives a diagonal Hamiltonian, so the package applies a CZ
 entangler block as one +-1 `diag` and the QAOA cost step exp(-i gamma * cost)
-as one angled `diag`.  These helpers build the gate-by-gate forms from the
+as one complex `diag`.  These helpers build the gate-by-gate forms from the
 gates the simulator keeps (`diag`, `cnot` and single-qubit `rx`), so tests can
 check the whole-register gates against them:
 

@@ -83,7 +83,7 @@ def test_criterion_04_cost_unitary_matches_exact_phases():
         gamma = float(rng.uniform(-np.pi, np.pi))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        cost_step = qaoa_layer(ising.ranking, n, beta=0.0, gamma=gamma)[0]
+        cost_step = qaoa_layer([ising.ranking], n, betas=[0.0], gammas=[gamma])[0]
         assert cost_step.name == "diag"
         got = run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes
         exact = amps * np.exp(-1j * gamma * spin_cost(ising))

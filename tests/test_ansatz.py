@@ -13,10 +13,11 @@ from cvarqopt.ansatz import (
     entangler_pairs,
     entangler_signs,
     evolve_states,
+    qaoa_layer,
     trial_state,
 )
-from cvarqopt.hamiltonian import IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, diag, h, layer, probabilities, run_circuit, ry
+from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
+from cvarqopt.statevector import Circuit, StateVector, diag, h, layer, probabilities, run_circuit, run_stack, ry
 from gate_reference import cost_layer_gates, cz, rx, spin_cost
 
 
@@ -74,7 +75,7 @@ def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
             theta = rng.uniform(-np.pi, np.pi, 2 * p)
             gates = [h(q) for q in range(n)]
             for beta, gamma in zip(theta[:p], theta[p:]):
-                gates += [diag(values, gamma, ranks), *(rx(q, 2.0 * beta) for q in range(n))]
+                gates += [diag(np.exp(-1j * gamma * values)[ranks]), *(rx(q, 2.0 * beta) for q in range(n))]
             want = run_circuit(Circuit(n, gates)).amplitudes
             got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
             assert np.array_equal(got, want), (n, p)
@@ -270,3 +271,30 @@ def test_stacked_rows_equal_the_built_circuit_bit_for_bit(family, n, p, entangle
         want = run_circuit(build_circuit(spec, theta)).amplitudes
         assert row.dtype == want.dtype
         assert np.array_equal(row, want)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.one_of(  # with ties (few distinct values) or all distinct
+            st.lists(st.integers(-3, 3).map(float), min_size=2**n, max_size=2**n),
+            st.lists(st.floats(-50, 50), min_size=2**n, max_size=2**n, unique=True),
+        ), min_size=1, max_size=4),
+    )),
+    st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gammas, seed):
+    """`qaoa_layer`'s cost diag, gathered from one exp per distinct value, holds row r's
+    exp(-1j * gammas[r] * table) bit for bit, and one row is a plain vector."""
+    n, tables = case
+    tables, gammas = np.array(tables), gammas[: len(tables)]
+    cost_step, mixer = qaoa_layer([DiagonalHamiltonian(n, t).ranking for t in tables], n, [0.3] * len(tables), gammas)
+    want = np.array([np.exp(-1j * gamma * t) for gamma, t in zip(gammas, tables)])
+    assert np.array_equal(cost_step.diagonal, want if len(tables) > 1 else want[0])
+    assert cost_step.rows == mixer.rows == len(tables)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(len(tables), 2**n)) + 1j * rng.normal(size=(len(tables), 2**n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    assert np.array_equal(run_stack(Circuit(n, [cost_step]), amps), amps * want)

@@ -80,6 +80,21 @@ def test_generate_accepts_class_params(runner, tmp_path):
     assert doc["params"]["edges"] == [[0, 1], [1, 2], [0, 2]]
 
 
+@pytest.mark.parametrize("params,message", [
+    (["edges=[[0,5]]"], "two distinct integer vertices in [0, 3), got [0, 5]"),
+    (["edges=[[-1,0]]"], "got [-1, 0]"),
+    (["edges=[[0,1],[1,2]]", "weights=[1]"], "one weight per edge, got 1 for 2 edges"),
+    (["weights=[1,2]"], "weights go with edges"),
+], ids=["out-of-range", "negative", "short-weights", "weights-alone"])
+def test_generate_malformed_maxcut_edges_are_a_usage_error(runner, tmp_path, params, message):
+    out = tmp_path / "inst.json"
+    args = ["generate", "--problem", "maxcut", "--n", "3", "-o", str(out)]
+    result = runner.invoke(main, args + [a for p in params for a in ("--param", p)])
+    assert result.exit_code == 2, result.output
+    assert "Error: " in result.output and message in result.output and not out.exists()
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_generate_param_that_is_not_json_is_a_usage_error(runner, tmp_path):
     out = tmp_path / "inst.json"
     result = runner.invoke(main, ["generate", "--problem", "maxcut", "--n", "4",

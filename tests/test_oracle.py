@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarqopt import fixtures
 from cvarqopt.flatness import needle_hamiltonian
-from cvarqopt.hamiltonian import DiagonalHamiltonian, evaluate_bitstring
+from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, evaluate_bitstring, ising_to_hamiltonian
 from cvarqopt.oracle import enumerate_hamiltonian, exact_cvar_landscape, ground_value
 from cvarqopt.statevector import run_circuit
 
@@ -105,3 +107,33 @@ def test_landscape_rejects_non_state_callable():
         exact_cvar_landscape(
             lambda t: np.zeros(4), fixtures.two_qubit_hamiltonian(), 0.5, [0.0]
         )
+
+
+def table_ground_truth(ham):
+    """The ground truth scanned off the rebuilt 2^n table, with its own ranking."""
+    table = ham.table
+    values, counts = np.unique(table, return_counts=True)
+    return (float(table.min()), tuple(int(j) for j in np.flatnonzero(table == table.min())),
+            list(zip(values.tolist(), counts.tolist())))
+
+
+@st.composite
+def hamiltonians(draw):
+    """A table with ties, or an Ising model whose offset may round distinct energies into one value."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return DiagonalHamiltonian(n, draw(st.lists(st.integers(-3, 3).map(float), min_size=2**n, max_size=2**n)))
+    c = draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n))
+    Q = np.triu(np.array(draw(st.lists(st.integers(-2, 2).map(float), min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+    offset = draw(st.sampled_from([0.0, -1.5, 2.0**52, 2.0**53, 3e16]))  # ulps of 1, 2 and 4 merge energies
+    return ising_to_hamiltonian(IsingModel(n, c, Q, offset))
+
+
+@settings(deadline=None, max_examples=150)
+@given(hamiltonians())
+def test_ground_truth_read_off_the_ranking_equals_the_table_scan(ham):
+    min_value, minimizers, histogram = table_ground_truth(ham)
+    truth = enumerate_hamiltonian(ham)
+    assert truth.min_value == min_value == ground_value(ham)
+    assert truth.minimizers == minimizers
+    assert list(truth.histogram.items()) == histogram

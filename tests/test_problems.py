@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -180,12 +181,29 @@ ACCEPTED = {
 def test_every_generator_takes_the_keys_it_reads(problem):
     n, params = ACCEPTED[problem]
     assert set(params) == set(PARAM_KEYS[problem])
-    default = generate(InstanceSpec(problem, n, seed=2))
     for key, value in params.items():
-        qubo = generate(InstanceSpec(problem, n, 2, {key: value}))
-        changed = not (np.array_equal(qubo.b, default.b) and np.array_equal(qubo.A, default.A))
-        assert changed or key == "weights", key  # weights go with edges only
+        base = {"edges": params["edges"]} if key == "weights" else {}  # weights go with edges only
+        default = generate(InstanceSpec(problem, n, 2, base))
+        qubo = generate(InstanceSpec(problem, n, 2, {**base, key: value}))
+        assert not (np.array_equal(qubo.b, default.b) and np.array_equal(qubo.A, default.A)), key
     assert generate(InstanceSpec(problem, n, 2, params)).n == n
+
+
+@pytest.mark.parametrize("edge", [[0, 5], [-1, 0], [1, 1], [0, 1.0], [0, True], [0, 1, 2], 0],
+                         ids=["out-of-range", "negative", "loop", "float", "bool", "three-ends", "not-a-pair"])
+def test_maxcut_rejects_an_edge_that_is_not_two_distinct_vertices(edge):
+    with pytest.raises(ValueError, match=re.escape(f"two distinct integer vertices in [0, 3), got {edge!r}")):
+        generate(InstanceSpec("maxcut", 3, 0, {"edges": [[0, 1], edge]}))
+
+
+@pytest.mark.parametrize("params,match", [
+    ({"edges": [[0, 1], [1, 2]], "weights": [1]}, "one weight per edge, got 1 for 2 edges"),
+    ({"edges": [[0, 1]], "weights": [1, 2]}, "one weight per edge, got 2 for 1 edges"),
+    ({"weights": [1, 2, 3]}, "weights go with edges"),
+], ids=["short", "long", "without-edges"])
+def test_maxcut_rejects_weights_that_do_not_match_the_edges(params, match):
+    with pytest.raises(ValueError, match=match):
+        generate(InstanceSpec("maxcut", 3, 0, params))
 
 
 @pytest.mark.parametrize("problem", PROBLEM_NAMES)

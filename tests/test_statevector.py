@@ -21,8 +21,8 @@ from cvarqopt.statevector import (
     layer,
     layer_states,
     probabilities,
-    rotate_states,
     run_circuit,
+    run_stack,
     ry,
 )
 from gate_reference import apply_matrix, bit, cz, product_states, rotate_per_qubit, rx, rz
@@ -158,13 +158,8 @@ def test_wrong_length_diag_is_rejected(n, length):
 def test_diag_gate_applies_vector_or_phases(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = StateVector(3, amps / np.linalg.norm(amps))
-    d = rng.uniform(-2.0, 2.0, 8)
-    values, ranks = np.unique(d, return_inverse=True)
-    np.testing.assert_allclose(
-        run_circuit(Circuit(3, [diag(values, 0.7, ranks)]), state).amplitudes,
-        state.amplitudes * np.exp(-0.7j * d),
-        atol=1e-15,
-    )
+    phases = np.exp(-0.7j * rng.uniform(-2.0, 2.0, 8))
+    assert np.array_equal(run_circuit(Circuit(3, [diag(phases)]), state).amplitudes, state.amplitudes * phases)
     signs = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
     assert np.array_equal(run_circuit(Circuit(3, [diag(signs)]), state).amplitudes, state.amplitudes * signs)
 
@@ -175,7 +170,7 @@ def test_diag_gate_keeps_a_read_only_copy():
     d[0] = -1.0  # the caller's array stays its own
     assert gate.diagonal[0] == 1.0 and not gate.diagonal.flags.writeable
     with pytest.raises(InvalidGateError):
-        diag(np.ones((2, 2)))
+        diag(np.ones((2, 2, 2)))  # a vector, or one row per state of a stack
 
 
 def per_qubit(name, angles):
@@ -227,13 +222,14 @@ def layers_and_states(draw):
 @settings(deadline=None, max_examples=150)
 @given(layers_and_states())
 def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
-    """A layer, on one state or a stack, its single-qubit gates, and its product state
-    from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`, so signed zeros count)."""
+    """A layer, on one state or a stack (one row of angles per state), its single-qubit gates,
+    and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
+    so signed zeros count)."""
     name, angles, amps = case
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
-    assert rotate_states(amps.copy(), name, angles).tobytes() == want.tobytes()
     n = len(angles[0])
+    assert run_stack(Circuit(n, [layer(name, angles)]), amps).tobytes() == want.tobytes()
     for row, row_angles, start in zip(want, angles, amps):
         for gates in ([layer(name, row_angles)], per_qubit(name, row_angles)):
             assert run_circuit(Circuit(n, gates), StateVector(n, start)).amplitudes.tobytes() == row.tobytes()
@@ -276,7 +272,7 @@ def test_wrong_size_layer_is_rejected(n, size):
 
 
 def test_rotation_gates_check_their_qubits_and_angles():
-    assert layer("ry", np.array([0.1, 0.2])).angles == (0.1, 0.2) and ry(2, 1).angles == (1.0,)
+    assert layer("ry", np.array([0.1, 0.2])).angles == ((0.1, 0.2),) and ry(2, 1).angles == (1.0,)
     for qubits, angles in [((0,), ()), ((), ()), ((0, 1), (0.1, 0.2)), ((0,), (0.1, 0.2))]:
         with pytest.raises(InvalidGateError):
             Gate("ry", qubits, angles)
@@ -291,7 +287,7 @@ def test_rotation_gates_check_their_qubits_and_angles():
         with pytest.raises(InvalidGateError, match="unknown gate"):
             Gate(name, (0,), (0.1,))
     with pytest.raises(InvalidGateError):
-        Gate("diag", (), (0.1, 0.2), np.ones(4), np.zeros(4, dtype=int))  # one angle, not two
+        Gate("diag", (), (0.1,), np.ones(4))  # a diag takes no angle
 
 
 def test_package_keeps_only_the_gate_kinds_it_runs():
@@ -314,39 +310,60 @@ def test_gates_compare_by_identity():
     assert gate == gate and gate != ry(0, 0.5)
 
 
-@settings(deadline=None)
-@given(
-    st.integers(1, 8).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.one_of(  # with ties (few distinct values) or all distinct
-            st.lists(st.integers(-3, 3).map(float), min_size=2**n, max_size=2**n),
-            st.lists(st.floats(-50, 50), min_size=2**n, max_size=2**n, unique=True),
-        ),
-    )),
-    st.floats(-10, 10),
-    st.integers(0, 2**32 - 1),
-)
-def test_ranked_diag_equals_full_length_phases_bit_for_bit(case, gamma, seed):
-    n, d = case
-    d = np.array(d)
+def test_circuit_rejects_rows_that_disagree():
+    """A gate holds one row, which every state of a stack takes, or one row per state."""
+    stacked = layer("ry", [[0.1, 0.2], [0.3, 0.4]])
+    assert stacked.rows == 2 and Circuit(2, [stacked, diag(np.ones(4)), layer("rx", [0.5, 0.6])]).rows == 2
+    assert layer("ry", [[0.1, 0.2]]).angles == ((0.1, 0.2),) and diag(np.ones((1, 4))).diagonal.shape == (4,)
+    with pytest.raises(InvalidGateError, match="rows"):
+        Circuit(2, [stacked, diag(np.ones((3, 4)))])
+    with pytest.raises(InvalidGateError, match="width 3"):
+        Circuit(2, [diag(np.ones((2, 3)))])
+    with pytest.raises(InvalidGateError, match=r"rows of \[2, 1\] angles do not fit n=2"):
+        Circuit(2, [layer("ry", [[0.1, 0.2], [0.3]])])  # a short row
+    with pytest.raises(InvalidGateError):
+        Gate("ry", (0,), ((0.1,), (0.2,)))  # a single-qubit gate holds one row
+    with pytest.raises(InvalidGateError):
+        layer("h", [[None, None], [None, 0.1]])
+    with pytest.raises(ValueError, match="run_stack"):
+        run_circuit(Circuit(2, [stacked]))
+    with pytest.raises(ValueError):
+        run_stack(Circuit(2, [stacked]), np.eye(4)[:3])  # three states for two rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stack_rows_equal_their_own_circuits_byte_for_byte(n, rows, seed):
+    """Row r of a stacked circuit, run on a stack, is its own one-row circuit run on row r."""
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    amps /= np.linalg.norm(amps)
-    values, ranks = np.unique(d, return_inverse=True)
-    got = run_circuit(Circuit(n, [diag(values, gamma, ranks)]), StateVector(n, amps)).amplitudes
-    assert np.array_equal(got, amps * np.exp(-1j * gamma * d))
-
-
-def test_angled_diag_needs_ranks_that_fit():
-    with pytest.raises(InvalidGateError):
-        diag(np.ones(4), 0.3)  # an angle needs per-state ranks
-    with pytest.raises(InvalidGateError):
-        diag(np.ones(4), None, np.zeros(4, dtype=int))
-    with pytest.raises(InvalidGateError):
-        diag(np.ones(2), 0.3, np.zeros(4))  # float ranks
-    with pytest.raises(InvalidGateError):
-        Circuit(3, [diag(np.ones(2), 0.3, np.zeros(4, dtype=int))])
-    assert Circuit(2, [diag(np.ones(2), 0.3, np.zeros(4, dtype=np.uint8))]).n == 2
+    stacked, per_row = [], [[] for _ in range(rows)]
+    for _ in range(8):
+        kind, q = int(rng.integers(5)), int(rng.integers(n))
+        if kind == 0:
+            d = np.exp(1j * rng.uniform(-7, 7, (rows, 2**n)))
+            gates = [diag(d)] + [diag(row) for row in d]
+        elif kind == 1:
+            name = str(rng.choice(["h", "ry", "rx"]))
+            angles = [[None] * n if name == "h" else rng.uniform(-7, 7, n).tolist() for _ in range(rows)]
+            gates = [layer(name, angles)] + [layer(name, row) for row in angles]
+        elif kind == 2:
+            gates = [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8))] * (rows + 1)
+        elif kind == 3:
+            gates = [ry(q, rng.uniform(-7, 7))] * (rows + 1)
+        else:
+            gates = [cnot(q, (q + 1) % n)] * (rows + 1) if n > 1 else [h(q)] * (rows + 1)
+        stacked.append(gates[0])
+        for row, gate in zip(per_row, gates[1:]):
+            row.append(gate)
+    start = rng.normal(size=(rows, 2**n))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+    circuit = Circuit(n, stacked)
+    for initial in (None, start):
+        got = run_stack(circuit, initial)
+        assert got.shape == (rows if initial is not None or circuit.rows > 1 else 1, 2**n)  # |0...0> is one state
+        for r, gates in enumerate(per_row):
+            want = run_circuit(Circuit(n, gates), None if initial is None else StateVector(n, start[r]))
+            assert got[min(r, len(got) - 1)].tobytes() == want.amplitudes.tobytes()
 
 
 def test_real_amplitudes_stay_float64_and_others_turn_complex():
@@ -362,7 +379,7 @@ def test_real_gates_keep_a_real_state_real(rng):
     assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cnot(0, 1)])
     assert not diag(np.array([1, -1], dtype=np.int8)).is_complex
     assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), diag(np.ones(2) + 0j)])
-    assert diag(np.ones(2), 0.3, np.zeros(2, dtype=int)).is_complex
+    assert diag(np.ones((2, 2)) + 0j).is_complex and not layer("ry", [[0.1], [0.2]]).is_complex
     amps = rng.normal(size=8)
     gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2), cnot(2, 1)]
     out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))
@@ -379,12 +396,12 @@ def test_ry_then_rx_layer_promotes_exactly(rng):
         assert got.dtype == complex and np.array_equal(got, want), n
 
 
-def test_sign_diag_then_angled_diag_promotes_exactly(rng):
+def test_sign_diag_then_complex_diag_promotes_exactly(rng):
     n = 5
     amps = rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    values, ranks = np.unique(rng.integers(-4, 5, 2**n).astype(float), return_inverse=True)
-    circuit = Circuit(n, [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8)), diag(values, 0.9, ranks)])
+    phases = np.exp(-0.9j * rng.integers(-4, 5, 2**n))
+    circuit = Circuit(n, [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8)), diag(phases)])
     got = run_circuit(circuit, StateVector(n, amps)).amplitudes
     want = run_circuit(circuit, StateVector(n, amps.astype(complex))).amplitudes
     assert got.dtype == complex and np.array_equal(got, want)
