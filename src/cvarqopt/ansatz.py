@@ -78,7 +78,6 @@ def entangler_pairs(n: int, entanglement: str) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-@cache  # one entry per (n, entanglement): at most 2^n bytes each
 def entangler_signs(n: int, entanglement: str) -> np.ndarray:
     """Read-only +-1 diagonal of one CZ entangler block, as int8."""
     idx = np.arange(2**n, dtype=np.uint32)
@@ -90,6 +89,16 @@ def entangler_signs(n: int, entanglement: str) -> np.ndarray:
     return signs
 
 
+@cache  # one entry per (n, entanglement): at most 2^n bytes each
+def _entangler(n: int, entanglement: str) -> Gate:
+    return diag(entangler_signs(n, entanglement))
+
+
+@cache
+def _hadamards(n: int) -> Gate:
+    return layer("h", [None] * n)
+
+
 def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: list[float]) -> list[Gate]:
     """One alternation for each state r of a stack (one row applies to every state): the cost step
     exp(-i gammas[r] * costs[r]) as a complex `diag`, its phases gathered from one exp per distinct
@@ -97,7 +106,7 @@ def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: li
     rows = []
     for cost, gamma in zip(costs, gammas):
         step = np.multiply(cost.values, -1j * float(gamma))
-        rows.append(np.exp(step, out=step)[cost.inverse])  # in place: a ranking can hold 2^n values
+        rows.append(np.exp(step, out=step).take(cost.inverse))  # in place: a ranking can hold 2^n values
     phases = rows[0] if len(rows) == 1 else np.stack(rows)
     phases.flags.writeable = False  # a fresh array: the gate need not copy it
     return [diag(phases), layer("rx", [[2.0 * beta] * n for beta in betas])]
@@ -110,12 +119,12 @@ def _build(specs: list[AnsatzSpec], thetas) -> Circuit:
     n, p = spec.n, spec.p
     angles = [_check_params(s, t).tolist() for s, t in zip(specs, thetas)]
     if spec.family == "vqe":
-        signs = diag(entangler_signs(n, spec.entanglement))
+        signs = _entangler(n, spec.entanglement)
         gates: list[Gate] = [layer("ry", [a[:n] for a in angles])]
         for k in range(1, p + 1):
             gates += [signs, layer("ry", [a[k * n : (k + 1) * n] for a in angles])]
     else:
-        gates = [layer("h", [None] * n)]
+        gates = [_hadamards(n)]
         costs = [s.ising.ranking for s in specs]
         for k in range(p):
             gates += qaoa_layer(costs, n, [a[k] for a in angles], [a[p + k] for a in angles])

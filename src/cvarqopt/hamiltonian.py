@@ -169,6 +169,8 @@ def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
     check_qubits(m.n)
     values, inverse, ground = m.ranking
     shifted, merged = np.unique(m.offset + values, return_inverse=True)
+    if not np.isfinite(shifted).all():
+        raise ValueError("diagonal entries must be finite")
     if shifted.size == values.size:  # no two values merged: the ranks carry over unchanged
         shifted.flags.writeable = False
         ranking = ValueRanking(shifted, inverse, ground)

@@ -53,7 +53,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import Circuit, StateVector, checked_state, run_circuit
+from .statevector import Circuit, StateVector, checked_state, probabilities, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -86,12 +86,13 @@ def make_scorer(
     table = ham.table if mode == "sampled" else None  # each shot's value in one gather
 
     def score(state: StateVector):
-        overlap = overlap_with_optimum(state, ham)
+        probs = probabilities(state)  # one array serves every call below
+        overlap = overlap_with_optimum(state, ham, _probs=probs)
         if mode == "exact":
-            value = cvar_exact(outcome_distribution(state, ham), alpha)
-            bitstring, bit_value = best_support_bitstring(state, ham)
+            value = cvar_exact(outcome_distribution(state, ham, _probs=probs), alpha)
+            bitstring, bit_value = best_support_bitstring(state, ham, _probs=probs)
         else:
-            indices, values = sample_outcomes(state, ham, shots, sample_rng, _table=table)
+            indices, values = sample_outcomes(state, ham, shots, sample_rng, _table=table, _probs=probs)
             value = cvar_from_samples(values, alpha)
             k = int(np.argmin(values))
             bitstring, bit_value = int(indices[k]), float(values[k])

@@ -30,6 +30,11 @@ PRNG_NAME = "numpy.random.PCG64"
 SUPPORT_EPS = 1e-12
 
 
+def _check_probs(probs: np.ndarray) -> None:
+    if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-10):  # NaN fails both
+        raise ValueError("probs must be finite, nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     values: np.ndarray  # strictly increasing distinct objective values
@@ -40,12 +45,21 @@ class OutcomeDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be matching nonempty 1-D arrays")
-        if np.any(np.diff(values) <= 0):
-            raise ValueError("values must be strictly increasing")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("probs must be nonnegative and sum to 1")
+        if not (np.isfinite(values).all() and (np.diff(values) > 0).all()):
+            raise ValueError("values must be finite and strictly increasing")
+        _check_probs(probs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _ranked(cls, values: np.ndarray, probs: np.ndarray) -> "OutcomeDistribution":
+        """The distribution on `values`, taken in order from a Hamiltonian's ranking, which holds
+        finite, strictly increasing values by construction: only the probabilities are checked."""
+        _check_probs(probs)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "values", values)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     def mean(self) -> float:
         return float(self.values @ self.probs)
@@ -72,22 +86,24 @@ def _check_sizes(state: StateVector, ham: DiagonalHamiltonian) -> None:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
 
 
-def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
-    """Distribution of objective values induced by measuring the trial state."""
+def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> OutcomeDistribution:
+    """Distribution of objective values induced by measuring the trial state (whose
+    `probabilities` a caller that has them passes as `_probs`)."""
     _check_sizes(state, ham)
     values, inverse = ham.ranking.values, ham.ranking.inverse
-    merged = np.bincount(inverse, weights=probabilities(state), minlength=values.size)
+    probs = probabilities(state) if _probs is None else _probs
+    merged = np.bincount(inverse, weights=probs, minlength=values.size)
     keep = merged > 0.0  # outcomes outside the support are not part of the distribution
-    return OutcomeDistribution(values[keep], merged[keep])
+    return OutcomeDistribution._ranked(values[keep], merged[keep])
 
 
 def cvar_exact(dist: OutcomeDistribution, alpha: float) -> float:
     """Mean of the lower alpha-tail, with the boundary value taken fractionally."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    cum = np.cumsum(dist.probs)
-    prev = cum - dist.probs
-    take = np.clip(alpha - prev, 0.0, dist.probs)
+    probs = dist.probs
+    cum = np.cumsum(probs)
+    take = np.minimum(np.maximum(alpha - (cum - probs), 0.0), probs)
     # nothing past the boundary outcome: cum - probs can round to just below alpha there
     take[np.searchsorted(cum, alpha) + 1 :] = 0.0
     return float((dist.values @ take) / alpha)
@@ -125,7 +141,7 @@ def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_outcomes(
-    state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator, *, _table=None
+    state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator, *, _table=None, _probs=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw basis-index samples by inverse CDF; returns (indices, objective values).
 
@@ -133,10 +149,11 @@ def sample_outcomes(
     each shot's index comes from a bucket table (`inverse_cdf_indices`), with
     a binary search only for shots in a bucket that holds a CDF step; every
     index equals a per-shot binary search of the CDF.  Each shot's value is
-    read from `ham.table`; a caller that draws often builds it once as `_table`.
+    read from `ham.table`; a caller that draws often builds it once as `_table`, and
+    passes the state's `probabilities` as `_probs` when it has them.
     """
     _check_sizes(state, ham)
-    cum = np.cumsum(probabilities(state))
+    cum = np.cumsum(probabilities(state) if _probs is None else _probs)
     if not (np.isfinite(cum[-1]) and cum[-1] > 0):  # a NaN, infinite or zero state has no CDF
         raise ValueError("state probabilities must be finite with a positive total")
     cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
@@ -164,13 +181,15 @@ def cvar_sampled(state: StateVector, ham: DiagonalHamiltonian, cfg: CvarConfig) 
     return cvar_from_samples(values, cfg.alpha)
 
 
-def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian) -> float:
+def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> float:
     """Total probability mass on minimum-value basis states (all degenerate minima count)."""
     _check_sizes(state, ham)
-    return float((np.abs(state.amplitudes[ham.ranking.ground]) ** 2).sum())
+    ground = ham.ranking.ground
+    mass = np.abs(state.amplitudes[ground]) ** 2 if _probs is None else _probs[ground]
+    return float(mass.sum())
 
 
-def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tuple[int, float]:
+def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> tuple[int, float]:
     """Lowest-value basis state carrying nonnegligible probability, with its value.
 
     Among states of equal value the lowest index wins.  The ground states are
@@ -178,10 +197,11 @@ def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tupl
     """
     _check_sizes(state, ham)
     values, inverse, ground = ham.ranking
-    on_ground = np.abs(state.amplitudes[ground]) ** 2 > SUPPORT_EPS
+    mass = np.abs(state.amplitudes[ground]) ** 2 if _probs is None else _probs[ground]
+    on_ground = mass > SUPPORT_EPS
     if on_ground.any():
         j = int(ground[np.argmax(on_ground)])
     else:
-        candidates = np.flatnonzero(probabilities(state) > SUPPORT_EPS)
+        candidates = np.flatnonzero((probabilities(state) if _probs is None else _probs) > SUPPORT_EPS)
         j = int(candidates[np.argmin(inverse[candidates])])
     return j, float(values[inverse[j]])

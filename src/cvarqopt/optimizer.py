@@ -37,6 +37,8 @@ class OptimizerConfig:
         if x0.ndim != 1 or x0.size == 0:
             raise ValueError("initial_point must be a nonempty 1-D array")
         object.__setattr__(self, "initial_point", x0)
+        if not np.isfinite(x0).all():
+            raise ValueError(f"initial_point must be finite, got {x0.tolist()}")
         if self.max_evaluations < x0.size + 2:
             raise ValueError(
                 f"max_evaluations must be >= dimension + 2 = {x0.size + 2}, "
@@ -99,6 +101,16 @@ def _lower_rho(rho: float, final: float) -> float:
     return math.sqrt(ratio) * final
 
 
+def _norm(v: np.ndarray) -> float:
+    """`np.linalg.norm` of a 1-D float array, computed as it computes it."""
+    return math.sqrt(v.dot(v))
+
+
+def _edges(disp: np.ndarray) -> np.ndarray:
+    """Squared length of each column of `disp`."""
+    return (disp * disp).sum(axis=0)
+
+
 def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
     """Unconstrained COBYLA as one generator: it yields points, receives the
     objective value at each and returns why it stopped, "converged" (the trust
@@ -115,7 +127,8 @@ def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
     """
     n = x0.size
     pole = x0.copy()
-    disp = np.eye(n) * rhobeg
+    eye = np.eye(n)
+    disp = eye * rhobeg
     fval = np.zeros(n + 1)
     fval[n] = yield pole.copy()
     for j in range(n):
@@ -123,20 +136,20 @@ def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
         x[j] += rhobeg
         fval[j] = yield x
         if fval[j] < fval[n]:
-            fval[[j, n]] = fval[[n, j]]
+            fval[j], fval[n] = fval[n], fval[j]
             pole = x
             disp[j, : j + 1] = -rhobeg
     simi = np.linalg.inv(disp)
 
     rho = delta = rhobeg
     while True:
-        adequate = bool(np.sum(disp**2, axis=0).max() <= 4 * delta**2 * _ROUNDING)
+        adequate = bool(_edges(disp).max() <= 4 * delta**2 * _ROUNDING)
         g = (fval[:n] - fval[n]) @ simi
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm > 0:
             # trust-region step: the linear model's minimum on the ball
             d = -delta * (g / gnorm)
-            dnorm = min(delta, float(np.linalg.norm(d)))
+            dnorm = min(delta, _norm(d))
             predicted = -float(d @ g)
             f = yield pole + d
             actual = fval[n] - f
@@ -151,7 +164,7 @@ def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
                 delta = rho
             jdrop = _drop_index(disp, simi, actual > 0, d, delta, rho)
             if jdrop is not None:
-                simi = _replace(pole, disp, fval, jdrop, d, f)
+                simi = _replace(pole, disp, fval, jdrop, d, f, eye)
                 if simi is None:
                     return "degenerate"
                 if ratio > 0:
@@ -164,16 +177,16 @@ def _cobyla(x0: np.ndarray, rhobeg: float, rhoend: float):
                 delta = rho
 
         if not adequate:
-            edges = np.sum(disp**2, axis=0)
-            j = int(np.argmax(edges >= edges.max() / _ROUNDING))
+            edges = _edges(disp)
+            j = int((edges >= edges.max() / _ROUNDING).argmax())
             if edges[j] > 4 * delta**2 * _ROUNDING:
                 # geometry step: replace the farthest vertex by a point
                 # off its opposite face, on the model's downhill side
-                d = simi[j] * (0.5 * delta / np.linalg.norm(simi[j]))
+                d = simi[j] * (0.5 * delta / _norm(simi[j]))
                 if d @ ((fval[:n] - fval[n]) @ simi) > 0:
                     d = -d
                 f = yield pole + d
-                simi = _replace(pole, disp, fval, j, d, f)
+                simi = _replace(pole, disp, fval, j, d, f, eye)
                 if simi is None:
                     return "degenerate"
         elif max(delta, dnorm) <= rho:
@@ -187,23 +200,26 @@ def _drop_index(disp, simi, improved: bool, d: np.ndarray, delta: float, rho: fl
     """Vertex to give up for the trust-region point pole+d (index n is the
     pole itself), or None if keeping the simplex is better."""
     n = d.size
-    if improved:
-        dist = np.append(np.sum((disp - d[:, None]) ** 2, axis=0), d @ d)
-    else:
-        dist = np.append(np.sum(disp**2, axis=0), 0.0)
+    dist = np.empty(n + 1)
+    dist[:n] = _edges(disp - d[:, None] if improved else disp)
+    dist[n] = d @ d if improved else 0.0
     weight = np.maximum(1.0, dist / max(rho, 0.1 * delta) ** 2)
     simid = simi @ d
-    score = weight * np.abs(np.append(simid, 1.0 - simid.sum()))
+    score = np.empty(n + 1)
+    score[:n] = simid
+    score[n] = 1.0 - simid.sum()
+    score = weight * np.abs(score)
     if not improved:
         score[n] = -1.0
-    if np.any(score > 0):
-        return int(np.argmax(score))
-    return int(np.argmax(dist)) if improved else None
+    if (score > 0).any():
+        return int(score.argmax())
+    return int(dist.argmax()) if improved else None
 
 
-def _replace(pole, disp, fval, j: int, d: np.ndarray, f: float) -> np.ndarray | None:
+def _replace(pole, disp, fval, j: int, d: np.ndarray, f: float, eye: np.ndarray) -> np.ndarray | None:
     """Swap vertex j for pole+d, valued f, then make the best vertex the pole, all in
-    place.  The new inverse of `disp`, or None if the new simplex is numerically degenerate."""
+    place.  The new inverse of `disp`, or None if the new simplex is numerically degenerate
+    (`eye` is the identity of its size)."""
     n = d.size
     if j == n:
         pole += d
@@ -211,18 +227,18 @@ def _replace(pole, disp, fval, j: int, d: np.ndarray, f: float) -> np.ndarray | 
     else:
         disp[:, j] = d
     fval[j] = f
-    best = int(np.argmin(fval))
+    best = int(fval.argmin())
     if fval[best] < fval[n]:
         shift = disp[:, best].copy()
         pole += shift
         disp -= shift[:, None]
         disp[:, best] = -shift
-        fval[[best, n]] = fval[[n, best]]
+        fval[best], fval[n] = fval[n], fval[best]
     try:
         simi = np.linalg.inv(disp)
     except np.linalg.LinAlgError:
         return None
-    if not np.max(np.abs(simi @ disp - np.eye(n))) <= 1.0:
+    if not np.abs(simi @ disp - eye).max() <= 1.0:
         return None
     return simi
 
@@ -240,24 +256,15 @@ def run_steps(cfg: OptimizerConfig, observer: Callable[[EvalRecord], None] | Non
     trace = RunTrace(stop_reason="budget")
     method = _cobyla(cfg.initial_point, INITIAL_STEP, FINAL_STEP)
     theta = next(method)
-    while trace.n_evaluations < cfg.max_evaluations:
+    for index in range(1, cfg.max_evaluations + 1):
         theta = theta.copy()  # the record and f get a point the method does not hold
         out = yield theta
         value, extras = out if isinstance(out, tuple) else (out, {})
         value = float(value)
         if not math.isfinite(value):
-            raise ObjectiveValueError(
-                f"objective returned {value} at evaluation "
-                f"{trace.n_evaluations + 1}, theta={theta.tolist()}"
-            )
-        record = EvalRecord(
-            index=trace.n_evaluations + 1,
-            theta=theta,
-            value=value,
-            overlap=float(extras.get("overlap", math.nan)),
-            bitstring=extras.get("bitstring"),
-            bitstring_value=float(extras.get("bitstring_value", math.nan)),
-        )
+            raise ObjectiveValueError(f"objective returned {value} at evaluation {index}, theta={theta.tolist()}")
+        record = EvalRecord(index, theta, value, float(extras.get("overlap", math.nan)), extras.get("bitstring"),
+                            float(extras.get("bitstring_value", math.nan)))
         trace.records.append(record)
         if observer is not None:
             observer(record)

@@ -84,6 +84,36 @@ def _random_edges(n: int, density: float, rng: np.random.Generator) -> list[tupl
     return edges
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number(params: dict, key: str, default, low: float, high: float = math.inf, *, above: bool = False):
+    """params[key], else the default: a finite real number (not a bool) in [low, high], or in
+    (low, high] when `above`; a ValueError otherwise."""
+    value = params.get(key, default)
+    if not (_is_real(value) and (value > low if above else value >= low) and value <= high):
+        bounds = f"{'(' if above else '['}{low}, {high}{')' if high == math.inf else ']'}"
+        raise ValueError(f"{key} takes a number in {bounds}, got {value!r}")
+    return value
+
+
+def _count(params: dict, key: str, default: int, low: int, high: int | float = math.inf) -> int:
+    """params[key], else the default: a whole number (not a bool) in [low, high]; a ValueError otherwise."""
+    value = params.get(key, default)
+    if not (_is_real(value) and value == int(value) and low <= value <= high):
+        raise ValueError(f"{key} takes an integer in [{low}, {high}{')' if high == math.inf else ']'}, got {value!r}")
+    return int(value)
+
+
+def _numbers(key: str, value, size: int | None = None) -> list:
+    """A list of finite real numbers (of the given size); a ValueError otherwise."""
+    if not (isinstance(value, (list, tuple)) and all(map(_is_real, value))) or size not in (None, len(value)):
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(f"{key} takes a list{length} of finite numbers, got {value!r}")
+    return list(value)
+
+
 def _edge(n: int, edge) -> tuple[int, int]:
     """An edge given as two distinct integer vertices in [0, n); a ValueError otherwise."""
     ends = tuple(edge) if isinstance(edge, (list, tuple)) else ()
@@ -97,14 +127,16 @@ def _maxcut(n: int, seed: int, params: dict) -> QuboProblem:
     """Minimize -sum_{(i,j) in E} w_ij (x_i + x_j - 2 x_i x_j)."""
     rng = np.random.default_rng(seed)
     if "edges" in params:
+        if not isinstance(params["edges"], (list, tuple)):
+            raise ValueError(f"maxcut edges take a list of vertex pairs, got {params['edges']!r}")
         edges = [_edge(n, e) for e in params["edges"]]
-        weights = list(params.get("weights", [1.0] * len(edges)))
+        weights = _numbers("weights", params.get("weights", [1.0] * len(edges)))
         if len(weights) != len(edges):
             raise ValueError(f"maxcut takes one weight per edge, got {len(weights)} for {len(edges)} edges")
     elif "weights" in params:
         raise ValueError("maxcut weights go with edges: give edges too")
     else:
-        edges = _random_edges(n, params.get("edge_density", 0.5), rng)
+        edges = _random_edges(n, _number(params, "edge_density", 0.5, 0.0, 1.0), rng)
         weights = rng.integers(1, 11, size=len(edges)).tolist()
     b = np.zeros(n)
     A = np.zeros((n, n))
@@ -118,7 +150,7 @@ def _maxcut(n: int, seed: int, params: dict) -> QuboProblem:
 def _stable_set(n: int, seed: int, params: dict) -> QuboProblem:
     """Maximize |S| with penalty STABLE_SET_PENALTY per edge inside S."""
     rng = np.random.default_rng(seed)
-    edges = _random_edges(n, params.get("edge_density", 0.5), rng)
+    edges = _random_edges(n, _number(params, "edge_density", 0.5, 0.0, 1.0), rng)
     b = -np.ones(n)
     A = np.zeros((n, n))
     for i, j in edges:
@@ -129,9 +161,10 @@ def _stable_set(n: int, seed: int, params: dict) -> QuboProblem:
 def _partition(n: int, seed: int, params: dict) -> QuboProblem:
     """(sum_i a_i z_i)^2 over the two-set split encoded by x."""
     rng = np.random.default_rng(seed)
-    a = np.asarray(params.get("numbers", rng.integers(1, 11, size=n)), dtype=float)
-    if a.shape != (n,):
-        raise ValueError("numbers must have length n")
+    if "numbers" in params:
+        a = np.asarray(_numbers("numbers", params["numbers"], n), dtype=float)
+    else:
+        a = rng.integers(1, 11, size=n).astype(float)
     total = a.sum()
     return QuboProblem(n, b=-4.0 * total * a, A=4.0 * np.outer(a, a), const=total**2)
 
@@ -139,7 +172,7 @@ def _partition(n: int, seed: int, params: dict) -> QuboProblem:
 def _market_split(n: int, seed: int, params: dict) -> QuboProblem:
     """Minimize sum_i (M_i . x - d_i)^2 over ceil(n/5) rows."""
     rng = np.random.default_rng(seed)
-    m = int(params.get("constraints", math.ceil(n / 5)))
+    m = _count(params, "constraints", math.ceil(n / 5), 1)
     M = rng.integers(1, 10, size=(m, n)).astype(float)
     d = np.floor(M.sum(axis=1) / 2.0)
     return QuboProblem(n, b=-2.0 * M.T @ d, A=M.T @ M, const=float(d @ d))
@@ -196,7 +229,7 @@ def _add_pair_penalty(b: np.ndarray, A: np.ndarray, lit_a, lit_b) -> float:
 
 def _max3sat(n: int, seed: int, params: dict) -> QuboProblem:
     """QUBO value equals the number of unsatisfied clauses, exactly."""
-    clauses = max3sat_clauses(n, seed, params.get("clause_ratio", 4.0))
+    clauses = max3sat_clauses(n, seed, _number(params, "clause_ratio", 4.0, 0.0, above=True))
     b = np.zeros(n)
     A = np.zeros((n, n))
     const = 0.0
@@ -222,9 +255,9 @@ def _portfolio(n: int, seed: int, params: dict) -> QuboProblem:
     sigma = np.atleast_2d(np.cov(series, rowvar=False))  # np.cov of one column is 0-d
     fixture = PortfolioFixture(
         n=n,
-        risk_factor=params.get("risk_factor", 0.5),
-        budget=int(params.get("budget", n // 2)),
-        penalty=params.get("penalty", 12.0),
+        risk_factor=_number(params, "risk_factor", 0.5, 0.0),
+        budget=_count(params, "budget", n // 2, 0, n),
+        penalty=_number(params, "penalty", 12.0, 0.0),
         returns=mu,
         covariance=sigma,
     )

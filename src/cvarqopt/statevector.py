@@ -5,9 +5,21 @@ Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
 R_A(t) = exp(-i t A / 2) for A in {X, Y}.  Two gates act on every qubit:
 `diag` multiplies amplitude j by d[j]; `layer` is a rotation on every qubit,
-applied qubit 0 first in n two-buffer steps (`_rotate`) whose bytes equal one
-qubit at a time, and a run from |0...0> that opens with one starts from that
-layer's product state.
+applied qubit 0 first in n steps (`_rotate`) whose bytes equal one qubit at a
+time, and a run from |0...0> that opens with one starts from that layer's
+product state (for H, one cached read-only state per n).
+
+Each step reads the top qubit's halves v0, v1 and writes a*v0 + b*v1 and
+c*v0 + d*v1 to the even and odd slots of the other buffer.  Which form a step
+takes depends on the state's dtype:
+- ry on a float64 state, ((c, -s), (s, c)): s*state into a third buffer and
+  c*state in place, then even = c*v0 - s*v1 and odd = s*v0 + c*v1, four calls.
+  It is exact because fl((-s)*x) = -fl(s*x) and fl(x + (-y)) = fl(x - y) in
+  IEEE arithmetic, signed zeros included.
+- every other step, and every step on a complex state, takes the four
+  half-array products and two sums as written (six calls, two buffers).  On
+  complex numbers (-s)*v and -(s*v) can differ in the sign of a zero, and a
+  third buffer of complex amplitudes at n >= 14 no longer fits the cache.
 
 One interpreter runs a circuit on one state (`run_circuit`, a 1-D array) or
 on a stack of B states (`run_stack`, (B, 2^n)), with the same arithmetic on
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -171,21 +184,57 @@ def _mix(m, v0: np.ndarray, v1: np.ndarray, even: np.ndarray, odd: np.ndarray) -
     np.add(np.multiply(c, v0, out=v0), odd, out=odd)
 
 
-def _rotate(amps: np.ndarray, matrices) -> np.ndarray:
+def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
     """Apply matrices[q], entries Python scalars or (B, 1) per-state arrays, to qubit q of the
     (..., 2^n) amplitudes as the module describes a layer; returns the result, leaving `amps` overwritten."""
-    cur, nxt = amps, np.empty_like(amps)
     half = amps.shape[-1] // 2
+    sides = []  # per buffer: the whole of it, its halves (qubit q at 0, at 1) and its even and odd slots
+    for buf in (amps, np.empty_like(amps)):
+        slots = buf.reshape(*buf.shape[:-1], half, 2)
+        sides.append((buf, buf[..., :half], buf[..., half:], slots[..., 0], slots[..., 1]))
+    signed = name == "ry" and amps.dtype == np.float64
+    if signed:
+        spare = np.empty_like(amps)
+        spare_top, spare_bottom = spare[..., :half], spare[..., half:]
+    k = 0
     for m in matrices:
-        out = nxt.reshape(*nxt.shape[:-1], half, 2)
-        _mix(m, cur[..., :half], cur[..., half:], out[..., 0], out[..., 1])
-        cur, nxt = nxt, cur
-    return cur
+        cur, top, bottom, _, _ = sides[k]
+        _, _, _, even, odd = sides[1 - k]
+        if signed:  # ((c, -s), (s, c)): even = c*v0 - s*v1 and odd = s*v0 + c*v1
+            (c, _), (s, _) = m
+            np.multiply(s, cur, out=spare)
+            np.multiply(c, cur, out=cur)
+            np.subtract(top, spare_bottom, out=even)
+            np.add(spare_top, bottom, out=odd)
+        else:
+            _mix(m, top, bottom, even, odd)
+        k = 1 - k
+    return sides[k][0]
 
 
 def _stacked_entries(name: str, angles) -> np.ndarray:
     """`_entries(name, angles[r][q])` for every state r and qubit q, as a (B, n, 2, 2) array."""
     return np.array([[_entries(name, angle) for angle in row] for row in angles])
+
+
+def _product_state(name: str, row) -> np.ndarray:
+    """The (2^n,) state `layer(name, row)` makes of |0...0>, from Python-scalar entries:
+    each qubit's column-0 entries times the amplitudes so far, qubit 0 first."""
+    columns = [(m[0][0], m[1][0]) for m in (_entries(name, angle) for angle in row)]
+    amps = np.array(columns[0])
+    for top, bottom in columns[1:]:
+        out = np.empty((amps.size, 2), amps.dtype)
+        np.multiply(top, amps, out=out[:, 0])
+        np.multiply(bottom, amps, out=out[:, 1])
+        amps = out.reshape(-1)
+    return amps
+
+
+@cache  # one entry per n: the start of every qaoa circuit, shared read-only
+def _hadamard_start(n: int) -> np.ndarray:
+    amps = _product_state("h", [None] * n)
+    amps.flags.writeable = False
+    return amps
 
 
 def layer_states(name: str, angles) -> np.ndarray:
@@ -194,6 +243,8 @@ def layer_states(name: str, angles) -> np.ndarray:
     Each qubit's column-0 entries multiply the amplitudes so far, qubit 0
     first, as the layer's gates would: once the stack is long, as two
     column multiplies into the even and odd slots of the next stack."""
+    if len(angles) == 1:
+        return _product_state(name, angles[0])[None]
     columns = _stacked_entries(name, angles)[..., 0]  # (B, n, 2)
     amps = columns[:, 0].copy()
     for k in range(1, columns.shape[1]):
@@ -208,9 +259,10 @@ def layer_states(name: str, angles) -> np.ndarray:
 
 
 def checked_state(n: int, amps: np.ndarray) -> StateVector:
-    """The state with these amplitudes; a FloatingPointError if its norm left 1 by more than 1e-10."""
+    """The state with these amplitudes; a FloatingPointError if its norm left 1 by more than 1e-10
+    or is not a number."""
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise FloatingPointError(f"state norm drifted to {nrm}")
     return StateVector(n, amps)
 
@@ -221,8 +273,8 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         amps *= gate.diagonal
     elif gate.name in _ROTATIONS and not gate.qubits:
         if gate.rows == 1:
-            return _rotate(amps, [_entries(gate.name, angle) for angle in gate.angles[0]])
-        return _rotate(amps, _stacked_entries(gate.name, gate.angles).transpose(1, 2, 3, 0)[..., None])
+            return _rotate(amps, gate.name, [_entries(gate.name, angle) for angle in gate.angles[0]])
+        return _rotate(amps, gate.name, _stacked_entries(gate.name, gate.angles).transpose(1, 2, 3, 0)[..., None])
     elif gate.name in _ROTATIONS:
         psi = amps.reshape(*amps.shape[:-1], 2 ** gate.qubits[0], 2, -1)  # axis -2 is the qubit
         v0, v1 = psi[..., 0, :], psi[..., 1, :]
@@ -239,21 +291,27 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
 def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
     """Apply the circuit's gates in order to `amps`, (2^n,) or (B, 2^n) and left overwritten,
     or else to |0...0>: as one (2^n,) state for a circuit of one row, or in each of its rows."""
-    gates = circuit.gates
+    gates, n = circuit.gates, circuit.n
     if amps is None:
-        if gates and gates[0].name in _ROTATIONS and not gates[0].qubits:
-            amps = layer_states(gates[0].name, gates[0].angles)
+        first = gates[0] if gates else None
+        if first is None or first.name not in _ROTATIONS or first.qubits:
+            amps = StateVector.zero(n).amplitudes
+        else:  # start from the opening layer's product state
             gates = gates[1:]
-        else:
-            amps = StateVector.zero(circuit.n).amplitudes[None]
-        if circuit.rows == 1:
-            amps = amps[0]
-        elif len(amps) == 1:
-            amps = np.repeat(amps, circuit.rows, axis=0)
+            if first.rows > 1:
+                amps = layer_states(first.name, first.angles)
+            elif first.name == "h":
+                amps = _hadamard_start(n)
+            else:
+                amps = _product_state(first.name, first.angles[0])
+        if circuit.rows > 1 and amps.ndim == 1:
+            amps = np.repeat(amps[None], circuit.rows, axis=0)
+        elif not amps.flags.writeable and not (gates and gates[0].is_complex):  # else the cast below copies it
+            amps = amps.copy()
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
-        amps = _apply_gate(amps, gate, circuit.n)
+        amps = _apply_gate(amps, gate, n)
     return amps
 
 

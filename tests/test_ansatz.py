@@ -103,6 +103,12 @@ def test_depth_zero_pi_angle_flips_first_qubit():
     np.testing.assert_allclose(probabilities(out), [0, 0, 1, 0], atol=1e-12)
 
 
+def test_a_state_that_is_not_a_number_fails_its_norm_check():
+    for theta in ([math.nan, 0.1], [0.1, math.nan]):
+        with pytest.raises(FloatingPointError, match="state norm drifted to nan"):
+            trial_state(AnsatzSpec("vqe", n=2, p=0), theta)
+
+
 def test_depth_zero_spans_all_basis_states():
     for j in range(4):
         theta = [np.pi * ((j >> 1) & 1), np.pi * (j & 1)]

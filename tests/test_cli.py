@@ -95,6 +95,29 @@ def test_generate_malformed_maxcut_edges_are_a_usage_error(runner, tmp_path, par
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("problem,params,message", [
+    ("maxcut", ["edges=5"], "edges take a list of vertex pairs, got 5"),
+    ("maxcut", ["edges=[[0,1]]", "weights=5"], "weights takes a list of finite numbers, got 5"),
+    ("maxcut", ["edges=[[0,1]]", 'weights=["a"]'], "got ['a']"),
+    ("maxcut", ['edge_density="x"'], "edge_density takes a number in [0.0, 1.0], got 'x'"),
+    ("maxcut", ["edge_density=-1"], "got -1"),
+    ("stable_set", ['edge_density="x"'], "got 'x'"),
+    ("max3sat", ['clause_ratio="x"'], "clause_ratio takes a number in (0.0, inf), got 'x'"),
+    ("max3sat", ["clause_ratio=-1"], "got -1"),
+    ("market_split", ["constraints=0"], "constraints takes an integer in [1, inf), got 0"),
+    ("portfolio", ['risk_factor="x"'], "risk_factor takes a number in [0.0, inf), got 'x'"),
+    ("portfolio", ["budget=1.5"], "budget takes an integer in [0, 6], got 1.5"),
+], ids=["edges-int", "weights-int", "weights-str", "density-str", "density-negative", "stable-density-str",
+        "ratio-str", "ratio-negative", "no-constraints", "risk-str", "budget-fraction"])
+def test_generate_param_of_the_wrong_type_or_range_is_a_usage_error(runner, tmp_path, problem, params, message):
+    out = tmp_path / "inst.json"
+    args = ["generate", "--problem", problem, "--n", "6", "-o", str(out)]
+    result = runner.invoke(main, args + [a for p in params for a in ("--param", p)])
+    assert result.exit_code == 2, result.output
+    assert "Error: " in result.output and message in result.output and not out.exists()
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_generate_param_that_is_not_json_is_a_usage_error(runner, tmp_path):
     out = tmp_path / "inst.json"
     result = runner.invoke(main, ["generate", "--problem", "maxcut", "--n", "4",

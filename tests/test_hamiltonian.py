@@ -76,6 +76,12 @@ def test_diagonal_rejects_non_finite_entries(bad):
         DiagonalHamiltonian(2, [0.0, bad, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("c0,offset", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)])
+def test_ising_energies_that_are_not_finite_are_rejected(c0, offset):
+    with pytest.raises(ValueError, match="finite"):
+        ising_to_hamiltonian(IsingModel(2, [c0, 0.0], np.zeros((2, 2)), offset))
+
+
 @pytest.mark.parametrize("n", [0, -1, 21])
 def test_diagonal_rejects_qubit_count_out_of_range(n):
     with pytest.raises(ValueError, match="qubit count"):

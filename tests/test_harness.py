@@ -4,9 +4,19 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarqopt import fixtures, hamiltonian, harness
-from cvarqopt.hamiltonian import qubo_to_hamiltonian
+from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian
+from cvarqopt.objective import (
+    OutcomeDistribution,
+    best_support_bitstring,
+    cvar_exact,
+    cvar_from_samples,
+    overlap_with_optimum,
+    sample_outcomes,
+)
 from cvarqopt.harness import (
     CSV_HEADER,
     LOCKSTEP_AMPLITUDES,
@@ -19,6 +29,7 @@ from cvarqopt.harness import (
     _arguments,
     _lockstep_groups,
     make_objective,
+    make_scorer,
     run_batch,
     run_single,
     run_sweep,
@@ -27,6 +38,7 @@ from cvarqopt.harness import (
 from cvarqopt.optimizer import ObjectiveValueError, OptimizerConfig, best_observed_solution, minimize
 from cvarqopt.oracle import enumerate_hamiltonian, ground_value
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
+from cvarqopt.statevector import StateVector
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -45,6 +57,51 @@ def reference_objective(alpha):
     return make_objective(
         REF_H, lambda t: fixtures.two_qubit_circuit(float(t[0])), alpha, mode="exact"
     )
+
+
+@st.composite
+def scored_states(draw):
+    """A Hamiltonian whose table holds ties (values from a small range) and a float64 or
+    complex state on n = 1 to 12 qubits in which some basis states have zero probability."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(-draw(st.integers(0, 6)), 7, 2**n).astype(float)
+    dtype = draw(st.sampled_from([np.float64, complex]))
+    amps = rng.normal(size=2**n).astype(dtype)
+    if dtype is complex:
+        amps.imag = rng.normal(size=2**n)
+    zero = rng.random(2**n) < draw(st.sampled_from([0.0, 0.5, 0.95]))
+    amps[zero] = np.where(rng.random(2**n) < 0.5, -0.0, 0.0)[zero]
+    amps[int(rng.integers(2**n))] = 1.0  # every state has a norm
+    alpha = draw(st.sampled_from([0.01, 0.1, 0.5, 1.0]) | st.floats(1e-3, 1.0))
+    return DiagonalHamiltonian(n, table), StateVector(n, amps / np.linalg.norm(amps)), alpha
+
+
+@settings(deadline=None, max_examples=150)
+@given(scored_states(), st.sampled_from(["exact", "sampled"]))
+def test_scorer_equals_the_public_distribution_cvar_and_extras_exactly(case, mode):
+    """The run path's scorer gives, bit for bit, what the public objective functions give
+    when each computes from the state alone: the distribution from the public constructor
+    over the table's distinct values, its exact CVaR or the CVaR of the same shots, and
+    the overlap and best bitstring."""
+    ham, state, alpha = case
+    seed = 7
+    score = make_scorer(ham, alpha, mode, 64, np.random.Generator(np.random.PCG64(seed)))
+    value, extras = score(state)
+    a = state.amplitudes
+    probs = a * a if a.dtype == np.float64 else np.abs(a) ** 2
+    distinct, inverse = np.unique(ham.table, return_inverse=True)
+    merged = np.bincount(inverse, weights=probs)
+    if mode == "exact":
+        want = cvar_exact(OutcomeDistribution(distinct[merged > 0], merged[merged > 0]), alpha)
+        bitstring, bit_value = best_support_bitstring(state, ham)
+    else:
+        indices, shots = sample_outcomes(state, ham, 64, np.random.Generator(np.random.PCG64(seed)))
+        want = cvar_from_samples(shots, alpha)
+        bitstring, bit_value = int(indices[np.argmin(shots)]), float(shots.min())
+    got = np.array([value, extras["overlap"], extras["bitstring_value"]])
+    assert got.tobytes() == np.array([want, overlap_with_optimum(state, ham), bit_value]).tobytes()
+    assert extras["bitstring"] == bitstring
 
 
 def test_reference_case_converges_to_high_overlap():

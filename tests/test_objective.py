@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,6 +276,15 @@ def test_best_support_bitstring_ignores_zero_amplitudes():
     amps = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
     j, val = best_support_bitstring(StateVector(2, amps), ham)
     assert (j, val) == (1, 1.0)
+
+
+@pytest.mark.parametrize("values,probs", [
+    ([0.0, 1.0], [math.nan, 0.5]), ([0.0, 1.0], [0.5, math.nan]), ([0.0, 1.0], [math.inf, 0.5]),
+    ([0.0, math.nan], [0.5, 0.5]), ([math.nan], [1.0]), ([0.0, math.inf], [0.5, 0.5]), ([-math.inf, 0.0], [0.5, 0.5]),
+])
+def test_distribution_rejects_values_or_probabilities_that_are_not_finite(values, probs):
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeDistribution(values, probs)
 
 
 def test_validation_errors():

@@ -132,3 +132,6 @@ def test_config_validation():
         OptimizerConfig(max_evaluations=3, initial_point=np.zeros(2))  # needs >= dim+2
     with pytest.raises(ValueError):
         OptimizerConfig(max_evaluations=50, initial_point=np.zeros((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="initial_point must be finite"):
+            OptimizerConfig(max_evaluations=50, initial_point=[bad, 1.0])

@@ -1,3 +1,4 @@
+import math
 import re
 import time
 
@@ -204,6 +205,49 @@ def test_maxcut_rejects_an_edge_that_is_not_two_distinct_vertices(edge):
 def test_maxcut_rejects_weights_that_do_not_match_the_edges(params, match):
     with pytest.raises(ValueError, match=match):
         generate(InstanceSpec("maxcut", 3, 0, params))
+
+
+@pytest.mark.parametrize("problem,n,params,message", [
+    ("maxcut", 3, {"edges": 5}, "edges take a list of vertex pairs, got 5"),
+    ("maxcut", 3, {"edges": [[0, 1]], "weights": 5}, "weights takes a list of finite numbers, got 5"),
+    ("maxcut", 3, {"edges": [[0, 1]], "weights": ["a"]}, "got ['a']"),
+    ("maxcut", 3, {"edges": [[0, 1]], "weights": [True]}, "got [True]"),
+    ("maxcut", 3, {"edges": [[0, 1]], "weights": [math.nan]}, "got [nan]"),
+    ("maxcut", 3, {"edge_density": "x"}, "edge_density takes a number in [0.0, 1.0], got 'x'"),
+    ("maxcut", 3, {"edge_density": -1}, "got -1"),
+    ("maxcut", 3, {"edge_density": 1.5}, "got 1.5"),
+    ("stable_set", 3, {"edge_density": "x"}, "edge_density takes a number"),
+    ("stable_set", 3, {"edge_density": math.inf}, "got inf"),
+    ("max3sat", 3, {"clause_ratio": "x"}, "clause_ratio takes a number in (0.0, inf), got 'x'"),
+    ("max3sat", 3, {"clause_ratio": -1}, "got -1"),
+    ("max3sat", 3, {"clause_ratio": 0}, "got 0"),
+    ("market_split", 5, {"constraints": 0}, "constraints takes an integer in [1, inf), got 0"),
+    ("market_split", 5, {"constraints": 1.5}, "got 1.5"),
+    ("market_split", 5, {"constraints": True}, "got True"),
+    ("portfolio", 4, {"risk_factor": "x"}, "risk_factor takes a number in [0.0, inf), got 'x'"),
+    ("portfolio", 4, {"risk_factor": -0.5}, "got -0.5"),
+    ("portfolio", 4, {"budget": 1.5}, "budget takes an integer in [0, 4], got 1.5"),
+    ("portfolio", 4, {"budget": 5}, "got 5"),
+    ("portfolio", 4, {"penalty": [1]}, "penalty takes a number"),
+    ("partition", 2, {"numbers": {"a": 1}}, "numbers takes a list of length 2 of finite numbers"),
+    ("partition", 2, {"numbers": [1, math.nan]}, "got [1, nan]"),
+    ("partition", 2, {"numbers": [1, 2, 3]}, "of length 2"),
+])
+def test_generators_reject_parameters_of_the_wrong_type_or_range(problem, n, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(InstanceSpec(problem, n, 0, params))
+
+
+def test_whole_valued_floats_and_edge_values_generate_as_before():
+    """Parameters at the ends of their ranges, and integers given as whole floats, still generate."""
+    same = [("portfolio", 4, {"budget": 2}, {"budget": 2.0}), ("market_split", 5, {"constraints": 2}, {"constraints": 2.0}),
+            ("maxcut", 4, {"edge_density": 1}, {"edge_density": 1.0})]
+    for problem, n, a, b in same:
+        qa, qb = generate(InstanceSpec(problem, n, 3, a)), generate(InstanceSpec(problem, n, 3, b))
+        assert np.array_equal(qa.b, qb.b) and np.array_equal(qa.A, qb.A) and qa.const == qb.const
+    for problem, n, params in [("maxcut", 4, {"edge_density": 0.0}), ("portfolio", 4, {"budget": 0, "risk_factor": 0}),
+                               ("portfolio", 4, {"budget": 4, "penalty": 0.0}), ("max3sat", 3, {"clause_ratio": 1e-3})]:
+        assert generate(InstanceSpec(problem, n, 3, params)).n == n
 
 
 @pytest.mark.parametrize("problem", PROBLEM_NAMES)

@@ -79,15 +79,21 @@ def counting(monkeypatch, module, attr, counts):
     ("vqe", 1, "exact"), ("qaoa", 2, "exact"), ("vqe", 1, "sampled"), ("qaoa", 2, "sampled"),
 ], ids=["vqe-1", "qaoa-2", "vqe-1-sampled", "qaoa-2-sampled"])
 def test_run_single_builds_and_runs_one_circuit_per_evaluation(monkeypatch, algo, p, mode):
-    """In sampled mode every evaluation also draws its shots through `harness.sample_outcomes`."""
+    """Every evaluation also scores its state through the module globals the tracer wraps:
+    distribution, CVaR and both extras in exact mode, and in sampled mode the shots
+    (`sample_outcomes`), their CVaR and the overlap."""
     counts = {}
-    for attr in ("build_circuit", "run_circuit", "sample_outcomes"):
+    scoring = ("outcome_distribution", "cvar_exact", "overlap_with_optimum", "best_support_bitstring",
+               "sample_outcomes", "cvar_from_samples")
+    for attr in ("build_circuit", "run_circuit") + scoring:
         counting(monkeypatch, harness, attr, counts)
     qubo = generate(InstanceSpec("maxcut", 4, seed=1))
     trace = harness.run_single(qubo, algo, p=p, alpha=0.5, mode=mode, shots=64, seed=3,
                                max_evaluations=12)
     assert trace.n_evaluations > 0
-    per_evaluation = ("build_circuit", "run_circuit") + (("sample_outcomes",) if mode == "sampled" else ())
+    per_evaluation = ("build_circuit", "run_circuit", "overlap_with_optimum") + (
+        ("outcome_distribution", "cvar_exact", "best_support_bitstring") if mode == "exact"
+        else ("sample_outcomes", "cvar_from_samples"))
     assert counts == dict.fromkeys(per_evaluation, trace.n_evaluations)
 
 
