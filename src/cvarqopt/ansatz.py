@@ -20,13 +20,14 @@ the RZ/CNOT compilation a hardware backend would need is never built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import Circuit, Gate, StateVector, diag, layer, run_circuit, run_stack
+from .statevector import Circuit, Gate, StateVector, _whole, check_qubits, diag, layer, run_circuit, run_stack
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -41,6 +42,9 @@ class AnsatzSpec:
     ising: IsingModel | None = None  # qaoa only
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole("n", self.n))
+        object.__setattr__(self, "p", _whole("p", self.p))
+        check_qubits(self.n)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "vqe":
@@ -63,12 +67,16 @@ class AnsatzSpec:
         return self.n * (1 + self.p) if self.family == "vqe" else 2 * self.p
 
 
-def _check_params(spec: AnsatzSpec, theta) -> np.ndarray:
+def _check_params(spec: AnsatzSpec, theta) -> list[float]:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.parameter_count,):
         raise ValueError(f"{spec.family} n={spec.n} p={spec.p} takes {spec.parameter_count} parameters, "
                          f"got shape {theta.shape}")
-    return theta
+    angles = theta.tolist()
+    if not math.isfinite(sum(angles)) and not np.isfinite(theta).all():  # finite angles overflow it only if huge
+        bad = int(np.argmin(np.isfinite(theta)))
+        raise ValueError(f"{spec.family} n={spec.n} p={spec.p}: parameter {bad} is {angles[bad]}, not a finite angle")
+    return angles
 
 
 def entangler_pairs(n: int, entanglement: str) -> list[tuple[int, int]]:
@@ -117,7 +125,7 @@ def _build(specs: list[AnsatzSpec], thetas) -> Circuit:
     entanglement, and qaoa specs may differ in their Ising models."""
     spec = specs[0]
     n, p = spec.n, spec.p
-    angles = [_check_params(s, t).tolist() for s, t in zip(specs, thetas)]
+    angles = [_check_params(s, t) for s, t in zip(specs, thetas)]
     if spec.family == "vqe":
         signs = _entangler(n, spec.entanglement)
         gates: list[Gate] = [layer("ry", [a[:n] for a in angles])]

@@ -78,7 +78,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
         state = run_circuit(Circuit(n, qaoa_layer([ham.ranking], n, [beta], [gamma])), state)
-        snapshots.append(state.amplitudes)  # run_circuit works on a copy, so this stays as it is
+        snapshots.append(state.amplitudes)  # read-only: the next run works on a copy
     return snapshots
 
 

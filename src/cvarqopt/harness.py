@@ -53,7 +53,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import Circuit, StateVector, checked_state, probabilities, run_circuit
+from .statevector import Circuit, StateVector, _whole, checked_state, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -68,13 +68,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") % 2**63
 
 
-def make_scorer(
-    ham: DiagonalHamiltonian,
-    alpha: float,
-    mode: str = "exact",
-    shots: int = 8192,
-    sample_rng: np.random.Generator | None = None,
-) -> Callable[[StateVector], tuple[float, dict]]:
+def make_scorer(ham: DiagonalHamiltonian, alpha: float, mode: str = "exact", shots: int = 8192,
+                sample_rng: np.random.Generator | None = None) -> Callable[[StateVector], tuple[float, dict]]:
     """Scoring closure: a trial state's (cvar value, per-evaluation extras).
 
     Overlap always comes from the exact state; in sampled mode the CVaR and
@@ -86,13 +81,12 @@ def make_scorer(
     table = ham.table if mode == "sampled" else None  # each shot's value in one gather
 
     def score(state: StateVector):
-        probs = probabilities(state)  # one array serves every call below
-        overlap = overlap_with_optimum(state, ham, _probs=probs)
+        overlap = overlap_with_optimum(state, ham)
         if mode == "exact":
-            value = cvar_exact(outcome_distribution(state, ham, _probs=probs), alpha)
-            bitstring, bit_value = best_support_bitstring(state, ham, _probs=probs)
+            value = cvar_exact(outcome_distribution(state, ham), alpha)
+            bitstring, bit_value = best_support_bitstring(state, ham)
         else:
-            indices, values = sample_outcomes(state, ham, shots, sample_rng, _table=table, _probs=probs)
+            indices, values = sample_outcomes(state, ham, shots, sample_rng, _table=table)
             value = cvar_from_samples(values, alpha)
             k = int(np.argmin(values))
             bitstring, bit_value = int(indices[k]), float(values[k])
@@ -279,8 +273,8 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
     Observers run in the worker, so they must pickle.  The pool is shut down
     before this returns.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if (workers := _whole("workers", workers)) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     runs = [_arguments(run) for run in runs]
     if workers == 1:
         return [_run_one(run) for run in runs]
@@ -291,15 +285,6 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
             for i, outcome in zip(group, future.result()):
                 outcomes[i] = outcome
     return outcomes
-
-
-def _whole(name: str, value) -> int:
-    """An integer config entry as an int; a ValueError for a bool, a string or a fractional number."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} takes integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -341,7 +326,6 @@ class ExperimentConfig:
         # each run shape once, through the owner of each rule a run would meet
         for problem, n, algo, p in dict.fromkeys((k[0], k[1], k[3], k[4]) for k in keys):
             InstanceSpec(problem, n, 0)
-            Circuit(n)
             ising = IsingModel(n, np.zeros(n), np.zeros((n, n))) if algo == "qaoa" else None
             spec = AnsatzSpec(algo, n=n, p=p, entanglement=self.entanglement, ising=ising)
             theta0 = initial_parameters(spec.parameter_count, self.initial_point, 0)

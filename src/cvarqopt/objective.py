@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import StateVector, probabilities
+from .statevector import StateVector
 
 # inverse-CDF sampling over the probability table, stream below
 PRNG_NAME = "numpy.random.PCG64"
@@ -30,7 +30,7 @@ PRNG_NAME = "numpy.random.PCG64"
 SUPPORT_EPS = 1e-12
 
 
-def _check_probs(probs: np.ndarray) -> None:
+def _check_probabilities(probs: np.ndarray) -> None:
     if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-10):  # NaN fails both
         raise ValueError("probs must be finite, nonnegative and sum to 1")
 
@@ -47,7 +47,7 @@ class OutcomeDistribution:
             raise ValueError("values and probs must be matching nonempty 1-D arrays")
         if not (np.isfinite(values).all() and (np.diff(values) > 0).all()):
             raise ValueError("values must be finite and strictly increasing")
-        _check_probs(probs)
+        _check_probabilities(probs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
@@ -55,7 +55,7 @@ class OutcomeDistribution:
     def _ranked(cls, values: np.ndarray, probs: np.ndarray) -> "OutcomeDistribution":
         """The distribution on `values`, taken in order from a Hamiltonian's ranking, which holds
         finite, strictly increasing values by construction: only the probabilities are checked."""
-        _check_probs(probs)
+        _check_probabilities(probs)
         dist = object.__new__(cls)
         object.__setattr__(dist, "values", values)
         object.__setattr__(dist, "probs", probs)
@@ -86,13 +86,11 @@ def _check_sizes(state: StateVector, ham: DiagonalHamiltonian) -> None:
         raise ValueError(f"state has n={state.n}, hamiltonian has n={ham.n}")
 
 
-def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> OutcomeDistribution:
-    """Distribution of objective values induced by measuring the trial state (whose
-    `probabilities` a caller that has them passes as `_probs`)."""
+def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
+    """Distribution of objective values induced by measuring the trial state."""
     _check_sizes(state, ham)
     values, inverse = ham.ranking.values, ham.ranking.inverse
-    probs = probabilities(state) if _probs is None else _probs
-    merged = np.bincount(inverse, weights=probs, minlength=values.size)
+    merged = np.bincount(inverse, weights=state.probabilities, minlength=values.size)
     keep = merged > 0.0  # outcomes outside the support are not part of the distribution
     return OutcomeDistribution._ranked(values[keep], merged[keep])
 
@@ -140,20 +138,18 @@ def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return indices
 
 
-def sample_outcomes(
-    state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator, *, _table=None, _probs=None
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_outcomes(state: StateVector, ham: DiagonalHamiltonian, shots: int, rng: np.random.Generator, *,
+                    _table=None) -> tuple[np.ndarray, np.ndarray]:
     """Draw basis-index samples by inverse CDF; returns (indices, objective values).
 
     The stream advances by exactly one `rng.random(shots)`.  While 2^n <= shots
     each shot's index comes from a bucket table (`inverse_cdf_indices`), with
     a binary search only for shots in a bucket that holds a CDF step; every
     index equals a per-shot binary search of the CDF.  Each shot's value is
-    read from `ham.table`; a caller that draws often builds it once as `_table`, and
-    passes the state's `probabilities` as `_probs` when it has them.
+    read from `ham.table`; a caller that draws often builds it once as `_table`.
     """
     _check_sizes(state, ham)
-    cum = np.cumsum(probabilities(state) if _probs is None else _probs)
+    cum = np.cumsum(state.probabilities)
     if not (np.isfinite(cum[-1]) and cum[-1] > 0):  # a NaN, infinite or zero state has no CDF
         raise ValueError("state probabilities must be finite with a positive total")
     cum /= cum[-1]  # end exactly at 1 without moving mass onto a zero-probability tail
@@ -181,15 +177,13 @@ def cvar_sampled(state: StateVector, ham: DiagonalHamiltonian, cfg: CvarConfig) 
     return cvar_from_samples(values, cfg.alpha)
 
 
-def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> float:
+def overlap_with_optimum(state: StateVector, ham: DiagonalHamiltonian) -> float:
     """Total probability mass on minimum-value basis states (all degenerate minima count)."""
     _check_sizes(state, ham)
-    ground = ham.ranking.ground
-    mass = np.abs(state.amplitudes[ground]) ** 2 if _probs is None else _probs[ground]
-    return float(mass.sum())
+    return float(state.probabilities[ham.ranking.ground].sum())
 
 
-def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian, *, _probs=None) -> tuple[int, float]:
+def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tuple[int, float]:
     """Lowest-value basis state carrying nonnegligible probability, with its value.
 
     Among states of equal value the lowest index wins.  The ground states are
@@ -197,11 +191,10 @@ def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian, *, _pro
     """
     _check_sizes(state, ham)
     values, inverse, ground = ham.ranking
-    mass = np.abs(state.amplitudes[ground]) ** 2 if _probs is None else _probs[ground]
-    on_ground = mass > SUPPORT_EPS
+    on_ground = state.probabilities[ground] > SUPPORT_EPS
     if on_ground.any():
         j = int(ground[np.argmax(on_ground)])
     else:
-        candidates = np.flatnonzero((probabilities(state) if _probs is None else _probs) > SUPPORT_EPS)
+        candidates = np.flatnonzero(state.probabilities > SUPPORT_EPS)
         j = int(candidates[np.argmin(inverse[candidates])])
     return j, float(values[inverse[j]])

@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from .statevector import _whole
+
 
 class ObjectiveValueError(RuntimeError):
     """Raised when the objective returns a non-finite value."""
@@ -33,6 +35,7 @@ class OptimizerConfig:
     initial_point: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "max_evaluations", _whole("max_evaluations", self.max_evaluations))
         x0 = np.asarray(self.initial_point, dtype=float)
         if x0.ndim != 1 or x0.size == 0:
             raise ValueError("initial_point must be a nonempty 1-D array")

@@ -29,11 +29,14 @@ takes (a layer's entries then are Python scalars), or one row per state.
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
 the cast is exact, and real arithmetic gives the same values as complex
-arithmetic on the real parts.
+arithmetic on the real parts.  A `StateVector`'s amplitudes are read-only; its
+probabilities |amplitude|^2, computed once at construction, serve the norm
+check (`checked_state`) and every scorer.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -47,6 +50,14 @@ _ROTATIONS = ("h", "ry", "rx")
 
 class InvalidGateError(ValueError):
     """Raised for malformed gates or gate indices out of range."""
+
+
+def _whole(name: str, value) -> int:
+    """An integer entry as an int; a ValueError naming it for a bool, a string or a fractional number."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} takes integers, got {value!r}")
+    return int(value)
 
 
 def check_qubits(n: int) -> None:
@@ -152,15 +163,20 @@ class Circuit:
 @dataclass(frozen=True)
 class StateVector:
     n: int
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray  # read-only
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)  # |amplitude|^2, read-only
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        if amps.dtype != np.float64:  # real states stay float64; everything else is complex
-            amps = amps.astype(complex, copy=False)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
+        if amps.flags.writeable or amps.dtype not in (np.float64, complex):  # a copy, as its owner may still write
+            amps = amps.astype(np.float64 if amps.dtype == np.float64 else complex)  # real states stay float64
+            amps.setflags(write=False)
+        probs = amps * amps if amps.dtype == np.float64 else np.abs(amps) ** 2
+        probs.setflags(write=False)  # half the cost of `flags.writeable = False`, once per evaluation
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "probabilities", probs)
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
@@ -259,12 +275,13 @@ def layer_states(name: str, angles) -> np.ndarray:
 
 
 def checked_state(n: int, amps: np.ndarray) -> StateVector:
-    """The state with these amplitudes; a FloatingPointError if its norm left 1 by more than 1e-10
-    or is not a number."""
-    nrm = np.linalg.norm(amps)
+    """The state of these amplitudes, taken read-only; a FloatingPointError if its norm is NaN or off 1 by > 1e-10."""
+    amps.setflags(write=False)
+    state = StateVector(n, amps)
+    nrm = math.sqrt(state.probabilities.sum())
     if not abs(nrm - 1.0) <= 1e-10:
         raise FloatingPointError(f"state norm drifted to {nrm}")
-    return StateVector(n, amps)
+    return state
 
 
 def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
@@ -295,7 +312,7 @@ def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
     if amps is None:
         first = gates[0] if gates else None
         if first is None or first.name not in _ROTATIONS or first.qubits:
-            amps = StateVector.zero(n).amplitudes
+            amps = np.eye(1, 2**n, dtype=complex)[0]
         else:  # start from the opening layer's product state
             gates = gates[1:]
             if first.rows > 1:
@@ -324,17 +341,11 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return checked_state(circuit.n, _run(circuit, None if initial is None else initial.amplitudes.copy()))
 
 
-def run_stack(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """(B, 2^n) amplitudes, not norm-checked: row r is the circuit's row r run on |0...0>,
-    or on row r of the (B, 2^n) `initial` stack, which is left as it is."""
-    if initial is not None:
-        initial = np.array(initial, dtype=complex if np.iscomplexobj(initial) else float)
-        if initial.shape[1:] != (2**circuit.n,) or circuit.rows not in (1, len(initial)):
-            raise ValueError(f"stack of shape {initial.shape} for {circuit.rows} row(s) and n={circuit.n}")
-    return _run(circuit, initial).reshape(-1, 2**circuit.n)
+def run_stack(circuit: Circuit) -> np.ndarray:
+    """(B, 2^n) amplitudes, not norm-checked: row r is the circuit's row r run on |0...0>."""
+    return _run(circuit, None).reshape(-1, 2**circuit.n)
 
 
 def probabilities(state: StateVector) -> np.ndarray:
-    """Measurement probabilities |amplitude|^2 per basis index."""
-    a = state.amplitudes
-    return a * a if a.dtype == np.float64 else np.abs(a) ** 2
+    """Measurement probabilities |amplitude|^2 per basis index: the state's own read-only array."""
+    return state.probabilities

@@ -17,7 +17,8 @@ from cvarqopt.ansatz import (
     trial_state,
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
-from cvarqopt.statevector import Circuit, StateVector, diag, h, layer, probabilities, run_circuit, run_stack, ry
+from cvarqopt.oracle import exact_cvar_landscape
+from cvarqopt.statevector import Circuit, StateVector, _run, diag, h, layer, probabilities, run_circuit, ry
 from gate_reference import cost_layer_gates, cz, rx, spin_cost
 
 
@@ -104,9 +105,25 @@ def test_depth_zero_pi_angle_flips_first_qubit():
 
 
 def test_a_state_that_is_not_a_number_fails_its_norm_check():
-    for theta in ([math.nan, 0.1], [0.1, math.nan]):
+    """Angles are checked before a gate is built (below), so the NaN comes in through a gate's entries."""
+    spec = AnsatzSpec("vqe", n=2, p=0)
+    for d in ([math.nan, 1, 1, 1], [1, 1, 1, math.nan]):
         with pytest.raises(FloatingPointError, match="state norm drifted to nan"):
-            trial_state(AnsatzSpec("vqe", n=2, p=0), theta)
+            run_circuit(Circuit(2, [*build_circuit(spec, [0.1, 0.2]).gates, diag(np.array(d))]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_angles_that_are_not_finite_are_rejected_before_any_gate_is_built(bad):
+    ising = IsingModel(2, c=[0.5, -1.0], Q=[[0, 1.0], [0, 0]])
+    vqe, qaoa = AnsatzSpec("vqe", n=2, p=1), AnsatzSpec("qaoa", n=2, p=2, ising=ising)
+    theta = [0.1, 0.2, bad, bad]  # the first bad index is 2
+    for call in (lambda: trial_state(vqe, theta), lambda: build_circuit(qaoa, theta),
+                 lambda: evolve_states([vqe, vqe], [[0.0] * 4, theta]),
+                 lambda: exact_cvar_landscape(qaoa, DiagonalHamiltonian(2, np.arange(4.0)), 0.5, [theta])):
+        with pytest.raises(ValueError, match=r"(vqe|qaoa) n=2 p=(1|2): parameter 2 is -?(nan|inf), not a finite angle"):
+            call()
+    huge = [1e308, 1e308, 0.1, 0.2]  # finite angles whose sum overflows still run
+    assert trial_state(vqe, huge).amplitudes.dtype == np.float64
 
 
 def test_depth_zero_spans_all_basis_states():
@@ -176,6 +193,23 @@ def test_spec_validation():
         AnsatzSpec("qaoa", n=3, p=1)  # missing model
     with pytest.raises(ValueError):
         AnsatzSpec("vqe", n=2, p=1, entanglement="ring")
+
+
+def test_spec_size_takes_a_whole_number_the_simulator_holds():
+    for bad, message in [(True, "n takes integers"), (2.5, "n takes integers"), ("3", "n takes integers"),
+                         (0, r"qubit count must be in \[1, 20\], got 0"), (21, "qubit count")]:
+        with pytest.raises(ValueError, match=message):
+            AnsatzSpec("vqe", n=bad, p=1)
+    spec = AnsatzSpec("vqe", n=3.0, p=1)
+    assert type(spec.n) is int and spec == AnsatzSpec("vqe", n=3, p=1)
+
+
+def test_spec_depth_takes_a_whole_number():
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="p takes integers"):
+            AnsatzSpec("vqe", n=3, p=bad)
+    spec = AnsatzSpec("vqe", n=3, p=2.0)
+    assert type(spec.p) is int and spec.parameter_count == 9
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -303,4 +337,4 @@ def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gammas, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(len(tables), 2**n)) + 1j * rng.normal(size=(len(tables), 2**n))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    assert np.array_equal(run_stack(Circuit(n, [cost_step]), amps), amps * want)
+    assert np.array_equal(_run(Circuit(n, [cost_step]), amps.copy()), amps * want)

@@ -90,6 +90,7 @@ def test_scorer_equals_the_public_distribution_cvar_and_extras_exactly(case, mod
     value, extras = score(state)
     a = state.amplitudes
     probs = a * a if a.dtype == np.float64 else np.abs(a) ** 2
+    assert state.probabilities.tobytes() == probs.tobytes()  # the state's own array, which the scorer reads
     distinct, inverse = np.unique(ham.table, return_inverse=True)
     merged = np.bincount(inverse, weights=probs)
     if mode == "exact":
@@ -338,6 +339,24 @@ def test_run_batch_reports_failed_runs_in_place_on_both_paths():
     for workers in (0, -3, 2.5):
         with pytest.raises(ValueError, match="workers"):
             run_batch([good], workers=workers)
+
+
+def test_run_batch_workers_take_whole_numbers():
+    good = dict(qubo=generate(InstanceSpec("maxcut", 4, 0)), algo="vqe", p=1, alpha=0.5, max_evaluations=12)
+    for bad in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="workers takes integers"):
+            run_batch([good], workers=bad)
+    assert_same_trace(run_batch([good], workers=2.0)[0], run_batch([good], workers=1)[0])
+
+
+@pytest.mark.parametrize("field,bad", [("p", 1.5), ("p", True), ("max_evaluations", 30.5), ("max_evaluations", True)])
+def test_run_single_depth_and_budget_take_whole_numbers(field, bad):
+    """A fraction or a bool is a usage error naming the field; a whole float runs as its int."""
+    qubo = generate(InstanceSpec("maxcut", 4, 0))
+    args = dict(algo="vqe", p=1, alpha=0.5, max_evaluations=30)
+    with pytest.raises(ValueError, match=f"^{field} takes integers, got {bad!r}$"):
+        run_single(qubo, **{**args, field: bad})
+    assert_same_trace(run_single(qubo, **{**args, field: float(args[field])}), run_single(qubo, **args))
 
 
 def test_sweep_csv_round_trip():

@@ -15,6 +15,13 @@ def cfg(x0, budget=200):
     return OptimizerConfig(max_evaluations=budget, initial_point=np.asarray(x0, float))
 
 
+def test_budget_takes_a_whole_number():
+    for bad in (True, 30.5, "30"):
+        with pytest.raises(ValueError, match="max_evaluations takes integers"):
+            cfg([0.0, 0.0], bad)
+    assert type(cfg([0.0, 0.0], 30.0).max_evaluations) is int
+
+
 def test_convex_quadratic_converges():
     trace = minimize(lambda t: float(np.sum(t**2)), cfg([1.0, 1.0]))
     assert trace.best_value < 1e-6

@@ -15,6 +15,8 @@ from cvarqopt.statevector import (
     InvalidGateError,
     StateVector,
     _entries,
+    _run,
+    checked_state,
     cnot,
     diag,
     h,
@@ -234,7 +236,7 @@ def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
     n = len(angles[0])
-    assert run_stack(Circuit(n, [layer(name, angles)]), amps).tobytes() == want.tobytes()
+    assert _run(Circuit(n, [layer(name, angles)]), amps.copy()).tobytes() == want.tobytes()
     for row, row_angles, start in zip(want, angles, amps):
         for gates in ([layer(name, row_angles)], per_qubit(name, row_angles)):
             assert run_circuit(Circuit(n, gates), StateVector(n, start)).amplitudes.tobytes() == row.tobytes()
@@ -332,8 +334,6 @@ def test_circuit_rejects_rows_that_disagree():
         layer("h", [[None, None], [None, 0.1]])
     with pytest.raises(ValueError, match="run_stack"):
         run_circuit(Circuit(2, [stacked]))
-    with pytest.raises(ValueError):
-        run_stack(Circuit(2, [stacked]), np.eye(4)[:3])  # three states for two rows
 
 
 @settings(deadline=None, max_examples=60)
@@ -364,7 +364,7 @@ def test_stack_rows_equal_their_own_circuits_byte_for_byte(n, rows, seed):
     start /= np.linalg.norm(start, axis=1, keepdims=True)
     circuit = Circuit(n, stacked)
     for initial in (None, start):
-        got = run_stack(circuit, initial)
+        got = run_stack(circuit) if initial is None else _run(circuit, initial.copy())
         assert got.shape == (rows if initial is not None or circuit.rows > 1 else 1, 2**n)  # |0...0> is one state
         for r, gates in enumerate(per_row):
             want = run_circuit(Circuit(n, gates), None if initial is None else StateVector(n, start[r]))
@@ -410,3 +410,37 @@ def test_sign_diag_then_complex_diag_promotes_exactly(rng):
     got = run_circuit(circuit, StateVector(n, amps)).amplitudes
     want = run_circuit(circuit, StateVector(n, amps.astype(complex))).amplitudes
     assert got.dtype == complex and np.array_equal(got, want)
+
+
+def test_a_state_owns_read_only_amplitudes_and_probabilities():
+    for a in (np.array([0.6, 0.8]), np.array([0.6, 0.8j])):
+        state = StateVector(1, a)
+        a[0] = 1.0  # the caller's array was writeable, so the state holds a copy
+        assert state.amplitudes.tolist() == [0.6, 0.8 if a.dtype == np.float64 else 0.8j]
+        assert state.probabilities.tolist() == [0.6 * 0.6, 0.8 * 0.8]
+        assert state.amplitudes is state.amplitudes and probabilities(state) is probabilities(state)
+        for array in (state.amplitudes, probabilities(state)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    frozen = np.array([0.6, 0.8])
+    frozen.flags.writeable = False
+    assert StateVector(1, frozen).amplitudes is frozen  # nothing can write to it: no copy
+
+
+def test_circuits_opening_with_a_single_qubit_gate_run_from_a_fresh_zero_state():
+    """The fixture circuit's first gates work in place on |0...0>: a second run starts from it unchanged."""
+    first, second = (run_circuit(fixtures.two_qubit_circuit(0.7)) for _ in range(2))
+    assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
+    np.testing.assert_allclose(first.amplitudes, fixtures.two_qubit_amplitudes(0.7), atol=1e-12)
+
+
+def test_checked_state_takes_the_array_over_and_checks_its_norm():
+    amps = np.array([S2, -S2])
+    state = checked_state(1, amps)
+    assert state.amplitudes is amps and not amps.flags.writeable
+    off = r"1\.000000000(1999\d*|2)"  # a norm of 1 + 2e-10, as it rounds
+    for bad, shown in [([math.nan, 0.0], "nan"), ([math.inf, 0.0], "inf"), ([1 + 2e-10, 0.0, 0.0, 0.0], off),
+                       ([(1 + 2e-10) * S2, (1 + 2e-10) * S2 * 1j], off)]:
+        with pytest.raises(FloatingPointError, match=f"^state norm drifted to {shown}$"):
+            checked_state(int(math.log2(len(bad))), np.array(bad))
+    checked_state(2, np.array([1 + 5e-11, 0.0, 0.0, 0.0]))  # within the tolerance

@@ -5,6 +5,7 @@ alive and check that the package still reaches the simulator through them."""
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,30 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_unused_import_check_sees_unused_names():
     source = "from x import a, b as c\nimport d.e\nimport f\n__all__ = ['a']\nprint(d, c.attr)\n"
     assert unused_imports(source) == {"f"}
+
+
+def orphaned_helpers(sources: list[str]) -> set[str]:
+    """Module-level `def _name`s that no module reads, as a name or an attribute, outside their own body."""
+    def reads(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = [ast.parse(source) for source in sources]
+    total = sum(map(reads, trees), Counter())
+    return {node.name for tree in trees for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+            and total[node.name] == reads(node)[node.name]}
+
+
+def test_every_private_helper_has_a_caller():
+    """A private helper whose last caller is deleted must go with it."""
+    assert orphaned_helpers([path.read_text() for path in (ROOT / "src" / "cvarqopt").glob("*.py")]) == set()
+
+
+def test_orphan_check_sees_helpers_that_nothing_calls():
+    sources = ["def _used():\n    pass\ndef _orphan():\n    _orphan.__doc__\ndef _dead():\n    pass\n",
+               "from a import _used\nx = _used()\nclass C:\n    def _method(self):\n        pass\n"]
+    assert orphaned_helpers(sources) == {"_orphan", "_dead"}  # reading itself does not count
 
 
 def counting(monkeypatch, module, attr, counts):
