@@ -5,29 +5,41 @@ Parameter layouts: the layered family takes n*(1+p) angles, ordered layer by
 layer; the alternating family takes 2p angles ordered (beta_1..beta_p,
 gamma_1..gamma_p).
 
-`build_circuit` compiles either family to whole-register gates: VQE to RY on
-every qubit, then [diag, RY on every qubit] x p; QAOA to H on every qubit,
-then p x `qaoa_layer` = [cost diag, RX(2*beta) = exp(-i beta X) on every
-qubit].  A CZ block is the +-1 vector (-1)^(number of its pairs with both
-bits set), cached per (n, entanglement); multiplying by -1 is exact, so the
-state equals the one the CZ gates give, bit for bit, and a VQE state stays
-real (float64).  The cost step exp(-i gamma * cost) is a complex `diag`
-gathered from one exp per distinct value of the Ising model's cached cost
-ranking; the Ising offset is a global phase and is never applied.  `flatness`
-applies the same `qaoa_layer` gates, and `evolve_states` builds the gates with
-one row per state of a stack.  Every problem here has a diagonal cost, so
-the RZ/CNOT compilation a hardware backend would need is never built.
+Each family compiles to whole-register gates: VQE to RY on every qubit, then
+[diag, RY on every qubit] x p; QAOA to H on every qubit, then p x [cost diag,
+RX(2*beta) = exp(-i beta X) on every qubit].  A CZ block is the +-1 vector
+(-1)^(number of its pairs with both bits set), cached per (n, entanglement);
+multiplying by -1 is exact, so the state equals the one the CZ gates give,
+bit for bit, and a VQE state stays real (float64).  The cost step
+exp(-i gamma * cost) is a complex diag gathered from one exp per distinct
+value of the Ising model's cached cost ranking (`cost_phases`); the Ising
+offset is a global phase and is never applied.  Every problem here has a
+diagonal cost, so the RZ/CNOT compilation a hardware backend would need is
+never built.
+
+A spec compiles once, at its first `build_circuit`, to a plan that holds
+everything theta does not change: the entangler diag, the H layer (which a
+run from |0...0> starts as one cached state), the cost ranking, and which
+slice of theta each rotation layer takes.  Per evaluation `build_circuit`
+only binds theta into that plan, as the Python-scalar 2x2 entries of each
+layer (one for the shared RX angle) and the gathered cost phases, and returns
+a `BoundCircuit` of unchecked `Step`s; no `Gate` or `Circuit` is built.
+`evolve_states` binds B rows into the same plan and runs them as one stack,
+through the same interpreter, so lockstep rows equal single states bit for
+bit.  `qaoa_layer` gives the same cost and mixer step as checked gates, for
+`flatness`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import Circuit, Gate, StateVector, _whole, check_qubits, diag, layer, run_circuit, run_stack
+from .statevector import (BoundCircuit, Gate, StateVector, Step, _entries, _matrices, _whole, check_qubits, diag,
+                          layer, run_circuit, run_stack)
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -40,11 +52,11 @@ class AnsatzSpec:
     p: int
     entanglement: str = "all-to-all"  # vqe only
     ising: IsingModel | None = None  # qaoa only
+    plan: tuple | None = field(init=False, default=None, repr=False, compare=False)  # see `_plan`
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _whole("n", self.n))
+        object.__setattr__(self, "n", check_qubits(self.n))
         object.__setattr__(self, "p", _whole("p", self.p))
-        check_qubits(self.n)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "vqe":
@@ -98,50 +110,74 @@ def entangler_signs(n: int, entanglement: str) -> np.ndarray:
 
 
 @cache  # one entry per (n, entanglement): at most 2^n bytes each
-def _entangler(n: int, entanglement: str) -> Gate:
-    return diag(entangler_signs(n, entanglement))
+def _entangler(n: int, entanglement: str) -> Step:
+    return Step("diag", diagonal=entangler_signs(n, entanglement))
 
 
-@cache
-def _hadamards(n: int) -> Gate:
-    return layer("h", [None] * n)
-
-
-def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: list[float]) -> list[Gate]:
-    """One alternation for each state r of a stack (one row applies to every state): the cost step
-    exp(-i gammas[r] * costs[r]) as a complex `diag`, its phases gathered from one exp per distinct
-    value, then RX(2*betas[r]) on every qubit."""
+def cost_phases(costs: list[ValueRanking], gammas: list[float]) -> np.ndarray:
+    """exp(-i gammas[r] * costs[r]) per basis state, read-only: one row, or one per cost given,
+    gathered from one exp per distinct value."""
     rows = []
     for cost, gamma in zip(costs, gammas):
         step = np.multiply(cost.values, -1j * float(gamma))
         rows.append(np.exp(step, out=step).take(cost.inverse))  # in place: a ranking can hold 2^n values
     phases = rows[0] if len(rows) == 1 else np.stack(rows)
-    phases.flags.writeable = False  # a fresh array: the gate need not copy it
-    return [diag(phases), layer("rx", [[2.0 * beta] * n for beta in betas])]
+    phases.setflags(write=False)  # a fresh array: a gate need not copy it
+    return phases
 
 
-def _build(specs: list[AnsatzSpec], thetas) -> Circuit:
-    """The circuit whose row r is `build_circuit(specs[r], thetas[r])`; the specs share family, n, p and
-    entanglement, and qaoa specs may differ in their Ising models."""
-    spec = specs[0]
-    n, p = spec.n, spec.p
+def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: list[float]) -> list[Gate]:
+    """One alternation as checked gates, for each state r of a stack (one row applies to every state):
+    the cost step `cost_phases` as a `diag`, then RX(2*betas[r]) on every qubit."""
+    return [diag(cost_phases(costs, gammas)), layer("rx", [[2.0 * beta] * n for beta in betas])]
+
+
+def _plan(spec: AnsatzSpec) -> tuple:
+    """The spec's gates with theta left out, compiled at first use and kept on the spec: per gate,
+    a `Step`, or (rotation, index) for RX(2*theta[index]) on every qubit, or (rotation, slice)
+    for one angle per qubit, or (cost ranking, index of gamma)."""
+    if spec.plan is None:
+        n, p = spec.n, spec.p
+        if spec.family == "vqe":
+            signs = _entangler(n, spec.entanglement)
+            plan = [("ry", slice(0, n))]
+            for k in range(1, p + 1):
+                plan += [signs, ("ry", slice(k * n, (k + 1) * n))]
+        else:
+            plan = [Step("h", (), [_entries("h", None)] * n)]
+            for k in range(p):
+                plan += [(spec.ising.ranking, p + k), ("rx", k)]
+        object.__setattr__(spec, "plan", tuple(plan))
+    return spec.plan
+
+
+def _bind(specs: list[AnsatzSpec], thetas) -> BoundCircuit:
+    """The plan of specs[0] with row r bound to `specs[r]` and `thetas[r]`; the specs share family,
+    n, p and entanglement, and qaoa specs may differ in their Ising models."""
+    n, rows = specs[0].n, len(specs)
     angles = [_check_params(s, t) for s, t in zip(specs, thetas)]
-    if spec.family == "vqe":
-        signs = _entangler(n, spec.entanglement)
-        gates: list[Gate] = [layer("ry", [a[:n] for a in angles])]
-        for k in range(1, p + 1):
-            gates += [signs, layer("ry", [a[k * n : (k + 1) * n] for a in angles])]
-    else:
-        gates = [_hadamards(n)]
-        costs = [s.ising.ranking for s in specs]
-        for k in range(p):
-            gates += qaoa_layer(costs, n, [a[k] for a in angles], [a[p + k] for a in angles])
-    return Circuit(n, gates)
+    gates = []
+    for j, op in enumerate(_plan(specs[0])):
+        if type(op) is Step:
+            gates.append(op)
+            continue
+        what, at = op
+        if type(what) is ValueRanking:  # each row's own cost
+            costs = [what] if rows == 1 else [_plan(s)[j][0] for s in specs]
+            gates.append(Step("diag", (), None, cost_phases(costs, [a[at] for a in angles])))
+        elif type(at) is int:  # one mixer angle for every qubit
+            matrices = [_entries(what, 2.0 * angles[0][at])] * n if rows == 1 else _matrices(
+                what, [[2.0 * a[at]] * n for a in angles])
+            gates.append(Step(what, (), matrices))
+        else:
+            gates.append(Step(what, (), _matrices(what, [a[at] for a in angles])))
+    return BoundCircuit(n, tuple(gates), rows)
 
 
-def build_circuit(spec: AnsatzSpec, theta) -> Circuit:
-    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x `qaoa_layer`."""
-    return _build([spec], [theta])
+def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
+    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer].
+    Binds theta into the spec's plan; no gate is checked."""
+    return _bind([spec], [theta])
 
 
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:
@@ -151,5 +187,5 @@ def trial_state(spec: AnsatzSpec, theta) -> StateVector:
 
 def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
     """(B, 2^n) amplitudes whose row r equals `trial_state(specs[r], thetas[r]).amplitudes`
-    (before its norm check), bit for bit: the built circuit with one row per spec, run as one stack."""
-    return run_stack(_build(specs, thetas))
+    (before its norm check), bit for bit: the plan bound with one row per spec, run as one stack."""
+    return run_stack(_bind(specs, thetas))

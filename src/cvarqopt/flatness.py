@@ -148,7 +148,7 @@ def cluster_fraction_lower_bound(n: int, p: int, delta: float) -> float:
 
 def needle_hamiltonian(n: int, index: int = 0) -> DiagonalHamiltonian:
     """Minimization needle: value 0 at one distinguished bitstring, 1 elsewhere."""
-    check_qubits(n)
+    n = check_qubits(n)
     if not 0 <= index < 2**n:
         raise ValueError(f"needle index must be in [0, {2**n}), got {index}")
     table = np.ones(2**n)

@@ -110,7 +110,7 @@ class DiagonalHamiltonian:
     ranking: ValueRanking
 
     def __init__(self, n: int, table):
-        check_qubits(n)
+        n = check_qubits(n)
         table = np.asarray(table, dtype=float)
         if table.shape != (2**n,):
             raise ValueError(f"expected {2**n} diagonal entries, got {table.shape}")

@@ -2,6 +2,11 @@
 full sweeps over problem x size x algorithm x depth x alpha grids, and
 metric aggregation.
 
+A run builds its `AnsatzSpec` once.  The spec compiles to its theta-free
+plan at the first evaluation, and every evaluation after that only binds its
+point into the plan (`build_circuit`) and runs the bound steps
+(`run_circuit`), so no gate is built or checked per evaluation.
+
 `run_batch` runs a list of `run_single` argument sets.  With one worker it
 calls `run_single` for each in turn, the reference path.  With more, pool
 workers advance runs of one circuit shape in lockstep, evolving their
@@ -53,7 +58,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import Circuit, StateVector, _whole, checked_state, run_circuit
+from .statevector import BoundCircuit, Circuit, StateVector, _whole, checked_state, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -97,7 +102,7 @@ def make_scorer(ham: DiagonalHamiltonian, alpha: float, mode: str = "exact", sho
 
 def make_objective(
     ham: DiagonalHamiltonian,
-    circuit_fn: Callable[[np.ndarray], Circuit],
+    circuit_fn: Callable[[np.ndarray], BoundCircuit | Circuit],
     alpha: float,
     mode: str = "exact",
     shots: int = 8192,
@@ -203,9 +208,11 @@ def _run_lockstep(runs: list[dict]) -> list[RunTrace | RunFailure]:
 
     Each run keeps its own optimizer (`run_steps`), scorer and sampling
     stream, set up as `run_single` sets them up.  Per step, the current points
-    of the runs still going are evolved as one stacked array
-    (`evolve_states`); each row is then norm-checked and scored on its own, so
-    every trace equals `run_single`'s.  A run that raises stops alone.
+    of the runs still going are bound into their specs' plans and evolved as
+    one stacked array (`evolve_states`); each row is then norm-checked and
+    scored on its own, so every trace equals `run_single`'s.  `checked_state`
+    takes each row over with the stack it views, read-only, so no row is
+    copied.  A run that raises stops alone.
     """
     outcomes: list = [None] * len(runs)
     live = []  # (index, spec, scorer, steps) of each run still going
@@ -267,8 +274,8 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
     runs of one circuit shape (n, algo, p, entanglement) are cut into groups
     of at most `LOCKSTEP_AMPLITUDES` amplitudes, which go onto a process pool
     largest first.  A worker advances a group's runs in lockstep: their
-    points evolve as one (B, 2^n) array from `build_circuit`'s recipe (one
-    state for a group of one), while each run keeps its own optimizer, scoring
+    points are bound into the same plan `build_circuit` binds and evolve as
+    one (B, 2^n) array (one state for a group of one), while each run keeps its own optimizer, scoring
     and bookkeeping, so every trace equals the reference path's bit for bit.
     Observers run in the worker, so they must pickle.  The pool is shut down
     before this returns.

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fixtures
 from .hamiltonian import QuboProblem
+from .statevector import _whole
 
 PROBLEM_NAMES = ("stable_set", "max3sat", "partition", "maxcut", "market_split", "portfolio")
 
@@ -41,6 +42,8 @@ class InstanceSpec:
     def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
+        object.__setattr__(self, "n_qubits", _whole("n_qubits", self.n_qubits))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if self.problem in ("maxcut", "stable_set") and self.n_qubits < 2:

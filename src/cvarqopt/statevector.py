@@ -21,17 +21,25 @@ takes depends on the state's dtype:
   complex numbers (-s)*v and -(s*v) can differ in the sign of a zero, and a
   third buffer of complex amplitudes at n >= 14 no longer fits the cache.
 
-One interpreter runs a circuit on one state (`run_circuit`, a 1-D array) or
-on a stack of B states (`run_stack`, (B, 2^n)), with the same arithmetic on
-each row.  A `diag` or `layer` holds one row of parameters, which every state
-takes (a layer's entries then are Python scalars), or one row per state.
+One interpreter (`_run`) runs a circuit on one state (`run_circuit`, a 1-D
+array) or on a stack of B states (`run_stack`, (B, 2^n)), with the same
+arithmetic on each row.  It reads four fields of each gate: name, qubits, a
+rotation's 2x2 entries (`matrices`) and a diag's diagonal.  A checked `Gate`
+computes its entries once, when it is built, for the hand-built circuits of
+`fixtures`, `flatness` and the tests; `ansatz.build_circuit` binds unchecked
+`Step`s with the same fields into a `BoundCircuit` per evaluation.  A `diag`
+or `layer` holds one row of parameters, which every state takes (a layer's
+entries then are Python scalars), or one row per state.  Every run allocates
+its buffers afresh, one or two per rotation layer: a buffer kept across runs
+would be handed out as a state, and at n >= 14 reusing one measured slower.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
 the cast is exact, and real arithmetic gives the same values as complex
-arithmetic on the real parts.  A `StateVector`'s amplitudes are read-only; its
-probabilities |amplitude|^2, computed once at construction, serve the norm
-check (`checked_state`) and every scorer.
+arithmetic on the real parts.  A `StateVector`'s amplitudes are read-only: it
+copies a caller's array unless no array down its `.base` chain can be
+written.  Its probabilities |amplitude|^2, computed once at construction,
+serve the norm check (`checked_state`) and every scorer.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +69,28 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
-def check_qubits(n: int) -> None:
-    """A ValueError unless 1 <= n <= MAX_QUBITS, the sizes the dense simulator holds."""
-    if not 1 <= n <= MAX_QUBITS:
+def check_qubits(n: int) -> int:
+    """n as an int; a ValueError unless it is a whole number in [1, MAX_QUBITS], the sizes the dense simulator holds."""
+    if not 1 <= (n := _whole("n", n)) <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
+def _makes_complex(gate) -> bool:
+    """Whether applying this gate can give a real state a nonzero imaginary part."""
+    return gate.diagonal.dtype.kind == "c" if gate.name == "diag" else gate.name == "rx"
+
+
+class Step(NamedTuple):
+    """A gate as the interpreter reads it, with none of `Gate`'s checks: what `ansatz.build_circuit`
+    binds per evaluation.  A `Gate` carries the same fields."""
+
+    name: str
+    qubits: tuple = ()  # () for a gate on every qubit
+    matrices: object = None  # a rotation's 2x2 entries per qubit it turns (see `_matrices`)
+    diagonal: np.ndarray | None = None  # diag: (2^n,), or (B, 2^n) with one row per state
+
+    is_complex = property(_makes_complex)
 
 
 @dataclass(frozen=True, eq=False)  # by identity: field-wise == would ignore or mis-compare the arrays
@@ -73,6 +100,9 @@ class Gate:
     angles: tuple = ()  # one qubit's rotation: its angle; a layer: rows of one angle per qubit, None for h
     diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only: (2^n,) or (B, 2^n); read-only
     rows: int = field(init=False, default=1)  # states it holds parameters for; one row applies to every state
+    matrices: object = field(init=False, default=None, repr=False)  # a rotation's entries, as `Step` holds them
+
+    is_complex = property(_makes_complex)
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
@@ -96,13 +126,10 @@ class Gate:
                 raise InvalidGateError(f"{self.name} takes one qubit and an angle, or every qubit and rows of an angle "
                                        f"each (None for h), got {self.qubits} {self.angles}")
             object.__setattr__(self, "rows", 1 if self.qubits else len(self.angles))
+            if len(set(map(len, rows))) == 1:  # ragged rows fit no register: `Circuit` rejects them
+                object.__setattr__(self, "matrices", _matrices(self.name, rows))
         elif len(self.qubits) != 2 or self.angles:
             raise InvalidGateError(f"cnot takes 2 qubits and no angle: {self}")
-
-    @property
-    def is_complex(self) -> bool:
-        """Whether applying this gate can give a real state a nonzero imaginary part."""
-        return self.diagonal.dtype.kind == "c" if self.name == "diag" else self.name == "rx"
 
 
 def _entries(name: str, angle: float | None) -> list:
@@ -111,7 +138,23 @@ def _entries(name: str, angle: float | None) -> list:
         r = 1 / math.sqrt(2)
         return [[r, r], [r, -r]]
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return [[c, -s], [s, c]] if name == "ry" else [[c, -1j * s], [-1j * s, c]]
+    if name == "ry":
+        return [[c, -s], [s, c]]
+    c = complex(c)  # as numpy would cast it for a complex state, once rather than per call
+    return [[c, -1j * s], [-1j * s, c]]
+
+
+def _stacked_entries(name: str, angles) -> np.ndarray:
+    """`_entries(name, angles[r][q])` for every state r and qubit q, as a (B, n, 2, 2) array."""
+    return np.array([[_entries(name, angle) for angle in row] for row in angles])
+
+
+def _matrices(name: str, rows) -> list | np.ndarray:
+    """A rotation's entries, qubit by qubit, for rows of one angle per qubit it turns: Python scalars
+    for one row, which every state takes, and a (n, 2, 2, B, 1) array for B rows, one per state."""
+    if len(rows) == 1:
+        return [_entries(name, angle) for angle in rows[0]]
+    return _stacked_entries(name, rows).transpose(1, 2, 3, 0)[..., None]
 
 
 def ry(qubit: int, angle: float) -> Gate:
@@ -145,7 +188,7 @@ class Circuit:
     rows: int = field(init=False, default=1)  # states it runs on: its gates' row count, or 1
 
     def __post_init__(self):
-        check_qubits(self.n)
+        object.__setattr__(self, "n", check_qubits(self.n))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.qubits and max(g.qubits) >= self.n:
@@ -160,6 +203,25 @@ class Circuit:
         object.__setattr__(self, "rows", rows.pop() if rows else 1)
 
 
+class BoundCircuit(NamedTuple):
+    """Gates or `Step`s that run on n qubits like a `Circuit`'s, taken as given: `ansatz.build_circuit`
+    binds one per evaluation.  `rows` is the number of states its steps hold parameters for."""
+
+    n: int
+    gates: tuple
+    rows: int = 1
+
+
+def _writeable(amps: np.ndarray) -> bool:
+    """Whether the array, or memory it views, may still be written: false only if every array down
+    its `.base` chain is read-only and the last owns its data."""
+    while isinstance(amps, np.ndarray):
+        if amps.flags.writeable:
+            return True
+        amps = amps.base
+    return amps is not None
+
+
 @dataclass(frozen=True)
 class StateVector:
     n: int
@@ -170,7 +232,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
-        if amps.flags.writeable or amps.dtype not in (np.float64, complex):  # a copy, as its owner may still write
+        if _writeable(amps) or amps.dtype not in (np.float64, complex):  # a copy, as its owner may still write
             amps = amps.astype(np.float64 if amps.dtype == np.float64 else complex)  # real states stay float64
             amps.setflags(write=False)
         probs = amps * amps if amps.dtype == np.float64 else np.abs(amps) ** 2
@@ -181,13 +243,13 @@ class StateVector:
     @classmethod
     def zero(cls, n: int) -> "StateVector":
         """|0...0> on n qubits."""
-        check_qubits(n)
+        n = check_qubits(n)
         return cls(n, np.eye(1, 2**n, dtype=complex)[0])
 
     @classmethod
     def uniform(cls, n: int) -> "StateVector":
         """Equal-amplitude superposition, the n-Hadamard state."""
-        check_qubits(n)
+        n = check_qubits(n)
         return cls(n, np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex))
 
 
@@ -206,8 +268,7 @@ def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
     half = amps.shape[-1] // 2
     sides = []  # per buffer: the whole of it, its halves (qubit q at 0, at 1) and its even and odd slots
     for buf in (amps, np.empty_like(amps)):
-        slots = buf.reshape(*buf.shape[:-1], half, 2)
-        sides.append((buf, buf[..., :half], buf[..., half:], slots[..., 0], slots[..., 1]))
+        sides.append((buf, buf[..., :half], buf[..., half:], buf[..., 0::2], buf[..., 1::2]))
     signed = name == "ry" and amps.dtype == np.float64
     if signed:
         spare = np.empty_like(amps)
@@ -228,40 +289,36 @@ def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
     return sides[k][0]
 
 
-def _stacked_entries(name: str, angles) -> np.ndarray:
-    """`_entries(name, angles[r][q])` for every state r and qubit q, as a (B, n, 2, 2) array."""
-    return np.array([[_entries(name, angle) for angle in row] for row in angles])
-
-
-def _product_state(name: str, row) -> np.ndarray:
-    """The (2^n,) state `layer(name, row)` makes of |0...0>, from Python-scalar entries:
+def _product_state(matrices: list) -> np.ndarray:
+    """The (2^n,) state a layer of these Python-scalar entries makes of |0...0>:
     each qubit's column-0 entries times the amplitudes so far, qubit 0 first."""
-    columns = [(m[0][0], m[1][0]) for m in (_entries(name, angle) for angle in row)]
+    columns = [(m[0][0], m[1][0]) for m in matrices]
     amps = np.array(columns[0])
     for top, bottom in columns[1:]:
-        out = np.empty((amps.size, 2), amps.dtype)
-        np.multiply(top, amps, out=out[:, 0])
-        np.multiply(bottom, amps, out=out[:, 1])
-        amps = out.reshape(-1)
+        out = np.empty(2 * amps.size, amps.dtype)
+        np.multiply(top, amps, out=out[0::2])
+        np.multiply(bottom, amps, out=out[1::2])
+        amps = out
     return amps
 
 
 @cache  # one entry per n: the start of every qaoa circuit, shared read-only
 def _hadamard_start(n: int) -> np.ndarray:
-    amps = _product_state("h", [None] * n)
+    amps = _product_state([_entries("h", None)] * n)
     amps.flags.writeable = False
     return amps
 
 
-def layer_states(name: str, angles) -> np.ndarray:
-    """(B, 2^n) product states: row r is what the layer `layer(name, angles[r])` makes of |0...0>.
+def layer_states(matrices) -> np.ndarray:
+    """The states a layer with these `matrices` (see `_matrices`) makes of |0...0>:
+    (2^n,) from one row of entries, (B, 2^n) from B rows.
 
     Each qubit's column-0 entries multiply the amplitudes so far, qubit 0
     first, as the layer's gates would: once the stack is long, as two
     column multiplies into the even and odd slots of the next stack."""
-    if len(angles) == 1:
-        return _product_state(name, angles[0])[None]
-    columns = _stacked_entries(name, angles)[..., 0]  # (B, n, 2)
+    if not isinstance(matrices, np.ndarray):
+        return _product_state(matrices)
+    columns = matrices[:, :, 0, :, 0].transpose(2, 0, 1)  # (B, n, 2)
     amps = columns[:, 0].copy()
     for k in range(1, columns.shape[1]):
         if amps.size < 256:  # one broadcast call costs less than two multiplies here
@@ -274,9 +331,17 @@ def layer_states(name: str, angles) -> np.ndarray:
     return amps
 
 
+def _freeze(amps: np.ndarray) -> None:
+    """Mark the array, and every array down its `.base` chain, read-only."""
+    while isinstance(amps, np.ndarray):
+        amps.setflags(write=False)
+        amps = amps.base
+
+
 def checked_state(n: int, amps: np.ndarray) -> StateVector:
-    """The state of these amplitudes, taken read-only; a FloatingPointError if its norm is NaN or off 1 by > 1e-10."""
-    amps.setflags(write=False)
+    """The state of these amplitudes, taken over read-only with the memory they view;
+    a FloatingPointError if its norm is NaN or off 1 by > 1e-10."""
+    _freeze(amps)
     state = StateVector(n, amps)
     nrm = math.sqrt(state.probabilities.sum())
     if not abs(nrm - 1.0) <= 1e-10:
@@ -284,18 +349,16 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
     return state
 
 
-def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply the gate to the (..., 2^n) amplitudes; returns the result and leaves `amps` overwritten."""
+def _apply(amps: np.ndarray, gate, n: int) -> np.ndarray:
+    """Apply the gate or step to the (..., 2^n) amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
         amps *= gate.diagonal
-    elif gate.name in _ROTATIONS and not gate.qubits:
-        if gate.rows == 1:
-            return _rotate(amps, gate.name, [_entries(gate.name, angle) for angle in gate.angles[0]])
-        return _rotate(amps, gate.name, _stacked_entries(gate.name, gate.angles).transpose(1, 2, 3, 0)[..., None])
+    elif not gate.qubits:
+        return _rotate(amps, gate.name, gate.matrices)
     elif gate.name in _ROTATIONS:
         psi = amps.reshape(*amps.shape[:-1], 2 ** gate.qubits[0], 2, -1)  # axis -2 is the qubit
         v0, v1 = psi[..., 0, :], psi[..., 1, :]
-        _mix(_entries(gate.name, gate.angles[0]), v0.copy(), v1.copy(), v0, v1)
+        _mix(gate.matrices[0], v0.copy(), v1.copy(), v0, v1)
     else:  # cnot
         psi = amps.reshape(*amps.shape[:-1], *[2] * n)  # qubit q is axis q - n
         c, t = gate.qubits
@@ -305,7 +368,7 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return amps
 
 
-def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
+def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
     """Apply the circuit's gates in order to `amps`, (2^n,) or (B, 2^n) and left overwritten,
     or else to |0...0>: as one (2^n,) state for a circuit of one row, or in each of its rows."""
     gates, n = circuit.gates, circuit.n
@@ -315,12 +378,7 @@ def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
             amps = np.eye(1, 2**n, dtype=complex)[0]
         else:  # start from the opening layer's product state
             gates = gates[1:]
-            if first.rows > 1:
-                amps = layer_states(first.name, first.angles)
-            elif first.name == "h":
-                amps = _hadamard_start(n)
-            else:
-                amps = _product_state(first.name, first.angles[0])
+            amps = _hadamard_start(n) if first.name == "h" else layer_states(first.matrices)
         if circuit.rows > 1 and amps.ndim == 1:
             amps = np.repeat(amps[None], circuit.rows, axis=0)
         elif not amps.flags.writeable and not (gates and gates[0].is_complex):  # else the cast below copies it
@@ -328,11 +386,11 @@ def _run(circuit: Circuit, amps: np.ndarray | None) -> np.ndarray:
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
-        amps = _apply_gate(amps, gate, n)
+        amps = _apply(amps, gate, n)
     return amps
 
 
-def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
+def run_circuit(circuit: Circuit | BoundCircuit, initial: StateVector | None = None) -> StateVector:
     """Apply all gates of a one-row circuit in order, starting from |0...0> unless an initial state is given."""
     if circuit.rows != 1:
         raise ValueError(f"a circuit of {circuit.rows} rows runs on a stack (run_stack)")
@@ -341,7 +399,7 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return checked_state(circuit.n, _run(circuit, None if initial is None else initial.amplitudes.copy()))
 
 
-def run_stack(circuit: Circuit) -> np.ndarray:
+def run_stack(circuit: Circuit | BoundCircuit) -> np.ndarray:
     """(B, 2^n) amplitudes, not norm-checked: row r is the circuit's row r run on |0...0>."""
     return _run(circuit, None).reshape(-1, 2**circuit.n)
 

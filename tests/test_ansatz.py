@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from cvarqopt.ansatz import (
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
 from cvarqopt.oracle import exact_cvar_landscape
-from cvarqopt.statevector import Circuit, StateVector, _run, diag, h, layer, probabilities, run_circuit, ry
-from gate_reference import cost_layer_gates, cz, rx, spin_cost
+from cvarqopt.statevector import BoundCircuit, Circuit, StateVector, _run, diag, h, layer, probabilities, run_circuit, ry
+from gate_reference import cost_layer_gates, cz, product_states, rotate_per_qubit, rx, spin_cost
 
 
 def gate_counts(circuit):
@@ -105,11 +106,12 @@ def test_depth_zero_pi_angle_flips_first_qubit():
 
 
 def test_a_state_that_is_not_a_number_fails_its_norm_check():
-    """Angles are checked before a gate is built (below), so the NaN comes in through a gate's entries."""
+    """Angles are checked before a gate is built (below), so the NaN comes in through a gate's entries,
+    run after the bound steps as a bound circuit runs them."""
     spec = AnsatzSpec("vqe", n=2, p=0)
     for d in ([math.nan, 1, 1, 1], [1, 1, 1, math.nan]):
         with pytest.raises(FloatingPointError, match="state norm drifted to nan"):
-            run_circuit(Circuit(2, [*build_circuit(spec, [0.1, 0.2]).gates, diag(np.array(d))]))
+            run_circuit(BoundCircuit(2, (*build_circuit(spec, [0.1, 0.2]).gates, diag(np.array(d)))))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -338,3 +340,65 @@ def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gammas, seed):
     amps = rng.normal(size=(len(tables), 2**n)) + 1j * rng.normal(size=(len(tables), 2**n))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     assert np.array_equal(_run(Circuit(n, [cost_step]), amps.copy()), amps * want)
+
+
+def gate_by_gate(spec, theta) -> np.ndarray:
+    """The spec's state, (1, 2^n), built from the test helpers alone: the opening layer's product state,
+    then per layer the entangler's CZ gates, or the cost phases exp(-i gamma * cost) over the whole
+    table, and a rotation applied one qubit at a time.  (The RZ/CNOT cost gates agree with the phases
+    only up to a global phase and rounding, which `test_qaoa_state_matches_gate_level_cost_layers` checks.)"""
+    n, p = spec.n, spec.p
+    if spec.family == "vqe":
+        amps = product_states("ry", [theta[:n]])
+        for k in range(1, p + 1):
+            for a, b in entangler_pairs(n, spec.entanglement):
+                amps *= cz(n, a, b).diagonal
+            rotate_per_qubit(amps, "ry", [theta[k * n : (k + 1) * n]])
+        return amps
+    amps = product_states("h", [[None] * n]).astype(complex)
+    table = spec.ising.ranking.values[spec.ising.ranking.inverse]
+    for beta, gamma in zip(theta[:p], theta[p:]):
+        amps *= np.exp(-1j * gamma * table)
+        rotate_per_qubit(amps, "rx", [[2.0 * beta] * n])
+    return amps
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["vqe", "qaoa"]), st.integers(1, 12), st.integers(0, 3), st.sampled_from(ENTANGLEMENTS),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_bound_plans_equal_the_gate_by_gate_state_bit_for_bit(family, n, p, entanglement, rows, seed):
+    """Single states and every `evolve_states` row carry the bytes of the state built gate by gate, and
+    a returned state or stack is left as it was by the next evaluation of the same plans."""
+    if entanglement == "ring" and n < 3:
+        entanglement = "all-to-all"
+    rng = np.random.default_rng(seed)
+    if family == "qaoa":
+        specs = [AnsatzSpec("qaoa", n=n, p=max(p, 1), ising=qubo_to_ising(random_qubo(rng, n))) for _ in range(rows)]
+    else:
+        specs = [AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)] * rows
+    thetas = [rng.uniform(-np.pi, np.pi, specs[0].parameter_count) for _ in range(rows)]
+    wants = [gate_by_gate(spec, theta.tolist())[0] for spec, theta in zip(specs, thetas)]
+    states = [trial_state(spec, theta) for spec, theta in zip(specs, thetas)]
+    stacked = evolve_states(specs, thetas)
+    for want, state, row in zip(wants, states, stacked):
+        assert state.amplitudes.dtype == row.dtype == want.dtype
+        assert state.amplitudes.tobytes() == row.tobytes() == want.tobytes()
+    kept = stacked.tobytes()
+    for spec, theta in zip(specs, thetas):
+        trial_state(spec, theta[::-1])
+    evolve_states(specs, [theta[::-1] for theta in thetas])
+    assert [s.amplitudes.tobytes() for s in states] == [w.tobytes() for w in wants] and stacked.tobytes() == kept
+
+
+def test_a_spec_compiles_once_and_each_evaluation_binds_its_plan():
+    ising = IsingModel(3, c=[0.5, -1.0, 0.2], Q=[[0, 1.0, 0], [0, 0, -0.5], [0, 0, 0]])
+    for spec in (AnsatzSpec("vqe", n=3, p=2, entanglement="ring"), AnsatzSpec("qaoa", n=3, p=2, ising=ising)):
+        assert spec.plan is None  # nothing is compiled until the first evaluation
+        first = build_circuit(spec, np.zeros(spec.parameter_count))
+        plan = spec.plan
+        second = build_circuit(spec, np.ones(spec.parameter_count))
+        assert spec.plan is plan and len(plan) == len(first.gates) == len(second.gates) == 1 + 2 * spec.p
+        assert first.n == 3 and first.rows == 1
+        fixed = [k for k, g in enumerate(first.gates) if g is second.gates[k]]  # shared by both evaluations
+        assert fixed == ([1, 3] if spec.family == "vqe" else [0])  # the entangler diags; the H layer
+        assert spec == dataclasses.replace(spec) and repr(spec).count("plan") == 0

@@ -539,3 +539,20 @@ def test_make_objective_sampled_needs_rng():
 def test_unknown_algo_rejected():
     with pytest.raises(ValueError):
         run_single(generate(InstanceSpec("maxcut", 4, 0)), "annealer", p=1, alpha=0.5)
+
+
+def test_lockstep_rows_become_states_without_a_copy(monkeypatch):
+    """`checked_state` takes each row of the evolved stack over, with the stack it views."""
+    taken = []
+    checked_state = harness.checked_state
+
+    def spy(n, row):
+        state = checked_state(n, row)
+        taken.append(state.amplitudes is row and not row.base.flags.writeable)
+        return state
+
+    monkeypatch.setattr(harness, "checked_state", spy)
+    runs = [dict(qubo=generate(InstanceSpec("maxcut", 4, s)), algo="vqe", p=1, alpha=0.5, seed=s,
+                 max_evaluations=10) for s in range(2)]
+    outcomes = harness._run_lockstep([_arguments(run) for run in runs])
+    assert [o.n_evaluations for o in outcomes] == [10, 10] and len(taken) == 20 and all(taken)

@@ -255,3 +255,15 @@ def test_unknown_generator_key_is_rejected_naming_the_accepted_ones(problem):
     n, _ = ACCEPTED[problem]
     with pytest.raises(ValueError, match=f"no parameter edge_densty; it reads {PARAM_KEYS[problem][0]}"):
         InstanceSpec(problem, n, 0, {"edge_densty": 0.9})
+
+
+def test_instance_size_and_seed_take_whole_numbers():
+    for n, seed, field in [(4.5, 0, "n_qubits"), (True, 0, "n_qubits"), ("4", 0, "n_qubits"),
+                           (4, 1.5, "seed"), (4, True, "seed"), (4, "1", "seed")]:
+        with pytest.raises(ValueError, match=f"^{field} takes integers"):
+            InstanceSpec("maxcut", n, seed)
+    spec = InstanceSpec("maxcut", 4.0, 1.0)
+    assert type(spec.n_qubits) is int and type(spec.seed) is int
+    want = generate(InstanceSpec("maxcut", 4, 1))
+    got = generate(spec)
+    assert np.array_equal(got.b, want.b) and np.array_equal(got.A, want.A) and got.const == want.const

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cvarqopt import fixtures
 from cvarqopt.ansatz import AnsatzSpec, build_circuit
-from cvarqopt.hamiltonian import IsingModel
+from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel
 from cvarqopt.statevector import (
     GATE_NAMES,
     Circuit,
@@ -16,6 +16,7 @@ from cvarqopt.statevector import (
     StateVector,
     _entries,
     _run,
+    check_qubits,
     checked_state,
     cnot,
     diag,
@@ -240,7 +241,7 @@ def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
     for row, row_angles, start in zip(want, angles, amps):
         for gates in ([layer(name, row_angles)], per_qubit(name, row_angles)):
             assert run_circuit(Circuit(n, gates), StateVector(n, start)).amplitudes.tobytes() == row.tobytes()
-    assert layer_states(name, angles).tobytes() == product_states(name, angles).tobytes()
+    assert layer_states(layer(name, angles).matrices).tobytes() == product_states(name, angles).tobytes()
 
 
 @pytest.mark.parametrize("name", ["ry", "rx"])
@@ -444,3 +445,39 @@ def test_checked_state_takes_the_array_over_and_checks_its_norm():
         with pytest.raises(FloatingPointError, match=f"^state norm drifted to {shown}$"):
             checked_state(int(math.log2(len(bad))), np.array(bad))
     checked_state(2, np.array([1 + 5e-11, 0.0, 0.0, 0.0]))  # within the tolerance
+
+
+def test_a_read_only_view_of_a_writeable_array_is_copied():
+    a = np.array([0.6, 0.8])
+    v = a.view()
+    v.flags.writeable = False
+    s = StateVector(1, v)
+    a[0] = 1.0  # the base stays writeable, so the state must not share it
+    assert s.amplitudes.tolist() == [0.6, 0.8] and s.probabilities.tolist() == [0.6 * 0.6, 0.8 * 0.8]
+    frozen = np.array([[0.6, 0.8], [0.8, 0.6]])
+    frozen.flags.writeable = False
+    row = frozen[1]
+    assert StateVector(1, row).amplitudes is row  # nothing down the chain can write: no copy
+
+
+def test_checked_state_takes_over_the_memory_a_row_views():
+    stack = np.array([[S2, S2], [S2, -S2]])
+    row = stack[1]
+    state = checked_state(1, row)
+    assert state.amplitudes is row and not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[1, 0] = 0.0
+
+
+def test_qubit_counts_are_whole_numbers_stored_as_ints():
+    assert check_qubits(2.0) == 2 and type(check_qubits(2.0)) is int
+    ham = DiagonalHamiltonian(2.0, np.arange(4.0))
+    assert ham.n == 2 and type(ham.n) is int
+    assert type(Circuit(3.0).n) is int and type(StateVector.zero(2.0).n) is int
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="n takes integers"):
+            DiagonalHamiltonian(bad, np.arange(4.0))
+        with pytest.raises(ValueError, match="n takes integers"):
+            check_qubits(bad)
+    with pytest.raises(ValueError, match=r"qubit count must be in \[1, 20\], got 21"):
+        check_qubits(21.0)

@@ -14,6 +14,7 @@ import pytest
 import cvarqopt
 from cvarqopt import flatness, harness
 from cvarqopt.problems import InstanceSpec, generate
+from cvarqopt.statevector import Circuit, Gate
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -141,3 +142,23 @@ def test_serial_sweep_generates_and_runs_once_per_grid_key(monkeypatch):
     assert not result.failures
     keys = 3 * 2 * 2  # (problem, n) in {maxcut 4, maxcut 6, max3sat 6} x 2 depths x 2 alphas
     assert counts == {"generate": keys, "run_single": keys}
+
+
+@pytest.mark.parametrize("algo,p", [("vqe", 1), ("qaoa", 2)])
+def test_run_single_checks_no_gate_per_evaluation(monkeypatch, algo, p):
+    """A run compiles its spec once and binds each evaluation's angles into that plan, so the
+    checked `Gate`s and `Circuit`s it builds do not grow with its budget."""
+    counts = Counter()
+    for cls in (Gate, Circuit):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    qubo = generate(InstanceSpec("maxcut", 4, seed=1))
+    built = []
+    for budget in (12, 24):
+        counts.clear()
+        trace = harness.run_single(qubo, algo, p=p, alpha=0.5, seed=3, max_evaluations=budget)
+        assert trace.n_evaluations == budget
+        built.append(dict(counts))
+    assert built[0] == built[1]
