@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import check_qubits
+from .statevector import _whole, check_qubits
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,15 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
+        if (n := _whole("n", self.n)) < 1:  # no upper bound: a model the simulator cannot hold may still be valued
+            raise ValueError(f"n must be at least 1, got {n}")
         c = np.asarray(self.c, dtype=float)
         Q = np.asarray(self.Q, dtype=float)
-        if c.shape != (self.n,) or Q.shape != (self.n, self.n):
-            raise ValueError(f"inconsistent dimensions for n={self.n}: c{c.shape}, Q{Q.shape}")
+        if c.shape != (n,) or Q.shape != (n, n):
+            raise ValueError(f"inconsistent dimensions for n={n}: c{c.shape}, Q{Q.shape}")
         if np.any(Q != np.triu(Q, k=1)):
             raise ValueError("Q must be strictly upper triangular")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "offset", float(self.offset))

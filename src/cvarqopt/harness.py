@@ -58,7 +58,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import BoundCircuit, Circuit, StateVector, _whole, checked_state, run_circuit
+from .statevector import BLOCK, BoundCircuit, Circuit, StateVector, _whole, checked_state, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -170,12 +170,6 @@ def run_single(
 
 _RUN_SIGNATURE = inspect.signature(run_single)
 
-# A lockstep group holds at most this many amplitudes, B * 2^n.  Measured per
-# row against run_circuit(build_circuit(...)) on one core, the stacked
-# evolution's gain stops rising at about B=16 at n=10 (x1.3-2.7) and at
-# B=16-32 at n=6 and 8 (x3-5); bigger groups would only cost pool balance.
-LOCKSTEP_AMPLITUDES = 2**14
-
 
 class RunFailure(NamedTuple):
     """A run that raised: the exception's message and formatted traceback."""
@@ -246,16 +240,22 @@ def _run_lockstep(runs: list[dict]) -> list[RunTrace | RunFailure]:
 def _lockstep_groups(runs: list[dict]) -> list[list[int]]:
     """Indices of runs (dicts of all of `run_single`'s arguments) grouped by
     circuit shape (n, algo, p, entanglement).  Each shape is cut into
-    near-equal groups of at most `LOCKSTEP_AMPLITUDES` amplitudes; the groups
-    with the most amplitudes come first."""
+    near-equal groups of at most `BLOCK` amplitudes; the groups with the most
+    amplitudes come first."""
     shapes: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         shape = (run["qubo"].n, run["algo"], run["p"], run["entanglement"])
         shapes.setdefault(shape, []).append(i)
+    # The cap is `BLOCK` (2^14 amplitudes, B * 2^n), the block `statevector._rotate` runs a larger
+    # state's layer in, so a stack's buffers stay in the cache the kernel is tuned for.  Measured per
+    # row against run_circuit(build_circuit(...)) on one core, the stacked evolution's gain stops
+    # rising at about B=16 at n=10 (x1.3-2.7) and at B=16-32 at n=6 and 8 (x3-5); bigger groups
+    # would only cost pool balance.  One layer at n=16 runs fastest in blocks of 2^14: ry on a
+    # float64 state took 0.86 ms, against 0.94 ms in blocks of 2^13 and 1.09 ms in blocks of 2^12.
     sized = []
     for (n, *_), members in shapes.items():
         # as few groups as the cap allows, and never an empty one
-        count = min(len(members), -(-len(members) * 2**n // LOCKSTEP_AMPLITUDES))
+        count = min(len(members), -(-len(members) * 2**n // BLOCK))
         cut = [len(members) * j // count for j in range(count + 1)]
         sized += [(len(members[a:b]) * 2**n, members[a:b]) for a, b in zip(cut, cut[1:])]
     sized.sort(key=lambda g: -g[0])
@@ -272,10 +272,10 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
     With one worker every run goes through `run_single`, in order, in this
     process: that is the reference path, and the one a tracer sees.  With more,
     runs of one circuit shape (n, algo, p, entanglement) are cut into groups
-    of at most `LOCKSTEP_AMPLITUDES` amplitudes, which go onto a process pool
-    largest first.  A worker advances a group's runs in lockstep: their
-    points are bound into the same plan `build_circuit` binds and evolve as
-    one (B, 2^n) array (one state for a group of one), while each run keeps its own optimizer, scoring
+    of at most `BLOCK` amplitudes, which go onto a process pool largest first.
+    A worker advances a group's runs in lockstep: their points are bound into
+    the same plan `build_circuit` binds and evolve as one (B, 2^n) array (one
+    state for a group of one), while each run keeps its own optimizer, scoring
     and bookkeeping, so every trace equals the reference path's bit for bit.
     Observers run in the worker, so they must pickle.  The pool is shut down
     before this returns.

@@ -10,16 +10,31 @@ time, and a run from |0...0> that opens with one starts from that layer's
 product state (for H, one cached read-only state per n).
 
 Each step reads the top qubit's halves v0, v1 and writes a*v0 + b*v1 and
-c*v0 + d*v1 to the even and odd slots of the other buffer.  Which form a step
-takes depends on the state's dtype:
-- ry on a float64 state, ((c, -s), (s, c)): s*state into a third buffer and
-  c*state in place, then even = c*v0 - s*v1 and odd = s*v0 + c*v1, four calls.
-  It is exact because fl((-s)*x) = -fl(s*x) and fl(x + (-y)) = fl(x - y) in
-  IEEE arithmetic, signed zeros included.
-- every other step, and every step on a complex state, takes the four
-  half-array products and two sums as written (six calls, two buffers).  On
-  complex numbers (-s)*v and -(s*v) can differ in the sign of a zero, and a
-  third buffer of complex amplitudes at n >= 14 no longer fits the cache.
+c*v0 + d*v1 to the even and odd slots of the other buffer, so the next qubit
+comes on top.  No step works on more than `BLOCK` = 2^14 amplitudes at once,
+since two complex buffers of that size and a third still fit a 2 MB L2 cache
+and a step streams all it touches (a stack is not blocked: a lockstep group
+holds at most `BLOCK` amplitudes).  A single state of more amplitudes (n > 14)
+first applies its leading n - 14 qubits in the natural layout, where qubit q's
+pairs lie 2^(n-1-q) apart, each step writing out of place into the second
+buffer; then each contiguous block of 2^14 amplitudes takes the other 14 steps
+in turn, with scratch carved from the layer's free buffer (with an odd number
+of steps per block, each block ends in the scratch and is copied back).  Which
+form a step takes:
+- ry on a float64 state, ((c, -s), (s, c)), in all but a leading step:
+  s*state into a spare buffer and c*state in place, then even = c*v0 - s*v1
+  and odd = s*v0 + c*v1, four calls.  It is exact because
+  fl((-s)*x) = -fl(s*x) and fl(x + (-y)) = fl(x - y) in IEEE arithmetic,
+  signed zeros included.
+- rx, ((a, b), (b, a)), in all but a leading step: b*state into a spare
+  buffer and a*state in place, then even = a*v0 + b*v1 and odd = b*v0 + a*v1,
+  four calls with the products and sums as written, and no negation.
+- every other step (h, ry on a complex state, a leading step) takes the four
+  half-array products and two sums as written, six calls.  On complex
+  numbers (-s)*v and -(s*v) can differ in the sign of a zero; on a float64
+  state the leading ry steps give the four-call bytes by the argument above.
+So every amplitude gets the products and sums of the per-qubit 2x2 steps, in
+qubit order, whatever the path.
 
 One interpreter (`_run`) runs a circuit on one state (`run_circuit`, a 1-D
 array) or on a stack of B states (`run_stack`, (B, 2^n)), with the same
@@ -30,8 +45,10 @@ computes its entries once, when it is built, for the hand-built circuits of
 `Step`s with the same fields into a `BoundCircuit` per evaluation.  A `diag`
 or `layer` holds one row of parameters, which every state takes (a layer's
 entries then are Python scalars), or one row per state.  Every run allocates
-its buffers afresh, one or two per rotation layer: a buffer kept across runs
-would be handed out as a state, and at n >= 14 reusing one measured slower.
+its buffers afresh, as a buffer kept across runs would be handed out as a
+state: one per rotation layer, and a spare for four-call steps unless the
+layer is blocked, so a blocked layer holds no more than two state-sized
+buffers.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
@@ -52,6 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_QUBITS = 20
+BLOCK = 2**14  # amplitudes a rotation step works on at a time (see the module docstring)
 
 GATE_NAMES = ("ry", "rx", "h", "cnot", "diag")
 _ROTATIONS = ("h", "ry", "rx")
@@ -229,9 +247,11 @@ class StateVector:
     probabilities: np.ndarray = field(init=False, repr=False, compare=False)  # |amplitude|^2, read-only
 
     def __post_init__(self):
+        if not (type(n := self.n) is int and 1 <= n <= MAX_QUBITS):  # the check, but cheap on a plain int
+            object.__setattr__(self, "n", n := check_qubits(n))
         amps = np.asarray(self.amplitudes)
-        if amps.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
+        if amps.shape != (2**n,):
+            raise ValueError(f"expected {2**n} amplitudes, got shape {amps.shape}")
         if _writeable(amps) or amps.dtype not in (np.float64, complex):  # a copy, as its owner may still write
             amps = amps.astype(np.float64 if amps.dtype == np.float64 else complex)  # real states stay float64
             amps.setflags(write=False)
@@ -262,31 +282,52 @@ def _mix(m, v0: np.ndarray, v1: np.ndarray, even: np.ndarray, odd: np.ndarray) -
     np.add(np.multiply(c, v0, out=v0), odd, out=odd)
 
 
-def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
-    """Apply matrices[q], entries Python scalars or (B, 1) per-state arrays, to qubit q of the
-    (..., 2^n) amplitudes as the module describes a layer; returns the result, leaving `amps` overwritten."""
+def _shuffle(amps: np.ndarray, free: np.ndarray, spare: np.ndarray | None, name: str, matrices) -> np.ndarray:
+    """Apply matrices[q] to qubit q of the (..., 2^m) amplitudes in m steps between `amps` and `free`,
+    taking four calls per ry or rx step when `spare` is a third buffer (see the module docstring);
+    returns the buffer that holds the result, leaving the other overwritten."""
     half = amps.shape[-1] // 2
     sides = []  # per buffer: the whole of it, its halves (qubit q at 0, at 1) and its even and odd slots
-    for buf in (amps, np.empty_like(amps)):
+    for buf in (amps, free):
         sides.append((buf, buf[..., :half], buf[..., half:], buf[..., 0::2], buf[..., 1::2]))
-    signed = name == "ry" and amps.dtype == np.float64
-    if signed:
-        spare = np.empty_like(amps)
+    if spare is not None:
         spare_top, spare_bottom = spare[..., :half], spare[..., half:]
+        combine = np.subtract if name == "ry" else np.add
     k = 0
     for m in matrices:
         cur, top, bottom, _, _ = sides[k]
         _, _, _, even, odd = sides[1 - k]
-        if signed:  # ((c, -s), (s, c)): even = c*v0 - s*v1 and odd = s*v0 + c*v1
-            (c, _), (s, _) = m
-            np.multiply(s, cur, out=spare)
-            np.multiply(c, cur, out=cur)
-            np.subtract(top, spare_bottom, out=even)
-            np.add(spare_top, bottom, out=odd)
-        else:
+        if spare is None:
             _mix(m, top, bottom, even, odd)
+        else:  # ry ((a, -c), (c, a)) or rx ((a, c), (c, a)): even = a*v0 -+ c*v1, odd = c*v0 + a*v1
+            (a, _), (c, _) = m
+            np.multiply(c, cur, out=spare)
+            np.multiply(a, cur, out=cur)
+            combine(top, spare_bottom, out=even)
+            np.add(spare_top, bottom, out=odd)
         k = 1 - k
     return sides[k][0]
+
+
+def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
+    """Apply matrices[q], entries Python scalars or (B, 1) per-state arrays, to qubit q of the
+    (..., 2^n) amplitudes as the module describes a layer; returns the result, leaving `amps` overwritten."""
+    free = np.empty_like(amps)
+    four_calls = name == "rx" or name == "ry" and amps.dtype == np.float64
+    if amps.size <= BLOCK or amps.ndim > 1:  # a stack is never blocked: lockstep groups hold at most BLOCK
+        return _shuffle(amps, free, np.empty_like(amps) if four_calls else None, name, matrices)
+    lead = len(matrices) - BLOCK.bit_length() + 1  # qubits whose pairs lie a block or more apart
+    for q, m in enumerate(matrices[:lead]):
+        cur, out = amps.reshape(2**q, 2, -1), free.reshape(2**q, 2, -1)
+        _mix(m, cur[:, 0], cur[:, 1], out[:, 0], out[:, 1])
+        amps, free = free, amps
+    scratch, spare = free[:BLOCK], free[BLOCK:2 * BLOCK] if four_calls else None
+    inner = matrices[lead:]
+    for start in range(0, amps.size, BLOCK):
+        block = amps[start:start + BLOCK]
+        if (result := _shuffle(block, scratch, spare, name, inner)) is not block:
+            block[...] = result  # an odd number of steps per block ends in the scratch
+    return amps
 
 
 def _product_state(matrices: list) -> np.ndarray:

@@ -124,6 +124,16 @@ def test_ising_requires_strict_upper_triangle():
         IsingModel(2, c=[0.0, 0.0], Q=[[1.0, 0.0], [0.0, 0.0]])
 
 
+def test_an_ising_model_checks_its_size():
+    model = IsingModel(2.0, np.zeros(2), np.zeros((2, 2)))
+    assert model.n == 2 and type(model.n) is int and model.ranking.values.tolist() == [0.0]
+    assert IsingModel(21, np.zeros(21), np.zeros((21, 21))).n == 21  # no upper bound: it may still be valued
+    for bad, message in [(True, "n takes integers"), (1.5, "n takes integers"), (0, "n must be at least 1, got 0"),
+                         (-1, "n must be at least 1, got -1")]:
+        with pytest.raises(ValueError, match=message):
+            IsingModel(bad, np.zeros(1), np.zeros((1, 1)))
+
+
 def test_table_agrees_with_model_value(rng):
     m = qubo_to_ising(random_qubo(rng, 5))
     ham = ising_to_hamiltonian(m)

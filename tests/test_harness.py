@@ -19,7 +19,6 @@ from cvarqopt.objective import (
 )
 from cvarqopt.harness import (
     CSV_HEADER,
-    LOCKSTEP_AMPLITUDES,
     ExperimentConfig,
     RunFailure,
     SweepResult,
@@ -38,7 +37,7 @@ from cvarqopt.harness import (
 from cvarqopt.optimizer import ObjectiveValueError, OptimizerConfig, best_observed_solution, minimize
 from cvarqopt.oracle import enumerate_hamiltonian, ground_value
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
-from cvarqopt.statevector import StateVector
+from cvarqopt.statevector import BLOCK, StateVector
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -263,7 +262,7 @@ def test_lockstep_groups_respect_the_amplitude_cap():
     runs += [dict(qubo=wide, algo="vqe", p=1, alpha=0.1, seed=s) for s in range(3)]  # past the cap alone
     groups = _lockstep_groups([_arguments(run) for run in runs])
     assert sorted(i for g in groups for i in g) == list(range(46))
-    assert all(len(g) * 2**10 <= LOCKSTEP_AMPLITUDES for g in groups if g[0] < 43)
+    assert all(len(g) * 2**10 <= BLOCK for g in groups if g[0] < 43)
     assert sorted(len(g) for g in groups if g[0] >= 43) == [1, 1, 1]
     vqe = [len(g) for g in groups if g[0] < 40]
     assert len(vqe) > 1 and max(vqe) - min(vqe) <= 1  # a shape is cut into near-equal groups

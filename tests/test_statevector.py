@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvarqopt import fixtures
+from cvarqopt import fixtures, statevector
 from cvarqopt.ansatz import AnsatzSpec, build_circuit
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel
 from cvarqopt.statevector import (
@@ -15,6 +16,7 @@ from cvarqopt.statevector import (
     InvalidGateError,
     StateVector,
     _entries,
+    _rotate,
     _run,
     check_qubits,
     checked_state,
@@ -223,16 +225,10 @@ def layers_and_states(draw):
 
 
 SIGNED_ZERO_RY = np.array([[-0.0 + 0.0j, 0.533 - 0.846j]])  # (-0.0)*v and -(0.0*v) differ here
+SIGNED_ZERO_RX = np.array([[0.6 - 0.0j, -0.0 + 0.0j, 0.0 - 0.0j, -0.0 - 0.8j]])  # +-0 parts in the four-call rx step
 
 
-@settings(deadline=None, max_examples=150)
-@given(layers_and_states())
-@example(("ry", [[0.0]], SIGNED_ZERO_RY / np.linalg.norm(SIGNED_ZERO_RY)))
-def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
-    """A layer, on one state or a stack (one row of angles per state), its single-qubit gates,
-    and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
-    so signed zeros count).  The example is a complex state on which an ry step written as
-    c*v0 - s*v1 would turn a zero's sign: that form is exact on float64 states only."""
+def assert_layer_matches_the_per_qubit_steps(case):
     name, angles, amps = case
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
@@ -244,15 +240,62 @@ def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
     assert layer_states(layer(name, angles).matrices).tobytes() == product_states(name, angles).tobytes()
 
 
-@pytest.mark.parametrize("name", ["ry", "rx"])
+@settings(deadline=None, max_examples=150)
+@given(layers_and_states())
+@example(("ry", [[0.0]], SIGNED_ZERO_RY / np.linalg.norm(SIGNED_ZERO_RY)))
+@example(("rx", [[0.0, -0.0]], SIGNED_ZERO_RX))
+def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
+    """A layer, on one state or a stack (one row of angles per state), its single-qubit gates,
+    and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
+    so signed zeros count).  The ry example is a complex state on which an ry step written as
+    c*v0 - s*v1 would turn a zero's sign: that form is exact on float64 states only.  The rx
+    example puts signed zeros through the four-call rx step."""
+    assert_layer_matches_the_per_qubit_steps(case)
+
+
+@pytest.mark.parametrize("block", [2**2, 2**3])
+@settings(deadline=None, max_examples=150)
+@given(layers_and_states())
+@example(("rx", [[math.pi, -0.0, 2 * math.pi]], np.repeat(SIGNED_ZERO_RX, 2, axis=1) / math.sqrt(2)))
+def test_blocked_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(block, case):
+    """The same with `BLOCK` cut to 2^2 or 2^3, so that a single state of 3 to 12 qubits takes
+    the blocked path: leading steps, then each block's steps (at 2^3 an odd number of them,
+    so each block ends in the scratch and is copied back)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "BLOCK", block)
+        assert_layer_matches_the_per_qubit_steps(case)
+
+
+@pytest.mark.parametrize("name", ["h", "ry", "rx"])
 def test_layer_kernel_at_twenty_qubits(name, rng):
-    angles = rng.uniform(-np.pi, np.pi, 20).tolist()
+    """The blocked path at n=20 (six leading steps, 64 blocks) against the per-qubit steps,
+    with scattered +-0 amplitudes whose signs must survive."""
+    angles = [None] * 20 if name == "h" else rng.uniform(-np.pi, np.pi, 20).tolist()
     amps = rng.normal(size=2**20) + (1j * rng.normal(size=2**20) if name == "rx" else 0.0)
+    for part in (amps.real, amps.imag) if name == "rx" else (amps,):
+        zero = rng.random(2**20) < 0.1
+        part[zero] = np.where(rng.random(2**20) < 0.5, -0.0, 0.0)[zero]
     amps /= np.linalg.norm(amps)
     want = amps.copy()
     for q, angle in enumerate(angles):
         apply_matrix(want, q, _entries(name, angle))
     assert run_circuit(Circuit(20, [layer(name, angles)]), StateVector(20, amps)).amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, dtype", [("rx", complex), ("ry", np.float64)])
+def test_a_blocked_layer_holds_one_extra_state_buffer(name, dtype, rng):
+    """At n=18 a layer's block scratch, four-call spare included, lies inside its second buffer:
+    the peak of numpy's traced allocations rises by one state-sized buffer, and no more."""
+    amps = rng.normal(size=2**18).astype(dtype)
+    matrices = layer(name, rng.uniform(-np.pi, np.pi, 18).tolist()).matrices
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _rotate(amps, name, matrices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amps.nbytes <= peak - start <= amps.nbytes + 2**16
 
 
 def test_product_state_start_at_twenty_qubits(rng):
@@ -481,3 +524,12 @@ def test_qubit_counts_are_whole_numbers_stored_as_ints():
             check_qubits(bad)
     with pytest.raises(ValueError, match=r"qubit count must be in \[1, 20\], got 21"):
         check_qubits(21.0)
+
+
+def test_a_state_checks_its_qubit_count():
+    for n in (2.0, np.int64(2)):
+        assert type(StateVector(n, np.array([1.0, 0, 0, 0])).n) is int
+    for bad, amps, message in [(0, [1.0], r"in \[1, 20\], got 0"), (True, [1.0, 0], "n takes integers"),
+                               (2.5, [1.0, 0, 0, 0], "n takes integers"), (21, [1.0, 0], "got 21")]:
+        with pytest.raises(ValueError, match=message):
+            StateVector(bad, np.array(amps))
