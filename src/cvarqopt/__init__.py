@@ -24,7 +24,7 @@ from .objective import (
 from .optimizer import OptimizerConfig, RunTrace, best_observed_solution, minimize
 from .oracle import GroundTruth, enumerate_hamiltonian, exact_cvar_landscape
 from .problems import InstanceSpec, PortfolioFixture, generate, portfolio_qubo
-from .statevector import Circuit, Gate, StateVector, probabilities, run_circuit
+from .statevector import Circuit, Gate, StateVector, run_circuit
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "outcome_distribution",
     "overlap_with_optimum",
     "portfolio_qubo",
-    "probabilities",
     "qubo_to_hamiltonian",
     "qubo_to_ising",
     "run_circuit",

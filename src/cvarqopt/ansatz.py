@@ -24,9 +24,7 @@ slice of theta each rotation layer takes.  Per evaluation `build_circuit`
 only binds theta into that plan, as the Python-scalar 2x2 entries of each
 layer (one for the shared RX angle) and the gathered cost phases, and returns
 a `BoundCircuit` of unchecked `Step`s; no `Gate` or `Circuit` is built.
-`evolve_states` binds B rows into the same plan and runs them as one stack,
-through the same interpreter, so lockstep rows equal single states bit for
-bit.  `qaoa_layer` gives the same cost and mixer step as checked gates, for
+`qaoa_layer` gives the same cost and mixer step as checked gates, for
 `flatness`.
 """
 from __future__ import annotations
@@ -38,8 +36,8 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import (BoundCircuit, Gate, StateVector, Step, _entries, _matrices, _whole, check_qubits, diag,
-                          layer, run_circuit, run_stack)
+from .statevector import (BoundCircuit, Gate, StateVector, Step, _entries, _whole, check_qubits, diag, layer,
+                          run_circuit)
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -114,22 +112,17 @@ def _entangler(n: int, entanglement: str) -> Step:
     return Step("diag", diagonal=entangler_signs(n, entanglement))
 
 
-def cost_phases(costs: list[ValueRanking], gammas: list[float]) -> np.ndarray:
-    """exp(-i gammas[r] * costs[r]) per basis state, read-only: one row, or one per cost given,
-    gathered from one exp per distinct value."""
-    rows = []
-    for cost, gamma in zip(costs, gammas):
-        step = np.multiply(cost.values, -1j * float(gamma))
-        rows.append(np.exp(step, out=step).take(cost.inverse))  # in place: a ranking can hold 2^n values
-    phases = rows[0] if len(rows) == 1 else np.stack(rows)
+def cost_phases(cost: ValueRanking, gamma: float) -> np.ndarray:
+    """exp(-i gamma * cost) per basis state, read-only, gathered from one exp per distinct value."""
+    step = np.multiply(cost.values, -1j * float(gamma))
+    phases = np.exp(step, out=step).take(cost.inverse)  # in place: a ranking can hold 2^n values
     phases.setflags(write=False)  # a fresh array: a gate need not copy it
     return phases
 
 
-def qaoa_layer(costs: list[ValueRanking], n: int, betas: list[float], gammas: list[float]) -> list[Gate]:
-    """One alternation as checked gates, for each state r of a stack (one row applies to every state):
-    the cost step `cost_phases` as a `diag`, then RX(2*betas[r]) on every qubit."""
-    return [diag(cost_phases(costs, gammas)), layer("rx", [[2.0 * beta] * n for beta in betas])]
+def qaoa_layer(cost: ValueRanking, n: int, beta: float, gamma: float) -> list[Gate]:
+    """One alternation as checked gates: the cost step `cost_phases` as a `diag`, then RX(2*beta) on every qubit."""
+    return [diag(cost_phases(cost, gamma)), layer("rx", [2.0 * beta] * n)]
 
 
 def _plan(spec: AnsatzSpec) -> tuple:
@@ -151,41 +144,25 @@ def _plan(spec: AnsatzSpec) -> tuple:
     return spec.plan
 
 
-def _bind(specs: list[AnsatzSpec], thetas) -> BoundCircuit:
-    """The plan of specs[0] with row r bound to `specs[r]` and `thetas[r]`; the specs share family,
-    n, p and entanglement, and qaoa specs may differ in their Ising models."""
-    n, rows = specs[0].n, len(specs)
-    angles = [_check_params(s, t) for s, t in zip(specs, thetas)]
+def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
+    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer].
+    Binds theta into the spec's plan; no gate is checked."""
+    angles = _check_params(spec, theta)
     gates = []
-    for j, op in enumerate(_plan(specs[0])):
+    for op in _plan(spec):
         if type(op) is Step:
             gates.append(op)
             continue
         what, at = op
-        if type(what) is ValueRanking:  # each row's own cost
-            costs = [what] if rows == 1 else [_plan(s)[j][0] for s in specs]
-            gates.append(Step("diag", (), None, cost_phases(costs, [a[at] for a in angles])))
+        if type(what) is ValueRanking:
+            gates.append(Step("diag", (), None, cost_phases(what, angles[at])))
         elif type(at) is int:  # one mixer angle for every qubit
-            matrices = [_entries(what, 2.0 * angles[0][at])] * n if rows == 1 else _matrices(
-                what, [[2.0 * a[at]] * n for a in angles])
-            gates.append(Step(what, (), matrices))
+            gates.append(Step(what, (), [_entries(what, 2.0 * angles[at])] * spec.n))
         else:
-            gates.append(Step(what, (), _matrices(what, [a[at] for a in angles])))
-    return BoundCircuit(n, tuple(gates), rows)
-
-
-def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
-    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer].
-    Binds theta into the spec's plan; no gate is checked."""
-    return _bind([spec], [theta])
+            gates.append(Step(what, (), [_entries(what, angle) for angle in angles[at]]))
+    return BoundCircuit(spec.n, tuple(gates))
 
 
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:
     """Run the built circuit on |0...0>."""
     return run_circuit(build_circuit(spec, theta))
-
-
-def evolve_states(specs: list[AnsatzSpec], thetas) -> np.ndarray:
-    """(B, 2^n) amplitudes whose row r equals `trial_state(specs[r], thetas[r]).amplitudes`
-    (before its norm check), bit for bit: the plan bound with one row per spec, run as one stack."""
-    return run_stack(_bind(specs, thetas))

@@ -120,7 +120,7 @@ def run(instance, problem, n_qubits, instance_seed, algo, depth, alpha, mode, sh
     """Run a single optimization and write the per-evaluation trace CSV."""
     if instance:
         qubo, problem, n_qubits, instance_seed = _load_instance(instance)
-    elif problem and n_qubits:
+    elif problem is not None and n_qubits is not None:
         try:
             qubo = generate(InstanceSpec(problem, n_qubits, instance_seed))
         except ValueError as exc:

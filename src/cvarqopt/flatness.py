@@ -77,7 +77,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        state = run_circuit(Circuit(n, qaoa_layer([ham.ranking], n, [beta], [gamma])), state)
+        state = run_circuit(Circuit(n, qaoa_layer(ham.ranking, n, beta, gamma)), state)
         snapshots.append(state.amplitudes)  # read-only: the next run works on a copy
     return snapshots
 

@@ -7,12 +7,11 @@ plan at the first evaluation, and every evaluation after that only binds its
 point into the plan (`build_circuit`) and runs the bound steps
 (`run_circuit`), so no gate is built or checked per evaluation.
 
-`run_batch` runs a list of `run_single` argument sets.  With one worker it
-calls `run_single` for each in turn, the reference path.  With more, pool
-workers advance runs of one circuit shape in lockstep, evolving their
-current points as one stacked array, and every trace still equals the
-reference path's bit for bit.  `run_sweep` generates each grid key's
-instance and hands the runs to `run_batch`.
+`run_batch` runs a list of `run_single` argument sets, in turn in this
+process with one worker, or on a process pool with more; every run goes
+through `run_single` either way, so the traces do not depend on the worker
+count.  `run_sweep` generates each grid key's instance and hands the runs to
+`run_batch`.
 
 A sweep is a list of grid keys (problem, n, instance index, algo, p, alpha);
 each key's instance seed, run seed and evaluation budget derive from the
@@ -43,7 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_circuit, evolve_states
+from .ansatz import AnsatzSpec, build_circuit
 from .hamiltonian import DiagonalHamiltonian, IsingModel, QuboProblem, ising_to_hamiltonian, qubo_to_ising
 from .hamiltonian import qubo_to_hamiltonian  # unused here; perfbench/tracing.py wraps this name
 from .objective import (
@@ -56,9 +55,9 @@ from .objective import (
     overlap_with_optimum,
     sample_outcomes,
 )
-from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize, run_steps
+from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import BLOCK, BoundCircuit, Circuit, StateVector, _whole, checked_state, run_circuit
+from .statevector import BoundCircuit, Circuit, StateVector, _whole, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -80,7 +79,7 @@ def make_scorer(ham: DiagonalHamiltonian, alpha: float, mode: str = "exact", sho
     Overlap always comes from the exact state; in sampled mode the CVaR and
     the best-seen bitstring come from shots drawn off the run-owned stream.
     """
-    CvarConfig(alpha, mode, shots)  # validates alpha, mode and shot count
+    shots = CvarConfig(alpha, mode, shots).shots  # validates alpha, mode and shot count
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
     table = ham.table if mode == "sampled" else None  # each shot's value in one gather
@@ -128,23 +127,6 @@ def initial_parameters(n_params: int, how: str, seed: int | None = None) -> np.n
     raise ValueError(f"unknown initial point mode {how!r}")
 
 
-def _prepare(qubo, algo, p, alpha, mode, shots, seed, entanglement, max_evaluations, initial_point):
-    """A run's ansatz spec, Hamiltonian, optimizer config and sampling stream."""
-    ising = qubo_to_ising(qubo)
-    ham = ising_to_hamiltonian(ising)
-    n = qubo.n
-    spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
-    seq = np.random.SeedSequence(seed)
-    init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
-    theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
-    cfg = OptimizerConfig(
-        max_evaluations=max_evaluations if max_evaluations is not None else 50 * n,
-        initial_point=theta0,
-    )
-    sample_rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sampled" else None
-    return spec, ham, cfg, sample_rng
-
-
 def run_single(
     qubo: QuboProblem,
     algo: str,
@@ -159,9 +141,18 @@ def run_single(
     observer: Callable[[EvalRecord], None] | None = None,
 ) -> RunTrace:
     """One optimization run; deterministic given all arguments."""
-    spec, ham, cfg, sample_rng = _prepare(
-        qubo, algo, p, alpha, mode, shots, seed, entanglement, max_evaluations, initial_point
+    ising = qubo_to_ising(qubo)
+    ham = ising_to_hamiltonian(ising)
+    n = qubo.n
+    spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
+    seq = np.random.SeedSequence(seed)
+    init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
+    theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
+    cfg = OptimizerConfig(
+        max_evaluations=max_evaluations if max_evaluations is not None else 50 * n,
+        initial_point=theta0,
     )
+    sample_rng = np.random.Generator(np.random.PCG64(sample_seed)) if mode == "sampled" else None
     objective = make_objective(
         ham, lambda t: build_circuit(spec, t), alpha, mode=mode, shots=shots, sample_rng=sample_rng
     )
@@ -182,84 +173,11 @@ def _failure(exc: Exception) -> RunFailure:
     return RunFailure(str(exc), traceback.format_exc())
 
 
-def _arguments(run: dict) -> dict:
-    """All of `run_single`'s arguments for one run, defaults filled in; a TypeError if they do not bind."""
-    bound = _RUN_SIGNATURE.bind(**run)
-    bound.apply_defaults()
-    return bound.arguments
-
-
 def _run_one(run: dict) -> RunTrace | RunFailure:
     try:
         return run_single(**run)
     except Exception as exc:  # one failed run does not stop the batch
         return _failure(exc)
-
-
-def _run_lockstep(runs: list[dict]) -> list[RunTrace | RunFailure]:
-    """Advance runs of one circuit shape together; each run is a dict of all
-    of `run_single`'s arguments.
-
-    Each run keeps its own optimizer (`run_steps`), scorer and sampling
-    stream, set up as `run_single` sets them up.  Per step, the current points
-    of the runs still going are bound into their specs' plans and evolved as
-    one stacked array (`evolve_states`); each row is then norm-checked and
-    scored on its own, so every trace equals `run_single`'s.  `checked_state`
-    takes each row over with the stack it views, read-only, so no row is
-    copied.  A run that raises stops alone.
-    """
-    outcomes: list = [None] * len(runs)
-    live = []  # (index, spec, scorer, steps) of each run still going
-    points = []  # each live run's next point
-    for i, run in enumerate(runs):
-        args = dict(run)
-        observer = args.pop("observer")
-        try:
-            spec, ham, cfg, sample_rng = _prepare(**args)
-            score = make_scorer(ham, args["alpha"], args["mode"], args["shots"], sample_rng)
-            steps = run_steps(cfg, observer)
-            points.append(next(steps))
-            live.append((i, spec, score, steps))
-        except Exception as exc:
-            outcomes[i] = _failure(exc)
-    while live:
-        amps = evolve_states([spec for _, spec, _, _ in live], points)
-        going, points = [], []
-        for (i, spec, score, steps), row in zip(live, amps):
-            try:
-                points.append(steps.send(score(checked_state(spec.n, row))))
-                going.append((i, spec, score, steps))
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except Exception as exc:
-                outcomes[i] = _failure(exc)
-        live = going
-    return outcomes
-
-
-def _lockstep_groups(runs: list[dict]) -> list[list[int]]:
-    """Indices of runs (dicts of all of `run_single`'s arguments) grouped by
-    circuit shape (n, algo, p, entanglement).  Each shape is cut into
-    near-equal groups of at most `BLOCK` amplitudes; the groups with the most
-    amplitudes come first."""
-    shapes: dict[tuple, list[int]] = {}
-    for i, run in enumerate(runs):
-        shape = (run["qubo"].n, run["algo"], run["p"], run["entanglement"])
-        shapes.setdefault(shape, []).append(i)
-    # The cap is `BLOCK` (2^14 amplitudes, B * 2^n), the block `statevector._rotate` runs a larger
-    # state's layer in, so a stack's buffers stay in the cache the kernel is tuned for.  Measured per
-    # row against run_circuit(build_circuit(...)) on one core, the stacked evolution's gain stops
-    # rising at about B=16 at n=10 (x1.3-2.7) and at B=16-32 at n=6 and 8 (x3-5); bigger groups
-    # would only cost pool balance.  One layer at n=16 runs fastest in blocks of 2^14: ry on a
-    # float64 state took 0.86 ms, against 0.94 ms in blocks of 2^13 and 1.09 ms in blocks of 2^12.
-    sized = []
-    for (n, *_), members in shapes.items():
-        # as few groups as the cap allows, and never an empty one
-        count = min(len(members), -(-len(members) * 2**n // BLOCK))
-        cut = [len(members) * j // count for j in range(count + 1)]
-        sized += [(len(members[a:b]) * 2**n, members[a:b]) for a, b in zip(cut, cut[1:])]
-    sized.sort(key=lambda g: -g[0])
-    return [members for _, members in sized]
 
 
 def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFailure]:
@@ -270,28 +188,19 @@ def run_batch(runs: Sequence[dict], workers: int = 1) -> list[RunTrace | RunFail
     bind to `run_single` raise a TypeError before any run starts.
 
     With one worker every run goes through `run_single`, in order, in this
-    process: that is the reference path, and the one a tracer sees.  With more,
-    runs of one circuit shape (n, algo, p, entanglement) are cut into groups
-    of at most `BLOCK` amplitudes, which go onto a process pool largest first.
-    A worker advances a group's runs in lockstep: their points are bound into
-    the same plan `build_circuit` binds and evolve as one (B, 2^n) array (one
-    state for a group of one), while each run keeps its own optimizer, scoring
-    and bookkeeping, so every trace equals the reference path's bit for bit.
-    Observers run in the worker, so they must pickle.  The pool is shut down
-    before this returns.
+    process: that is the path a tracer sees.  With more, each run goes through
+    `run_single` on a process pool worker, so every trace equals the serial
+    one.  Observers run in the worker, so they must pickle.  The pool is shut
+    down before this returns.
     """
     if (workers := _whole("workers", workers)) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    runs = [_arguments(run) for run in runs]
+    for run in runs:
+        _RUN_SIGNATURE.bind(**run)  # a TypeError unless every run's arguments bind
     if workers == 1:
         return [_run_one(run) for run in runs]
-    outcomes: list = [None] * len(runs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(group, pool.submit(_run_lockstep, [runs[i] for i in group])) for group in _lockstep_groups(runs)]
-        for group, future in futures:
-            for i, outcome in zip(group, future.result()):
-                outcomes[i] = outcome
-    return outcomes
+        return list(pool.map(_run_one, runs))
 
 
 @dataclass(frozen=True)

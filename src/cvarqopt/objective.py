@@ -16,12 +16,13 @@ per-shot binary search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import StateVector
+from .statevector import StateVector, _whole
 
 # inverse-CDF sampling over the probability table, stream below
 PRNG_NAME = "numpy.random.PCG64"
@@ -73,12 +74,15 @@ class CvarConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {self.shots}")
+        if self.mode == "sampled":
+            object.__setattr__(self, "shots", _whole("shots", self.shots))
+            if self.shots < 1:
+                raise ValueError(f"shot count must be >= 1, got {self.shots}")
 
 
 def _check_sizes(state: StateVector, ham: DiagonalHamiltonian) -> None:

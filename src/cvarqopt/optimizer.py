@@ -9,10 +9,10 @@ trust region, and lowers the trust-radius floor from `INITIAL_STEP` down to
 trace does not depend on which optimization library is installed.
 
 `_cobyla` is the method as one generator: it yields the next point and
-receives the objective value there.  `run_steps` drives it with `next` and
+receives the objective value there.  `minimize` drives it with `next` and
 `send`: it enforces the hard evaluation budget, rejects non-finite objective
 values and invokes the observer after every evaluation, so traces are
-complete and deterministic.  `minimize` runs one `run_steps` to its end.
+complete and deterministic.
 """
 from __future__ import annotations
 
@@ -246,22 +246,26 @@ def _replace(pole, disp, fval, j: int, d: np.ndarray, f: float, eye: np.ndarray)
     return simi
 
 
-def run_steps(cfg: OptimizerConfig, observer: Callable[[EvalRecord], None] | None = None):
-    """One run's bookkeeping as a generator: it yields each point to evaluate,
-    receives the objective's output there (a float, or a (float, extras)
-    pair) and returns the `RunTrace`.
+def minimize(
+    f: Callable,
+    cfg: OptimizerConfig,
+    observer: Callable[[EvalRecord], None] | None = None,
+) -> RunTrace:
+    """Minimize f over angles, recording every evaluation.
 
-    It enforces the hard evaluation budget, raises `ObjectiveValueError` on a
-    non-finite value, records every evaluation, calls the observer after each
-    and sets the stop reason.  `minimize` drives one run with it; a driver
-    that advances many runs together keeps one per run.
+    f maps a parameter vector to either a float or a (float, extras) pair,
+    where extras may carry "overlap", "bitstring" and "bitstring_value" for
+    the trace.  Stops at the hard evaluation budget or when the method
+    converges, raises `ObjectiveValueError` on a non-finite value and calls
+    the observer after each evaluation.  Deterministic: identical config and
+    objective give an identical trace.
     """
     trace = RunTrace(stop_reason="budget")
     method = _cobyla(cfg.initial_point, INITIAL_STEP, FINAL_STEP)
     theta = next(method)
     for index in range(1, cfg.max_evaluations + 1):
         theta = theta.copy()  # the record and f get a point the method does not hold
-        out = yield theta
+        out = f(theta)
         value, extras = out if isinstance(out, tuple) else (out, {})
         value = float(value)
         if not math.isfinite(value):
@@ -277,27 +281,6 @@ def run_steps(cfg: OptimizerConfig, observer: Callable[[EvalRecord], None] | Non
             trace.stop_reason = stop.value
             break
     return trace
-
-
-def minimize(
-    f: Callable,
-    cfg: OptimizerConfig,
-    observer: Callable[[EvalRecord], None] | None = None,
-) -> RunTrace:
-    """Minimize f over angles, recording every evaluation.
-
-    f maps a parameter vector to either a float or a (float, extras) pair,
-    where extras may carry "overlap", "bitstring" and "bitstring_value" for
-    the trace.  Deterministic: identical config and objective give an
-    identical trace.
-    """
-    steps = run_steps(cfg, observer)
-    theta = next(steps)
-    try:
-        while True:
-            theta = steps.send(f(theta))
-    except StopIteration as stop:
-        return stop.value
 
 
 def best_observed_solution(trace: RunTrace) -> tuple[int, float]:

@@ -13,8 +13,7 @@ Each step reads the top qubit's halves v0, v1 and writes a*v0 + b*v1 and
 c*v0 + d*v1 to the even and odd slots of the other buffer, so the next qubit
 comes on top.  No step works on more than `BLOCK` = 2^14 amplitudes at once,
 since two complex buffers of that size and a third still fit a 2 MB L2 cache
-and a step streams all it touches (a stack is not blocked: a lockstep group
-holds at most `BLOCK` amplitudes).  A single state of more amplitudes (n > 14)
+and a step streams all it touches.  A state of more amplitudes (n > 14)
 first applies its leading n - 14 qubits in the natural layout, where qubit q's
 pairs lie 2^(n-1-q) apart, each step writing out of place into the second
 buffer; then each contiguous block of 2^14 amplitudes takes the other 14 steps
@@ -36,19 +35,16 @@ form a step takes:
 So every amplitude gets the products and sums of the per-qubit 2x2 steps, in
 qubit order, whatever the path.
 
-One interpreter (`_run`) runs a circuit on one state (`run_circuit`, a 1-D
-array) or on a stack of B states (`run_stack`, (B, 2^n)), with the same
-arithmetic on each row.  It reads four fields of each gate: name, qubits, a
-rotation's 2x2 entries (`matrices`) and a diag's diagonal.  A checked `Gate`
-computes its entries once, when it is built, for the hand-built circuits of
-`fixtures`, `flatness` and the tests; `ansatz.build_circuit` binds unchecked
-`Step`s with the same fields into a `BoundCircuit` per evaluation.  A `diag`
-or `layer` holds one row of parameters, which every state takes (a layer's
-entries then are Python scalars), or one row per state.  Every run allocates
-its buffers afresh, as a buffer kept across runs would be handed out as a
-state: one per rotation layer, and a spare for four-call steps unless the
-layer is blocked, so a blocked layer holds no more than two state-sized
-buffers.
+One interpreter (`_run`) runs a circuit on one state, a 1-D array
+(`run_circuit`).  It reads four fields of each gate: name, qubits, a
+rotation's 2x2 entries (`matrices`, Python scalars) and a diag's diagonal.  A
+checked `Gate` computes its entries once, when it is built, for the
+hand-built circuits of `fixtures`, `flatness` and the tests;
+`ansatz.build_circuit` binds unchecked `Step`s with the same fields into a
+`BoundCircuit` per evaluation.  Every run allocates its buffers afresh, as a
+buffer kept across runs would be handed out as a state: one per rotation
+layer, and a spare for four-call steps unless the layer is blocked, so a
+blocked layer holds no more than two state-sized buffers.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
@@ -69,7 +65,10 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_QUBITS = 20
-BLOCK = 2**14  # amplitudes a rotation step works on at a time (see the module docstring)
+# Amplitudes a rotation step works on at a time (see the module docstring).  One ry layer on a
+# float64 state at n=16 took 0.86 ms in blocks of 2^14, 0.94 ms in blocks of 2^13 and 1.09 ms in
+# blocks of 2^12, on one core.
+BLOCK = 2**14
 
 GATE_NAMES = ("ry", "rx", "h", "cnot", "diag")
 _ROTATIONS = ("h", "ry", "rx")
@@ -105,8 +104,8 @@ class Step(NamedTuple):
 
     name: str
     qubits: tuple = ()  # () for a gate on every qubit
-    matrices: object = None  # a rotation's 2x2 entries per qubit it turns (see `_matrices`)
-    diagonal: np.ndarray | None = None  # diag: (2^n,), or (B, 2^n) with one row per state
+    matrices: list | None = None  # a rotation's 2x2 entries per qubit it turns, as `_entries` gives them
+    diagonal: np.ndarray | None = None  # diag: (2^n,)
 
     is_complex = property(_makes_complex)
 
@@ -115,10 +114,9 @@ class Step(NamedTuple):
 class Gate:
     name: str
     qubits: tuple[int, ...]  # () for a gate on every qubit: diag, or a rotation layer
-    angles: tuple = ()  # one qubit's rotation: its angle; a layer: rows of one angle per qubit, None for h
-    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only: (2^n,) or (B, 2^n); read-only
-    rows: int = field(init=False, default=1)  # states it holds parameters for; one row applies to every state
-    matrices: object = field(init=False, default=None, repr=False)  # a rotation's entries, as `Step` holds them
+    angles: tuple = ()  # a rotation's angle per qubit it turns, None for h
+    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only: (2^n,), read-only
+    matrices: list | None = field(init=False, default=None, repr=False)  # a rotation's entries, as `Step` holds them
 
     is_complex = property(_makes_complex)
 
@@ -133,19 +131,16 @@ class Gate:
             d = np.asarray(self.diagonal)
             d = d.copy() if d.flags.writeable else d  # read-only, so the gate cannot change once built
             d.flags.writeable = False
-            object.__setattr__(self, "diagonal", d[0] if d.ndim == 2 and len(d) == 1 else d)  # one row: every state's
-            object.__setattr__(self, "rows", len(d) if d.ndim == 2 else 1)
-            if d.ndim not in (1, 2) or self.angles or self.qubits:
-                raise InvalidGateError(f"diag takes a vector or one row per state, and no qubit or angle: {self}")
+            object.__setattr__(self, "diagonal", d)
+            if d.ndim != 1 or self.angles or self.qubits:
+                raise InvalidGateError(f"diag takes a vector, and no qubit or angle: {self}")
         elif self.name in _ROTATIONS:
-            rows = (self.angles,) if self.qubits else self.angles
-            if not rows or len(self.qubits) > 1 or (self.qubits and len(self.angles) > 1) or not all(
-                    type(row) is tuple and row and row.count(None) == (self.name == "h") * len(row) for row in rows):
-                raise InvalidGateError(f"{self.name} takes one qubit and an angle, or every qubit and rows of an angle "
+            kind = type(None) if self.name == "h" else numbers.Real
+            if (type(self.angles) is not tuple or not self.angles or len(self.qubits) > 1
+                    or (self.qubits and len(self.angles) > 1) or not all(isinstance(a, kind) for a in self.angles)):
+                raise InvalidGateError(f"{self.name} takes one qubit and an angle, or every qubit and an angle "
                                        f"each (None for h), got {self.qubits} {self.angles}")
-            object.__setattr__(self, "rows", 1 if self.qubits else len(self.angles))
-            if len(set(map(len, rows))) == 1:  # ragged rows fit no register: `Circuit` rejects them
-                object.__setattr__(self, "matrices", _matrices(self.name, rows))
+            object.__setattr__(self, "matrices", [_entries(self.name, angle) for angle in self.angles])
         elif len(self.qubits) != 2 or self.angles:
             raise InvalidGateError(f"cnot takes 2 qubits and no angle: {self}")
 
@@ -162,19 +157,6 @@ def _entries(name: str, angle: float | None) -> list:
     return [[c, -1j * s], [-1j * s, c]]
 
 
-def _stacked_entries(name: str, angles) -> np.ndarray:
-    """`_entries(name, angles[r][q])` for every state r and qubit q, as a (B, n, 2, 2) array."""
-    return np.array([[_entries(name, angle) for angle in row] for row in angles])
-
-
-def _matrices(name: str, rows) -> list | np.ndarray:
-    """A rotation's entries, qubit by qubit, for rows of one angle per qubit it turns: Python scalars
-    for one row, which every state takes, and a (n, 2, 2, B, 1) array for B rows, one per state."""
-    if len(rows) == 1:
-        return [_entries(name, angle) for angle in rows[0]]
-    return _stacked_entries(name, rows).transpose(1, 2, 3, 0)[..., None]
-
-
 def ry(qubit: int, angle: float) -> Gate:
     return Gate("ry", (qubit,), (float(angle),))
 
@@ -188,22 +170,19 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def diag(d: np.ndarray) -> Gate:
-    """Multiply amplitude j by d[j]; given a (B, 2^n) array, amplitude j of state r by d[r, j]."""
+    """Multiply amplitude j by d[j]."""
     return Gate("diag", (), (), d)
 
 
 def layer(name: str, angles) -> Gate:
-    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]; given
-    one row of angles per state of a stack, qubit q of state r by angles[r][q]."""
-    stacked = len(angles) and isinstance(angles[0], (list, tuple, np.ndarray))
-    return Gate(name, (), tuple(map(tuple, angles)) if stacked else (tuple(angles),))
+    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]."""
+    return Gate(name, (), tuple(angles))
 
 
 @dataclass(frozen=True)
 class Circuit:
     n: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
-    rows: int = field(init=False, default=1)  # states it runs on: its gates' row count, or 1
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_qubits(self.n))
@@ -211,23 +190,18 @@ class Circuit:
         for g in self.gates:
             if g.qubits and max(g.qubits) >= self.n:
                 raise InvalidGateError(f"gate {g} out of range for n={self.n}")
-            if g.name == "diag" and g.diagonal.shape[-1] != 2**self.n:
-                raise InvalidGateError(f"diag of width {g.diagonal.shape[-1]} does not fit n={self.n}")
-            if g.name in _ROTATIONS and not g.qubits and set(map(len, g.angles)) != {self.n}:
-                raise InvalidGateError(f"{g.name} rows of {[len(r) for r in g.angles]} angles do not fit n={self.n}")
-        rows = {g.rows for g in self.gates} - {1}
-        if len(rows) > 1:
-            raise InvalidGateError(f"gates hold {sorted(rows)} rows of parameters")
-        object.__setattr__(self, "rows", rows.pop() if rows else 1)
+            if g.name == "diag" and g.diagonal.size != 2**self.n:
+                raise InvalidGateError(f"diag of width {g.diagonal.size} does not fit n={self.n}")
+            if g.name in _ROTATIONS and not g.qubits and len(g.angles) != self.n:
+                raise InvalidGateError(f"{g.name} layer of {len(g.angles)} angles does not fit n={self.n}")
 
 
 class BoundCircuit(NamedTuple):
     """Gates or `Step`s that run on n qubits like a `Circuit`'s, taken as given: `ansatz.build_circuit`
-    binds one per evaluation.  `rows` is the number of states its steps hold parameters for."""
+    binds one per evaluation."""
 
     n: int
     gates: tuple
-    rows: int = 1
 
 
 def _writeable(amps: np.ndarray) -> bool:
@@ -283,15 +257,15 @@ def _mix(m, v0: np.ndarray, v1: np.ndarray, even: np.ndarray, odd: np.ndarray) -
 
 
 def _shuffle(amps: np.ndarray, free: np.ndarray, spare: np.ndarray | None, name: str, matrices) -> np.ndarray:
-    """Apply matrices[q] to qubit q of the (..., 2^m) amplitudes in m steps between `amps` and `free`,
+    """Apply matrices[q] to qubit q of the 2^m amplitudes in m steps between `amps` and `free`,
     taking four calls per ry or rx step when `spare` is a third buffer (see the module docstring);
     returns the buffer that holds the result, leaving the other overwritten."""
-    half = amps.shape[-1] // 2
+    half = amps.size // 2
     sides = []  # per buffer: the whole of it, its halves (qubit q at 0, at 1) and its even and odd slots
     for buf in (amps, free):
-        sides.append((buf, buf[..., :half], buf[..., half:], buf[..., 0::2], buf[..., 1::2]))
+        sides.append((buf, buf[:half], buf[half:], buf[0::2], buf[1::2]))
     if spare is not None:
-        spare_top, spare_bottom = spare[..., :half], spare[..., half:]
+        spare_top, spare_bottom = spare[:half], spare[half:]
         combine = np.subtract if name == "ry" else np.add
     k = 0
     for m in matrices:
@@ -310,11 +284,11 @@ def _shuffle(amps: np.ndarray, free: np.ndarray, spare: np.ndarray | None, name:
 
 
 def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
-    """Apply matrices[q], entries Python scalars or (B, 1) per-state arrays, to qubit q of the
-    (..., 2^n) amplitudes as the module describes a layer; returns the result, leaving `amps` overwritten."""
+    """Apply matrices[q] to qubit q of the 2^n amplitudes as the module describes a layer;
+    returns the result, leaving `amps` overwritten."""
     free = np.empty_like(amps)
     four_calls = name == "rx" or name == "ry" and amps.dtype == np.float64
-    if amps.size <= BLOCK or amps.ndim > 1:  # a stack is never blocked: lockstep groups hold at most BLOCK
+    if amps.size <= BLOCK:
         return _shuffle(amps, free, np.empty_like(amps) if four_calls else None, name, matrices)
     lead = len(matrices) - BLOCK.bit_length() + 1  # qubits whose pairs lie a block or more apart
     for q, m in enumerate(matrices[:lead]):
@@ -331,7 +305,7 @@ def _rotate(amps: np.ndarray, name: str, matrices) -> np.ndarray:
 
 
 def _product_state(matrices: list) -> np.ndarray:
-    """The (2^n,) state a layer of these Python-scalar entries makes of |0...0>:
+    """The (2^n,) state a layer of these entries makes of |0...0>:
     each qubit's column-0 entries times the amplitudes so far, qubit 0 first."""
     columns = [(m[0][0], m[1][0]) for m in matrices]
     amps = np.array(columns[0])
@@ -347,28 +321,6 @@ def _product_state(matrices: list) -> np.ndarray:
 def _hadamard_start(n: int) -> np.ndarray:
     amps = _product_state([_entries("h", None)] * n)
     amps.flags.writeable = False
-    return amps
-
-
-def layer_states(matrices) -> np.ndarray:
-    """The states a layer with these `matrices` (see `_matrices`) makes of |0...0>:
-    (2^n,) from one row of entries, (B, 2^n) from B rows.
-
-    Each qubit's column-0 entries multiply the amplitudes so far, qubit 0
-    first, as the layer's gates would: once the stack is long, as two
-    column multiplies into the even and odd slots of the next stack."""
-    if not isinstance(matrices, np.ndarray):
-        return _product_state(matrices)
-    columns = matrices[:, :, 0, :, 0].transpose(2, 0, 1)  # (B, n, 2)
-    amps = columns[:, 0].copy()
-    for k in range(1, columns.shape[1]):
-        if amps.size < 256:  # one broadcast call costs less than two multiplies here
-            out = np.multiply(columns[:, k, None], amps[:, :, None])
-        else:
-            out = np.empty((*amps.shape, 2), columns.dtype)
-            np.multiply(columns[:, k, :1], amps, out=out[..., 0])
-            np.multiply(columns[:, k, 1:], amps, out=out[..., 1])
-        amps = out.reshape(len(amps), -1)
     return amps
 
 
@@ -391,27 +343,26 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
 
 
 def _apply(amps: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply the gate or step to the (..., 2^n) amplitudes; returns the result and leaves `amps` overwritten."""
+    """Apply the gate or step to the 2^n amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
         amps *= gate.diagonal
     elif not gate.qubits:
         return _rotate(amps, gate.name, gate.matrices)
     elif gate.name in _ROTATIONS:
-        psi = amps.reshape(*amps.shape[:-1], 2 ** gate.qubits[0], 2, -1)  # axis -2 is the qubit
-        v0, v1 = psi[..., 0, :], psi[..., 1, :]
+        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)  # axis 1 is the qubit
+        v0, v1 = psi[:, 0], psi[:, 1]
         _mix(gate.matrices[0], v0.copy(), v1.copy(), v0, v1)
     else:  # cnot
-        psi = amps.reshape(*amps.shape[:-1], *[2] * n)  # qubit q is axis q - n
+        psi = amps.reshape([2] * n)  # qubit q is axis q
         c, t = gate.qubits
-        on = (..., 1) + (slice(None),) * (n - 1 - c)  # the control set
-        # with the control axis fixed, the target's axis from the end moves up by one if it came before
-        psi[on] = np.flip(psi[on], axis=t - n + (t < c))
+        on = (slice(None),) * c + (1,)  # the control set
+        # with the control axis fixed, a target after it moves down one axis
+        psi[on] = np.flip(psi[on], axis=t - (t > c))
     return amps
 
 
 def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
-    """Apply the circuit's gates in order to `amps`, (2^n,) or (B, 2^n) and left overwritten,
-    or else to |0...0>: as one (2^n,) state for a circuit of one row, or in each of its rows."""
+    """Apply the circuit's gates in order to the (2^n,) `amps`, left overwritten, or else to |0...0>."""
     gates, n = circuit.gates, circuit.n
     if amps is None:
         first = gates[0] if gates else None
@@ -419,10 +370,8 @@ def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray
             amps = np.eye(1, 2**n, dtype=complex)[0]
         else:  # start from the opening layer's product state
             gates = gates[1:]
-            amps = _hadamard_start(n) if first.name == "h" else layer_states(first.matrices)
-        if circuit.rows > 1 and amps.ndim == 1:
-            amps = np.repeat(amps[None], circuit.rows, axis=0)
-        elif not amps.flags.writeable and not (gates and gates[0].is_complex):  # else the cast below copies it
+            amps = _hadamard_start(n) if first.name == "h" else _product_state(first.matrices)
+        if not amps.flags.writeable and not (gates and gates[0].is_complex):  # else the cast below copies it
             amps = amps.copy()
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
@@ -432,19 +381,7 @@ def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray
 
 
 def run_circuit(circuit: Circuit | BoundCircuit, initial: StateVector | None = None) -> StateVector:
-    """Apply all gates of a one-row circuit in order, starting from |0...0> unless an initial state is given."""
-    if circuit.rows != 1:
-        raise ValueError(f"a circuit of {circuit.rows} rows runs on a stack (run_stack)")
+    """Apply all gates of the circuit in order, starting from |0...0> unless an initial state is given."""
     if initial is not None and initial.n != circuit.n:
         raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")
     return checked_state(circuit.n, _run(circuit, None if initial is None else initial.amplitudes.copy()))
-
-
-def run_stack(circuit: Circuit | BoundCircuit) -> np.ndarray:
-    """(B, 2^n) amplitudes, not norm-checked: row r is the circuit's row r run on |0...0>."""
-    return _run(circuit, None).reshape(-1, 2**circuit.n)
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """Measurement probabilities |amplitude|^2 per basis index: the state's own read-only array."""
-    return state.probabilities

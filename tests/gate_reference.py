@@ -14,14 +14,14 @@ check the whole-register gates against them:
   coupling;
 - `spin_cost`: the cost (offset excluded) of every basis state, summed
   spin by spin;
-- `rotate_per_qubit` and `product_states`: a rotation layer applied one
+- `rotate_per_qubit` and `product_state`: a rotation layer applied one
   qubit at a time in place, and its product state from |0...0> built as an
   iterated outer product, the arithmetic the layer kernel must equal.
 """
 import numpy as np
 
 from cvarqopt.hamiltonian import IsingModel
-from cvarqopt.statevector import Gate, _stacked_entries, cnot, diag
+from cvarqopt.statevector import Gate, _entries, cnot, diag
 
 
 def bit(n: int, q: int) -> np.ndarray:
@@ -58,13 +58,10 @@ def spin_cost(ising: IsingModel) -> np.ndarray:
 
 
 def apply_matrix(amps: np.ndarray, q: int, m) -> None:
-    """Apply the 2x2 matrix m to qubit q, in place.
-
-    `amps` is one state (2^n,) with m's entries Python scalars, or a stack of
-    states (B, 2^n) with each entry a (B, 1, 1) array of per-state values."""
-    # axis 0 is the state, axis 2 the qubit, axes 1 and 3 the more and less significant bits
-    psi = amps.reshape(-1, 2**q, 2, amps.shape[-1] >> (q + 1))
-    v0, v1 = psi[:, :, 0], psi[:, :, 1]
+    """Apply the 2x2 matrix m, entries Python scalars, to qubit q of the (2^n,) state, in place."""
+    # axis 1 is the qubit, axes 0 and 2 the more and less significant bits
+    psi = amps.reshape(2**q, 2, -1)
+    v0, v1 = psi[:, 0], psi[:, 1]
     (a, b), (c, d) = m
     r0 = v0.copy()
     v0[...] = a * r0 + b * v1
@@ -72,16 +69,15 @@ def apply_matrix(amps: np.ndarray, q: int, m) -> None:
 
 
 def rotate_per_qubit(amps: np.ndarray, name: str, angles) -> None:
-    """Apply `layer(name, angles[r])` to row r of the (B, 2^n) stack in place, one qubit at a time."""
-    entries = _stacked_entries(name, angles).transpose(1, 2, 3, 0)[..., None, None]  # (n, 2, 2, B, 1, 1)
-    for q, m in enumerate(entries):
-        apply_matrix(amps, q, m)
+    """Apply `layer(name, angles)` to the (2^n,) state in place, one qubit at a time."""
+    for q, angle in enumerate(angles):
+        apply_matrix(amps, q, _entries(name, angle))
 
 
-def product_states(name: str, angles) -> np.ndarray:
-    """(B, 2^n) states the layers make of |0...0>: qubit k's column 0 times the amplitudes so far."""
-    columns = _stacked_entries(name, angles)[..., None, :, 0]  # (B, n, 1, 2)
-    amps = columns[:, 0, 0].copy()
-    for k in range(1, columns.shape[1]):
-        amps = np.multiply(columns[:, k], amps[:, :, None]).reshape(len(amps), -1)
+def product_state(name: str, angles) -> np.ndarray:
+    """The (2^n,) state the layer makes of |0...0>: qubit k's column 0 times the amplitudes so far."""
+    columns = np.array([_entries(name, angle) for angle in angles])[:, :, 0]  # (n, 2)
+    amps = columns[0].copy()
+    for column in columns[1:]:
+        amps = np.multiply(column, amps[:, None]).reshape(-1)
     return amps

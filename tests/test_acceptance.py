@@ -83,7 +83,7 @@ def test_criterion_04_cost_unitary_matches_exact_phases():
         gamma = float(rng.uniform(-np.pi, np.pi))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        cost_step = qaoa_layer([ising.ranking], n, betas=[0.0], gammas=[gamma])[0]
+        cost_step = qaoa_layer(ising.ranking, n, beta=0.0, gamma=gamma)[0]
         assert cost_step.name == "diag"
         got = run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes
         exact = amps * np.exp(-1j * gamma * spin_cost(ising))
@@ -150,10 +150,9 @@ def trend_batch():
     """Shared batch for criteria 6 and 7: n=10, exact mode, budget 50*n,
     random seeded starts, 5 master seeds over 10 maxcut + 10 portfolio.
 
-    The 300 runs go through `run_batch` on two workers, which advance runs of
-    one circuit shape in lockstep.  Returns each grid point's reach
-    iterations and every 25th (run, trace) pair for the check against
-    `run_single`."""
+    The 300 runs go through `run_batch` on two pool workers.  Returns each
+    grid point's reach iterations and every 25th (run, trace) pair for the
+    check against `run_single` in this process."""
     n = 10
     instances = [("maxcut", s) for s in range(10)] + [("portfolio", s) for s in range(10)]
     grid = [("vqe", 1, 0.10), ("vqe", 1, 1.00), ("qaoa", 2, 0.10)]
@@ -187,14 +186,14 @@ def trend_runs(trend_batch):
 
 
 def test_trend_batch_traces_equal_run_single(trend_batch):
-    """The lockstep traces behind criteria 6 and 7 are the serial reference path's, bit for bit."""
+    """The pooled traces behind criteria 6 and 7 are the serial path's, bit for bit."""
     for run, trace in trend_batch["sample"]:
         want = run_single(**run)
         assert trace.stop_reason == want.stop_reason
         assert [(r.index, r.value, r.overlap, r.bitstring, r.bitstring_value) for r in trace.records] == \
             [(r.index, r.value, r.overlap, r.bitstring, r.bitstring_value) for r in want.records]
         assert all(np.array_equal(a.theta, b.theta) for a, b in zip(trace.records, want.records))
-    print(f"\n[trend batch] {len(trend_batch['sample'])} lockstep traces equal run_single's")
+    print(f"\n[trend batch] {len(trend_batch['sample'])} pooled traces equal run_single's")
 
 
 def _median(values):

@@ -13,14 +13,13 @@ from cvarqopt.ansatz import (
     build_circuit,
     entangler_pairs,
     entangler_signs,
-    evolve_states,
     qaoa_layer,
     trial_state,
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
 from cvarqopt.oracle import exact_cvar_landscape
-from cvarqopt.statevector import BoundCircuit, Circuit, StateVector, _run, diag, h, layer, probabilities, run_circuit, ry
-from gate_reference import cost_layer_gates, cz, product_states, rotate_per_qubit, rx, spin_cost
+from cvarqopt.statevector import BoundCircuit, Circuit, StateVector, diag, h, layer, run_circuit, ry
+from gate_reference import cost_layer_gates, cz, product_state, rotate_per_qubit, rx, spin_cost
 
 
 def gate_counts(circuit):
@@ -102,7 +101,7 @@ def test_depth_zero_at_zero_angles_is_identity():
 
 def test_depth_zero_pi_angle_flips_first_qubit():
     out = trial_state(AnsatzSpec("vqe", n=2, p=0), [np.pi, 0.0])
-    np.testing.assert_allclose(probabilities(out), [0, 0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(out.probabilities, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_a_state_that_is_not_a_number_fails_its_norm_check():
@@ -120,7 +119,6 @@ def test_angles_that_are_not_finite_are_rejected_before_any_gate_is_built(bad):
     vqe, qaoa = AnsatzSpec("vqe", n=2, p=1), AnsatzSpec("qaoa", n=2, p=2, ising=ising)
     theta = [0.1, 0.2, bad, bad]  # the first bad index is 2
     for call in (lambda: trial_state(vqe, theta), lambda: build_circuit(qaoa, theta),
-                 lambda: evolve_states([vqe, vqe], [[0.0] * 4, theta]),
                  lambda: exact_cvar_landscape(qaoa, DiagonalHamiltonian(2, np.arange(4.0)), 0.5, [theta])):
         with pytest.raises(ValueError, match=r"(vqe|qaoa) n=2 p=(1|2): parameter 2 is -?(nan|inf), not a finite angle"):
             call()
@@ -132,7 +130,7 @@ def test_depth_zero_spans_all_basis_states():
     for j in range(4):
         theta = [np.pi * ((j >> 1) & 1), np.pi * (j & 1)]
         out = trial_state(AnsatzSpec("vqe", n=2, p=0), theta)
-        assert probabilities(out)[j] == pytest.approx(1.0, abs=1e-12)
+        assert out.probabilities[j] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,p", [(2, 0), (3, 1), (6, 2), (10, 1), (16, 2)])
@@ -254,8 +252,8 @@ def test_probabilities_periodic_in_gamma_for_integer_values(rng):
     diffs = np.unique(np.round(values - values.min()).astype(int))
     g = int(np.gcd.reduce(diffs[diffs > 0]))
     beta, gamma = 0.4, 1.1
-    p1 = probabilities(trial_state(spec, [beta, gamma]))
-    p2 = probabilities(trial_state(spec, [beta, gamma + 2 * np.pi / g]))
+    p1 = trial_state(spec, [beta, gamma]).probabilities
+    p2 = trial_state(spec, [beta, gamma + 2 * np.pi / g]).probabilities
     np.testing.assert_allclose(p1, p2, atol=1e-9)
 
 
@@ -293,101 +291,74 @@ def test_vqe_trial_state_is_float64_and_qaoa_complex(rng):
     assert trial_state(spec, rng.uniform(-np.pi, np.pi, 4)).amplitudes.dtype == complex
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.sampled_from(["vqe", "qaoa"]), st.integers(1, 10), st.integers(0, 3), st.sampled_from(ENTANGLEMENTS),
-       st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_stacked_rows_equal_the_built_circuit_bit_for_bit(family, n, p, entanglement, rows, seed):
-    """Each row of `evolve_states` is `run_circuit(build_circuit(spec, theta))` for its own spec and point;
-    qaoa rows come from different instances."""
-    if entanglement == "ring" and n < 3:
-        entanglement = "all-to-all"
-    rng = np.random.default_rng(seed)
-    if family == "qaoa":
-        specs = [AnsatzSpec("qaoa", n=n, p=max(p, 1), ising=qubo_to_ising(random_qubo(rng, n))) for _ in range(rows)]
-    else:
-        specs = [AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)] * rows
-    thetas = [rng.uniform(-np.pi, np.pi, specs[0].parameter_count) for _ in range(rows)]
-    stacked = evolve_states(specs, thetas)
-    assert stacked.shape == (rows, 2**n)
-    for spec, theta, row in zip(specs, thetas, stacked):
-        want = run_circuit(build_circuit(spec, theta)).amplitudes
-        assert row.dtype == want.dtype
-        assert np.array_equal(row, want)
-
-
 @settings(deadline=None)
 @given(
     st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n),
-        st.lists(st.one_of(  # with ties (few distinct values) or all distinct
+        st.one_of(  # with ties (few distinct values) or all distinct
             st.lists(st.integers(-3, 3).map(float), min_size=2**n, max_size=2**n),
             st.lists(st.floats(-50, 50), min_size=2**n, max_size=2**n, unique=True),
-        ), min_size=1, max_size=4),
+        ),
     )),
-    st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+    st.floats(-10, 10),
     st.integers(0, 2**32 - 1),
 )
-def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gammas, seed):
-    """`qaoa_layer`'s cost diag, gathered from one exp per distinct value, holds row r's
-    exp(-1j * gammas[r] * table) bit for bit, and one row is a plain vector."""
-    n, tables = case
-    tables, gammas = np.array(tables), gammas[: len(tables)]
-    cost_step, mixer = qaoa_layer([DiagonalHamiltonian(n, t).ranking for t in tables], n, [0.3] * len(tables), gammas)
-    want = np.array([np.exp(-1j * gamma * t) for gamma, t in zip(gammas, tables)])
-    assert np.array_equal(cost_step.diagonal, want if len(tables) > 1 else want[0])
-    assert cost_step.rows == mixer.rows == len(tables)
+def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gamma, seed):
+    """`qaoa_layer`'s cost diag, gathered from one exp per distinct value, holds
+    exp(-1j * gamma * table) bit for bit, and multiplies a state by it."""
+    n, table = case
+    table = np.array(table)
+    cost_step, mixer = qaoa_layer(DiagonalHamiltonian(n, table).ranking, n, 0.3, gamma)
+    want = np.exp(-1j * gamma * table)
+    assert np.array_equal(cost_step.diagonal, want)
+    assert mixer.name == "rx" and mixer.angles == (0.6,) * n
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(len(tables), 2**n)) + 1j * rng.normal(size=(len(tables), 2**n))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    assert np.array_equal(_run(Circuit(n, [cost_step]), amps.copy()), amps * want)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    assert np.array_equal(run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes, amps * want)
 
 
 def gate_by_gate(spec, theta) -> np.ndarray:
-    """The spec's state, (1, 2^n), built from the test helpers alone: the opening layer's product state,
+    """The spec's state built from the test helpers alone: the opening layer's product state,
     then per layer the entangler's CZ gates, or the cost phases exp(-i gamma * cost) over the whole
     table, and a rotation applied one qubit at a time.  (The RZ/CNOT cost gates agree with the phases
     only up to a global phase and rounding, which `test_qaoa_state_matches_gate_level_cost_layers` checks.)"""
     n, p = spec.n, spec.p
     if spec.family == "vqe":
-        amps = product_states("ry", [theta[:n]])
+        amps = product_state("ry", theta[:n])
         for k in range(1, p + 1):
             for a, b in entangler_pairs(n, spec.entanglement):
                 amps *= cz(n, a, b).diagonal
-            rotate_per_qubit(amps, "ry", [theta[k * n : (k + 1) * n]])
+            rotate_per_qubit(amps, "ry", theta[k * n : (k + 1) * n])
         return amps
-    amps = product_states("h", [[None] * n]).astype(complex)
+    amps = product_state("h", [None] * n).astype(complex)
     table = spec.ising.ranking.values[spec.ising.ranking.inverse]
     for beta, gamma in zip(theta[:p], theta[p:]):
         amps *= np.exp(-1j * gamma * table)
-        rotate_per_qubit(amps, "rx", [[2.0 * beta] * n])
+        rotate_per_qubit(amps, "rx", [2.0 * beta] * n)
     return amps
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(["vqe", "qaoa"]), st.integers(1, 12), st.integers(0, 3), st.sampled_from(ENTANGLEMENTS),
-       st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_bound_plans_equal_the_gate_by_gate_state_bit_for_bit(family, n, p, entanglement, rows, seed):
-    """Single states and every `evolve_states` row carry the bytes of the state built gate by gate, and
-    a returned state or stack is left as it was by the next evaluation of the same plans."""
+       st.integers(0, 2**32 - 1))
+def test_bound_plans_equal_the_gate_by_gate_state_bit_for_bit(family, n, p, entanglement, seed):
+    """A trial state carries the bytes of the state built gate by gate, and is left as it was
+    by the next evaluation of the same plan."""
     if entanglement == "ring" and n < 3:
         entanglement = "all-to-all"
     rng = np.random.default_rng(seed)
     if family == "qaoa":
-        specs = [AnsatzSpec("qaoa", n=n, p=max(p, 1), ising=qubo_to_ising(random_qubo(rng, n))) for _ in range(rows)]
+        spec = AnsatzSpec("qaoa", n=n, p=max(p, 1), ising=qubo_to_ising(random_qubo(rng, n)))
     else:
-        specs = [AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)] * rows
-    thetas = [rng.uniform(-np.pi, np.pi, specs[0].parameter_count) for _ in range(rows)]
-    wants = [gate_by_gate(spec, theta.tolist())[0] for spec, theta in zip(specs, thetas)]
-    states = [trial_state(spec, theta) for spec, theta in zip(specs, thetas)]
-    stacked = evolve_states(specs, thetas)
-    for want, state, row in zip(wants, states, stacked):
-        assert state.amplitudes.dtype == row.dtype == want.dtype
-        assert state.amplitudes.tobytes() == row.tobytes() == want.tobytes()
-    kept = stacked.tobytes()
-    for spec, theta in zip(specs, thetas):
-        trial_state(spec, theta[::-1])
-    evolve_states(specs, [theta[::-1] for theta in thetas])
-    assert [s.amplitudes.tobytes() for s in states] == [w.tobytes() for w in wants] and stacked.tobytes() == kept
+        spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
+    theta = rng.uniform(-np.pi, np.pi, spec.parameter_count)
+    want = gate_by_gate(spec, theta.tolist())
+    state = trial_state(spec, theta)
+    assert state.amplitudes.dtype == want.dtype
+    assert state.amplitudes.tobytes() == want.tobytes()
+    trial_state(spec, theta[::-1])
+    assert state.amplitudes.tobytes() == want.tobytes()
 
 
 def test_a_spec_compiles_once_and_each_evaluation_binds_its_plan():
@@ -398,7 +369,7 @@ def test_a_spec_compiles_once_and_each_evaluation_binds_its_plan():
         plan = spec.plan
         second = build_circuit(spec, np.ones(spec.parameter_count))
         assert spec.plan is plan and len(plan) == len(first.gates) == len(second.gates) == 1 + 2 * spec.p
-        assert first.n == 3 and first.rows == 1
+        assert first.n == 3
         fixed = [k for k, g in enumerate(first.gates) if g is second.gates[k]]  # shared by both evaluations
         assert fixed == ([1, 3] if spec.family == "vqe" else [0])  # the entangler diags; the H layer
         assert spec == dataclasses.replace(spec) and repr(spec).count("plan") == 0

@@ -190,6 +190,14 @@ def test_run_requires_instance_or_problem(runner, tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_run_size_out_of_range_is_a_usage_error(runner, tmp_path, n):
+    result = runner.invoke(main, ["run", "--problem", "maxcut", "--n", n, "-o", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert "n_qubits must be positive" in result.output
+    assert "provide --instance" not in result.output
+
+
 def test_sweep_report_chain(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))

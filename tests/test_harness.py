@@ -25,8 +25,6 @@ from cvarqopt.harness import (
     aggregate_fraction_curves,
     derive_seed,
     initial_parameters,
-    _arguments,
-    _lockstep_groups,
     make_objective,
     make_scorer,
     run_batch,
@@ -37,7 +35,7 @@ from cvarqopt.harness import (
 from cvarqopt.optimizer import ObjectiveValueError, OptimizerConfig, best_observed_solution, minimize
 from cvarqopt.oracle import enumerate_hamiltonian, ground_value
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
-from cvarqopt.statevector import BLOCK, StateVector
+from cvarqopt.statevector import StateVector
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -215,7 +213,7 @@ CRITERION_9 = dict(problems=("maxcut", "portfolio"), sizes=(4, 6), instances_per
 # a sampled sweep over all six generators at n=6 and 8, 6633 rows
 SAMPLED = dict(sizes=(6, 8), instances_per_size=1, alphas=(0.05, 0.25, 1.0), vqe_depths=(0, 1), qaoa_depths=(1, 2),
                mode="sampled", shots=2048, master_seed=4, iteration_budget_per_qubit=15)
-# ring entanglement; n=4 has one run per circuit shape, so those groups run alone
+# ring entanglement at n=3 and 4
 RING = dict(problems=("maxcut", "max3sat"), sizes=(3, 4), instances_per_size=1, alphas=(0.5,),
             vqe_depths=(0, 1, 2), qaoa_depths=(1,), entanglement="ring", iteration_budget_per_qubit=6)
 
@@ -235,8 +233,8 @@ SAMPLED_SHA256 = "7265b03b5d5938f545f451ee9f6af18131b1929d94b88c01730bf56a7df47e
     (RING, False, None, 0, None),
 ], ids=["tiny", "criterion-9", "sampled", "failing", "ring-single-runs"])
 def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures, sha256):
-    """Pool workers advance same-shape runs in lockstep; rows, CSV bytes and failure messages equal
-    the serial path's, and the pinned sweeps keep their bytes."""
+    """Rows, CSV bytes and failure messages from pool workers equal the serial path's, and the
+    pinned sweeps keep their bytes."""
     if fail:
         request.getfixturevalue("portfolio_runs_fail")
     serial = run_sweep(ExperimentConfig(**grid))
@@ -247,32 +245,11 @@ def test_sweep_workers_do_not_change_bytes(request, grid, fail, rows, failures, 
     assert len(pooled.tracebacks) == failures
     assert rows is None or len(serial.rows) == rows
     assert sha256 is None or hashlib.sha256(serial.to_csv().encode()).hexdigest() == sha256
-    if grid is RING:
-        shapes = [(n, algo, p) for n in (3, 4) for algo, p in (("vqe", 0), ("vqe", 1), ("vqe", 2), ("qaoa", 1))]
-        runs = [_arguments(dict(qubo=generate(InstanceSpec(problem, n, 0)), algo=algo, p=p, alpha=0.5,
-                                entanglement="ring"))
-                for n, algo, p in shapes for problem in ("maxcut", "max3sat") if problem == "maxcut" or n == 3]
-        assert sorted(len(g) for g in _lockstep_groups(runs)) == [1] * 4 + [2] * 4
-
-
-def test_lockstep_groups_respect_the_amplitude_cap():
-    qubo, wide = generate(InstanceSpec("maxcut", 10, 0)), generate(InstanceSpec("maxcut", 15, 0))
-    runs = [dict(qubo=qubo, algo="vqe", p=1, alpha=0.1, seed=s) for s in range(40)]
-    runs += [dict(qubo=qubo, algo="qaoa", p=2, alpha=0.1, seed=s) for s in range(3)]
-    runs += [dict(qubo=wide, algo="vqe", p=1, alpha=0.1, seed=s) for s in range(3)]  # past the cap alone
-    groups = _lockstep_groups([_arguments(run) for run in runs])
-    assert sorted(i for g in groups for i in g) == list(range(46))
-    assert all(len(g) * 2**10 <= BLOCK for g in groups if g[0] < 43)
-    assert sorted(len(g) for g in groups if g[0] >= 43) == [1, 1, 1]
-    vqe = [len(g) for g in groups if g[0] < 40]
-    assert len(vqe) > 1 and max(vqe) - min(vqe) <= 1  # a shape is cut into near-equal groups
-    amplitudes = [len(g) * 2 ** (15 if g[0] >= 43 else 10) for g in groups]
-    assert amplitudes == sorted(amplitudes, reverse=True)  # largest first
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_run_batch_traces_equal_run_single(mode):
-    """Lockstep rows whose runs stop at different evaluations keep their own traces and stop reasons."""
+    """Pooled runs that stop at different evaluations keep their own traces and stop reasons."""
     runs = [dict(qubo=generate(InstanceSpec(problem, 5, s)), algo=algo, p=p, alpha=alpha, mode=mode, shots=256,
                  seed=s, initial_point="random", max_evaluations=budget)
             for s, problem in enumerate(("maxcut", "portfolio", "partition"))
@@ -297,7 +274,8 @@ def assert_same_trace(got, want):
 
 
 def test_lockstep_row_with_a_non_finite_objective_fails_alone(monkeypatch):
-    """The row fails with the serial path's message at the same evaluation; its group-mates run on unchanged."""
+    """On a pool, the run fails with the serial path's message at the same evaluation; the others run on
+    unchanged.  The pool's workers fork after the patch, so they run the patched `cvar_exact`."""
     runs = [dict(qubo=generate(InstanceSpec("maxcut", 5, s)), algo="vqe", p=1, alpha=alpha, seed=s,
                  initial_point="random", max_evaluations=60) for s, alpha in enumerate((0.25, 0.3, 0.5))]
     expected = [run_single(**run) for run in runs]
@@ -316,7 +294,7 @@ def test_lockstep_row_with_a_non_finite_objective_fails_alone(monkeypatch):
     with pytest.raises(ObjectiveValueError) as serial:
         run_single(**runs[1])
     monkeypatch.setattr(harness, "cvar_exact", nan_at_seventh([]))
-    outcomes = harness._run_lockstep([_arguments(run) for run in runs])
+    outcomes = run_batch(runs, workers=2)
     assert isinstance(outcomes[1], RunFailure)
     assert outcomes[1].message == str(serial.value)
     assert str(serial.value).startswith("objective returned nan at evaluation 7, theta=")
@@ -540,18 +518,21 @@ def test_unknown_algo_rejected():
         run_single(generate(InstanceSpec("maxcut", 4, 0)), "annealer", p=1, alpha=0.5)
 
 
-def test_lockstep_rows_become_states_without_a_copy(monkeypatch):
-    """`checked_state` takes each row of the evolved stack over, with the stack it views."""
-    taken = []
-    checked_state = harness.checked_state
+@pytest.mark.parametrize("alpha, mode, shots, message", [
+    (True, "exact", 8192, "alpha must be a number in \\(0, 1\\], got True"),
+    ("0.5", "exact", 8192, "alpha must be a number in \\(0, 1\\], got '0.5'"),
+    (0.5, "sampled", 2.5, "shots takes integers, got 2.5"),
+    (0.5, "sampled", True, "shots takes integers, got True"),
+], ids=["bool-alpha", "string-alpha", "fractional-shots", "bool-shots"])
+def test_run_rejects_an_alpha_or_shot_count_of_the_wrong_type(alpha, mode, shots, message):
+    """Checked before the first evaluation, not run as alpha=1 or failed at the first draw."""
+    qubo = generate(InstanceSpec("maxcut", 3, 0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_single(qubo, "vqe", p=1, alpha=alpha, mode=mode, shots=shots)
 
-    def spy(n, row):
-        state = checked_state(n, row)
-        taken.append(state.amplitudes is row and not row.base.flags.writeable)
-        return state
 
-    monkeypatch.setattr(harness, "checked_state", spy)
-    runs = [dict(qubo=generate(InstanceSpec("maxcut", 4, s)), algo="vqe", p=1, alpha=0.5, seed=s,
-                 max_evaluations=10) for s in range(2)]
-    outcomes = harness._run_lockstep([_arguments(run) for run in runs])
-    assert [o.n_evaluations for o in outcomes] == [10, 10] and len(taken) == 20 and all(taken)
+def test_a_whole_float_shot_count_draws_that_many_shots():
+    qubo = generate(InstanceSpec("maxcut", 3, 0))
+    runs = [run_single(qubo, "vqe", p=1, alpha=0.5, mode="sampled", shots=shots, seed=1, max_evaluations=9)
+            for shots in (64, 64.0)]
+    assert [r.value for r in runs[0].records] == [r.value for r in runs[1].records]

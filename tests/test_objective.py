@@ -21,7 +21,7 @@ from cvarqopt.objective import (
     overlap_with_optimum,
     sample_outcomes,
 )
-from cvarqopt.statevector import StateVector, probabilities, run_circuit
+from cvarqopt.statevector import StateVector, run_circuit
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -214,7 +214,7 @@ def test_sample_outcomes_draws_once_and_matches_the_binary_search(case):
     rng = np.random.Generator(np.random.PCG64(seed))
     indices, values = sample_outcomes(state, DiagonalHamiltonian(state.n, table), shots, rng)
     reference = np.random.Generator(np.random.PCG64(seed))
-    cum = np.cumsum(probabilities(state))
+    cum = np.cumsum(state.probabilities)
     cum /= cum[-1]
     np.testing.assert_array_equal(indices, np.searchsorted(cum, reference.random(shots), side="right"))
     np.testing.assert_array_equal(values, table[indices])

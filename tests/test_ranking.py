@@ -24,7 +24,7 @@ from cvarqopt.objective import (
 )
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import InstanceSpec, generate
-from cvarqopt.statevector import StateVector, probabilities
+from cvarqopt.statevector import StateVector
 
 _VALUE = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
 _COMPONENT = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
@@ -74,7 +74,7 @@ def test_ranking_counts_and_ground_match_the_oracle(ham):
 def test_outcome_distribution_matches_dict_accumulation(case):
     ham, state = case
     merged: dict[float, float] = {}
-    for value, p in zip(ham.table.tolist(), probabilities(state).tolist()):
+    for value, p in zip(ham.table.tolist(), state.probabilities.tolist()):
         merged[value] = merged.get(value, 0.0) + p
     support = sorted((v, p) for v, p in merged.items() if p > 0.0)
     dist = outcome_distribution(state, ham)
@@ -86,7 +86,7 @@ def test_outcome_distribution_matches_dict_accumulation(case):
 @given(cases())
 def test_overlap_matches_brute_force_sum(case):
     ham, state = case
-    table, probs = ham.table.tolist(), probabilities(state).tolist()
+    table, probs = ham.table.tolist(), state.probabilities.tolist()
     expected = sum(p for v, p in zip(table, probs) if v == min(table))
     # at most 32 terms of size <= 1, summed in a different order
     assert overlap_with_optimum(state, ham) == pytest.approx(expected, rel=0, abs=1e-14)
@@ -96,7 +96,7 @@ def test_overlap_matches_brute_force_sum(case):
 @given(cases())
 def test_best_support_bitstring_matches_brute_force(case):
     ham, state = case
-    table, probs = ham.table.tolist(), probabilities(state).tolist()
+    table, probs = ham.table.tolist(), state.probabilities.tolist()
     want = min((v, j) for j, (v, p) in enumerate(zip(table, probs)) if p > SUPPORT_EPS)
     assert best_support_bitstring(state, ham) == (want[1], want[0])
 

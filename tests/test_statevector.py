@@ -17,20 +17,16 @@ from cvarqopt.statevector import (
     StateVector,
     _entries,
     _rotate,
-    _run,
     check_qubits,
     checked_state,
     cnot,
     diag,
     h,
     layer,
-    layer_states,
-    probabilities,
     run_circuit,
-    run_stack,
     ry,
 )
-from gate_reference import apply_matrix, bit, cz, product_states, rotate_per_qubit, rx, rz
+from gate_reference import apply_matrix, bit, cz, product_state, rotate_per_qubit, rx, rz
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -71,24 +67,24 @@ def test_parallel_hadamards_give_uniform(n):
 def test_qubit0_is_most_significant_bit():
     # RY(pi) flips qubit 0, landing on basis index 2 of a 2-qubit register
     out = run_circuit(Circuit(2, [ry(0, np.pi)]))
-    np.testing.assert_allclose(probabilities(out), [0, 0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(out.probabilities, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_cnot_flips_target_when_control_set():
     out = run_circuit(Circuit(2, [ry(0, np.pi), cnot(0, 1)]))
-    np.testing.assert_allclose(probabilities(out), [0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(out.probabilities, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_probabilities_basics():
-    np.testing.assert_allclose(probabilities(StateVector.zero(1)), [1, 0])
+    np.testing.assert_allclose(StateVector.zero(1).probabilities, [1, 0])
     plus = run_circuit(Circuit(1, [h(0)]))
-    np.testing.assert_allclose(probabilities(plus), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(plus.probabilities, [0.5, 0.5], atol=1e-12)
 
 
 def test_probabilities_reference_quarter_point():
     out = run_circuit(fixtures.two_qubit_circuit(np.pi / 2))
-    np.testing.assert_allclose(probabilities(out), [0.25] * 4, atol=1e-12)
-    assert abs(probabilities(out).sum() - 1.0) < 1e-10
+    np.testing.assert_allclose(out.probabilities, [0.25] * 4, atol=1e-12)
+    assert abs(out.probabilities.sum() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -175,7 +171,7 @@ def test_diag_gate_keeps_a_read_only_copy():
     d[0] = -1.0  # the caller's array stays its own
     assert gate.diagonal[0] == 1.0 and not gate.diagonal.flags.writeable
     with pytest.raises(InvalidGateError):
-        diag(np.ones((2, 2, 2)))  # a vector, or one row per state of a stack
+        diag(np.ones((1, 4)))  # a vector
 
 
 def per_qubit(name, angles):
@@ -204,49 +200,44 @@ layer_angle = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([math.pi, 
 
 @st.composite
 def layers_and_states(draw):
-    """A rotation kind, per-row angles and a (B, 2^n) stack of amplitudes; B = 1
-    stands for a single state.  Scattered zeros and one qubit's half of the
-    register are +-0 in each part, so a qubit at angle +-0 carries signed zeros
-    to the output."""
+    """A rotation kind, its angles and a state.  Scattered zeros and one qubit's half of the
+    register are +-0 in each part, so a qubit at angle +-0 carries signed zeros to the output."""
     name = draw(st.sampled_from(["h", "ry", "rx"]))
-    n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
     dtype = complex if name == "rx" else draw(st.sampled_from([np.float64, complex]))
-    angles = [[None] * n if name == "h" else draw(st.lists(layer_angle, min_size=n, max_size=n))
-              for _ in range(rows)]
+    angles = [None] * n if name == "h" else draw(st.lists(layer_angle, min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amps = rng.normal(size=(rows, 2**n)).astype(dtype)
+    amps = rng.normal(size=2**n).astype(dtype)
     if dtype is complex:
-        amps.imag = rng.normal(size=(rows, 2**n))
-    zero = (rng.random((rows, 2**n)) < 0.2) | (bit(n, int(rng.integers(n))) == rng.integers(2))
+        amps.imag = rng.normal(size=2**n)
+    zero = (rng.random(2**n) < 0.2) | (bit(n, int(rng.integers(n))) == rng.integers(2))
     for part in (amps.real, amps.imag) if dtype is complex else (amps,):
-        part[zero] = np.where(rng.random((rows, 2**n)) < 0.5, -0.0, 0.0)[zero]
-    amps[~amps.any(axis=1), 0] = 1.0  # every row has a norm
-    return name, angles, amps / np.linalg.norm(amps, axis=1, keepdims=True)
+        part[zero] = np.where(rng.random(2**n) < 0.5, -0.0, 0.0)[zero]
+    if not amps.any():
+        amps[0] = 1.0  # the state has a norm
+    return name, angles, amps / np.linalg.norm(amps)
 
 
-SIGNED_ZERO_RY = np.array([[-0.0 + 0.0j, 0.533 - 0.846j]])  # (-0.0)*v and -(0.0*v) differ here
-SIGNED_ZERO_RX = np.array([[0.6 - 0.0j, -0.0 + 0.0j, 0.0 - 0.0j, -0.0 - 0.8j]])  # +-0 parts in the four-call rx step
+SIGNED_ZERO_RY = np.array([-0.0 + 0.0j, 0.533 - 0.846j])  # (-0.0)*v and -(0.0*v) differ here
+SIGNED_ZERO_RX = np.array([0.6 - 0.0j, -0.0 + 0.0j, 0.0 - 0.0j, -0.0 - 0.8j])  # +-0 parts in the four-call rx step
 
 
 def assert_layer_matches_the_per_qubit_steps(case):
     name, angles, amps = case
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
-    n = len(angles[0])
-    assert _run(Circuit(n, [layer(name, angles)]), amps.copy()).tobytes() == want.tobytes()
-    for row, row_angles, start in zip(want, angles, amps):
-        for gates in ([layer(name, row_angles)], per_qubit(name, row_angles)):
-            assert run_circuit(Circuit(n, gates), StateVector(n, start)).amplitudes.tobytes() == row.tobytes()
-    assert layer_states(layer(name, angles).matrices).tobytes() == product_states(name, angles).tobytes()
+    n = len(angles)
+    for gates in ([layer(name, angles)], per_qubit(name, angles)):
+        assert run_circuit(Circuit(n, gates), StateVector(n, amps)).amplitudes.tobytes() == want.tobytes()
+    assert run_circuit(Circuit(n, [layer(name, angles)])).amplitudes.tobytes() == product_state(name, angles).tobytes()
 
 
 @settings(deadline=None, max_examples=150)
 @given(layers_and_states())
-@example(("ry", [[0.0]], SIGNED_ZERO_RY / np.linalg.norm(SIGNED_ZERO_RY)))
-@example(("rx", [[0.0, -0.0]], SIGNED_ZERO_RX))
+@example(("ry", [0.0], SIGNED_ZERO_RY / np.linalg.norm(SIGNED_ZERO_RY)))
+@example(("rx", [0.0, -0.0], SIGNED_ZERO_RX))
 def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
-    """A layer, on one state or a stack (one row of angles per state), its single-qubit gates,
-    and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
+    """A layer, its single-qubit gates, and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
     so signed zeros count).  The ry example is a complex state on which an ry step written as
     c*v0 - s*v1 would turn a zero's sign: that form is exact on float64 states only.  The rx
     example puts signed zeros through the four-call rx step."""
@@ -256,9 +247,9 @@ def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
 @pytest.mark.parametrize("block", [2**2, 2**3])
 @settings(deadline=None, max_examples=150)
 @given(layers_and_states())
-@example(("rx", [[math.pi, -0.0, 2 * math.pi]], np.repeat(SIGNED_ZERO_RX, 2, axis=1) / math.sqrt(2)))
+@example(("rx", [math.pi, -0.0, 2 * math.pi], np.repeat(SIGNED_ZERO_RX, 2) / math.sqrt(2)))
 def test_blocked_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(block, case):
-    """The same with `BLOCK` cut to 2^2 or 2^3, so that a single state of 3 to 12 qubits takes
+    """The same with `BLOCK` cut to 2^2 or 2^3, so that a state of 3 to 12 qubits takes
     the blocked path: leading steps, then each block's steps (at 2^3 an odd number of them,
     so each block ends in the scratch and is copied back)."""
     with pytest.MonkeyPatch.context() as patch:
@@ -323,11 +314,12 @@ def test_wrong_size_layer_is_rejected(n, size):
 
 
 def test_rotation_gates_check_their_qubits_and_angles():
-    assert layer("ry", np.array([0.1, 0.2])).angles == ((0.1, 0.2),) and ry(2, 1).angles == (1.0,)
+    assert layer("ry", np.array([0.1, 0.2])).angles == (0.1, 0.2) and ry(2, 1).angles == (1.0,)
     for qubits, angles in [((0,), ()), ((), ()), ((0, 1), (0.1, 0.2)), ((0,), (0.1, 0.2))]:
         with pytest.raises(InvalidGateError):
             Gate("ry", qubits, angles)
-    for name, angles in [("h", (0.1,)), ("ry", (None,)), ("rx", (0.1, None)), ("layer", (0.1,))]:
+    for name, angles in [("h", (0.1,)), ("ry", (None,)), ("rx", (0.1, None)), ("ry", ((0.1, 0.2),)),
+                         ("layer", (0.1,))]:
         with pytest.raises(InvalidGateError):
             Gate(name, (), angles)
     with pytest.raises(InvalidGateError):
@@ -361,74 +353,19 @@ def test_gates_compare_by_identity():
     assert gate == gate and gate != ry(0, 0.5)
 
 
-def test_circuit_rejects_rows_that_disagree():
-    """A gate holds one row, which every state of a stack takes, or one row per state."""
-    stacked = layer("ry", [[0.1, 0.2], [0.3, 0.4]])
-    assert stacked.rows == 2 and Circuit(2, [stacked, diag(np.ones(4)), layer("rx", [0.5, 0.6])]).rows == 2
-    assert layer("ry", [[0.1, 0.2]]).angles == ((0.1, 0.2),) and diag(np.ones((1, 4))).diagonal.shape == (4,)
-    with pytest.raises(InvalidGateError, match="rows"):
-        Circuit(2, [stacked, diag(np.ones((3, 4)))])
-    with pytest.raises(InvalidGateError, match="width 3"):
-        Circuit(2, [diag(np.ones((2, 3)))])
-    with pytest.raises(InvalidGateError, match=r"rows of \[2, 1\] angles do not fit n=2"):
-        Circuit(2, [layer("ry", [[0.1, 0.2], [0.3]])])  # a short row
-    with pytest.raises(InvalidGateError):
-        Gate("ry", (0,), ((0.1,), (0.2,)))  # a single-qubit gate holds one row
-    with pytest.raises(InvalidGateError):
-        layer("h", [[None, None], [None, 0.1]])
-    with pytest.raises(ValueError, match="run_stack"):
-        run_circuit(Circuit(2, [stacked]))
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_stack_rows_equal_their_own_circuits_byte_for_byte(n, rows, seed):
-    """Row r of a stacked circuit, run on a stack, is its own one-row circuit run on row r."""
-    rng = np.random.default_rng(seed)
-    stacked, per_row = [], [[] for _ in range(rows)]
-    for _ in range(8):
-        kind, q = int(rng.integers(5)), int(rng.integers(n))
-        if kind == 0:
-            d = np.exp(1j * rng.uniform(-7, 7, (rows, 2**n)))
-            gates = [diag(d)] + [diag(row) for row in d]
-        elif kind == 1:
-            name = str(rng.choice(["h", "ry", "rx"]))
-            angles = [[None] * n if name == "h" else rng.uniform(-7, 7, n).tolist() for _ in range(rows)]
-            gates = [layer(name, angles)] + [layer(name, row) for row in angles]
-        elif kind == 2:
-            gates = [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8))] * (rows + 1)
-        elif kind == 3:
-            gates = [ry(q, rng.uniform(-7, 7))] * (rows + 1)
-        else:
-            gates = [cnot(q, (q + 1) % n)] * (rows + 1) if n > 1 else [h(q)] * (rows + 1)
-        stacked.append(gates[0])
-        for row, gate in zip(per_row, gates[1:]):
-            row.append(gate)
-    start = rng.normal(size=(rows, 2**n))
-    start /= np.linalg.norm(start, axis=1, keepdims=True)
-    circuit = Circuit(n, stacked)
-    for initial in (None, start):
-        got = run_stack(circuit) if initial is None else _run(circuit, initial.copy())
-        assert got.shape == (rows if initial is not None or circuit.rows > 1 else 1, 2**n)  # |0...0> is one state
-        for r, gates in enumerate(per_row):
-            want = run_circuit(Circuit(n, gates), None if initial is None else StateVector(n, start[r]))
-            assert got[min(r, len(got) - 1)].tobytes() == want.amplitudes.tobytes()
-
-
 def test_real_amplitudes_stay_float64_and_others_turn_complex():
     assert StateVector(1, np.array([0.6, 0.8])).amplitudes.dtype == np.float64
     for amps in ([1, 0], np.array([0.6, 0.8], dtype=np.float32), [0.6 + 0j, 0.8]):
         assert StateVector(1, amps).amplitudes.dtype == complex
     a = np.array([0.6, -0.8])
-    assert np.array_equal(probabilities(StateVector(1, a)), probabilities(StateVector(1, a.astype(complex))))
-    assert probabilities(StateVector(1, a)).tolist() == [0.6 * 0.6, 0.8 * 0.8]
+    assert np.array_equal(StateVector(1, a).probabilities, StateVector(1, a.astype(complex)).probabilities)
+    assert StateVector(1, a).probabilities.tolist() == [0.6 * 0.6, 0.8 * 0.8]
 
 
 def test_real_gates_keep_a_real_state_real(rng):
     assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cnot(0, 1)])
     assert not diag(np.array([1, -1], dtype=np.int8)).is_complex
     assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), diag(np.ones(2) + 0j)])
-    assert diag(np.ones((2, 2)) + 0j).is_complex and not layer("ry", [[0.1], [0.2]]).is_complex
     amps = rng.normal(size=8)
     gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2), cnot(2, 1)]
     out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))
@@ -462,8 +399,8 @@ def test_a_state_owns_read_only_amplitudes_and_probabilities():
         a[0] = 1.0  # the caller's array was writeable, so the state holds a copy
         assert state.amplitudes.tolist() == [0.6, 0.8 if a.dtype == np.float64 else 0.8j]
         assert state.probabilities.tolist() == [0.6 * 0.6, 0.8 * 0.8]
-        assert state.amplitudes is state.amplitudes and probabilities(state) is probabilities(state)
-        for array in (state.amplitudes, probabilities(state)):
+        assert state.amplitudes is state.amplitudes and state.probabilities is state.probabilities
+        for array in (state.amplitudes, state.probabilities):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
     frozen = np.array([0.6, 0.8])
