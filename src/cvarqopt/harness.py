@@ -79,7 +79,8 @@ def make_scorer(ham: DiagonalHamiltonian, alpha: float, mode: str = "exact", sho
     Overlap always comes from the exact state; in sampled mode the CVaR and
     the best-seen bitstring come from shots drawn off the run-owned stream.
     """
-    shots = CvarConfig(alpha, mode, shots).shots  # validates alpha, mode and shot count
+    cfg = CvarConfig(alpha, mode, shots)  # validates alpha, mode and shot count
+    alpha, shots = cfg.alpha, cfg.shots
     if mode == "sampled" and sample_rng is None:
         raise ValueError("sampled mode needs a run-owned RNG stream")
     table = ham.table if mode == "sampled" else None  # each shot's value in one gather

@@ -2,10 +2,13 @@
 objective-value distribution, in exact-distribution or sampled-shot form.
 
 alpha = 1 recovers the mean, alpha -> 0 the minimum.  The exact form splits
-the boundary outcome fractionally so it is continuous in alpha; the sampled
-form averages the ceil(alpha*K) smallest of K draws.  Only that tail of the
-shots carries information, so for fixed K the estimator's standard error
-grows like 1/alpha; hold accuracy constant by scaling shots like K/alpha.
+the boundary outcome fractionally so it is continuous in alpha, and builds
+its running sum only up to the chunk that reaches alpha.  A distribution in
+which every value of the Hamiltonian has positive probability shares the
+ranking's read-only values instead of copying them.  The sampled form
+averages the ceil(alpha*K) smallest of K draws.  Only that tail of the shots
+carries information, so for fixed K the estimator's standard error grows
+like 1/alpha; hold accuracy constant by scaling shots like K/alpha.
 
 Shots are drawn by inverse CDF from one `rng.random(K)` call.  When there
 are no more basis states than shots, each shot is looked up in a bucket
@@ -29,6 +32,18 @@ PRNG_NAME = "numpy.random.PCG64"
 
 # probability below which a basis state is not considered part of the support
 SUPPORT_EPS = 1e-12
+
+# running-sum entries `cvar_exact` adds per step before it checks for the alpha boundary
+CUMSUM_CHUNK = 4096
+
+
+def _check_alpha(alpha) -> float:
+    """alpha as a float, if it is a real number in (0, 1] and not a bool."""
+    if type(alpha) is float and 0.0 < alpha <= 1.0:  # the common case, without the ABC checks
+        return alpha
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
+    return float(alpha)
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
@@ -55,8 +70,10 @@ class OutcomeDistribution:
     @classmethod
     def _ranked(cls, values: np.ndarray, probs: np.ndarray) -> "OutcomeDistribution":
         """The distribution on `values`, taken in order from a Hamiltonian's ranking, which holds
-        finite, strictly increasing values by construction: only the probabilities are checked."""
+        finite, strictly increasing values by construction: only the probabilities are checked.
+        Both arrays become read-only, since `values` may be the ranking's own."""
         _check_probabilities(probs)
+        values.flags.writeable = probs.flags.writeable = False
         dist = object.__new__(cls)
         object.__setattr__(dist, "values", values)
         object.__setattr__(dist, "probs", probs)
@@ -74,9 +91,7 @@ class CvarConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        alpha = self.alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled":
@@ -91,24 +106,69 @@ def _check_sizes(state: StateVector, ham: DiagonalHamiltonian) -> None:
 
 
 def outcome_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
-    """Distribution of objective values induced by measuring the trial state."""
+    """Distribution of objective values induced by measuring the trial state.
+
+    When every value has positive probability, the distribution holds the
+    ranking's own read-only `values`; otherwise it holds a copy of the values
+    in the support.  Its `values` and `probs` are read-only either way."""
     _check_sizes(state, ham)
     values, inverse = ham.ranking.values, ham.ranking.inverse
     merged = np.bincount(inverse, weights=state.probabilities, minlength=values.size)
-    keep = merged > 0.0  # outcomes outside the support are not part of the distribution
-    return OutcomeDistribution._ranked(values[keep], merged[keep])
+    if not merged.min() > 0.0:  # outcomes outside the support are not part of the distribution
+        keep = merged > 0.0
+        values, merged = values[keep], merged[keep]
+    return OutcomeDistribution._ranked(values, merged)
+
+
+def _running_sum(probs: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """The running sum of `probs` up to the first CUMSUM_CHUNK-entry chunk whose
+    last total reaches alpha, in a buffer of the full length whose later entries
+    are unset, and one past the first entry that reaches alpha (len(probs) + 1
+    if none does).
+
+    Each later chunk is summed on from the previous chunk's last total, so every
+    entry is the sequential sum `np.cumsum` gives.
+    """
+    k = probs.size
+    cum = np.empty(k)
+    for lo in range(0, k, CUMSUM_CHUNK):
+        hi = min(lo + CUMSUM_CHUNK, k)
+        if lo == 0:
+            np.add.accumulate(probs[:hi], out=cum[:hi])
+        else:
+            cum[lo:hi] = probs[lo:hi]
+            run = cum[lo - 1 : hi]  # starts at the last total
+            np.add.accumulate(run, out=run)
+        if cum[hi - 1] >= alpha:
+            return cum, lo + int(cum[lo:hi].searchsorted(alpha)) + 1
+    return cum, k + 1
 
 
 def cvar_exact(dist: OutcomeDistribution, alpha: float) -> float:
-    """Mean of the lower alpha-tail, with the boundary value taken fractionally."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    """Mean of the lower alpha-tail, with the boundary value taken fractionally.
+
+    Only outcomes up to the first whose running sum reaches alpha contribute,
+    so above CUMSUM_CHUNK outcomes the running sum stops at the chunk that
+    reaches alpha (`_running_sum`).  Each outcome's share of the tail is then
+    computed in place on that prefix and the rest is zeroed; the dot product
+    still runs over every outcome, so the result is the same, bit for bit, as
+    the full-length formula's.
+    """
+    alpha = _check_alpha(alpha)
     probs = dist.probs
-    cum = np.cumsum(probs)
-    take = np.minimum(np.maximum(alpha - (cum - probs), 0.0), probs)
+    if probs.size <= CUMSUM_CHUNK:
+        cum = np.add.accumulate(probs)  # np.cumsum's sum, without its Python-level dispatch
+        end = cum.searchsorted(alpha) + 1
+    else:
+        cum, end = _running_sum(probs, alpha)
+    take, head = cum[:end], probs[:end]
+    np.subtract(take, head, out=take)
+    np.subtract(alpha, take, out=take)
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, head, out=take)
     # nothing past the boundary outcome: cum - probs can round to just below alpha there
-    take[np.searchsorted(cum, alpha) + 1 :] = 0.0
-    return float((dist.values @ take) / alpha)
+    cum[end:] = 0.0
+    return float((dist.values @ cum) / alpha)
 
 
 def inverse_cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -163,8 +223,7 @@ def sample_outcomes(state: StateVector, ham: DiagonalHamiltonian, shots: int, rn
 
 def cvar_from_samples(values: np.ndarray, alpha: float) -> float:
     """Mean of the ceil(alpha*K) smallest sample values."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     k = values.size
     if k == 0:
         raise ValueError("need at least one sample")

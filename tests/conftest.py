@@ -25,6 +25,21 @@ def random_distribution(rng: np.random.Generator, size: int = 12) -> OutcomeDist
     return OutcomeDistribution(values, probs / probs.sum())
 
 
+def reference_cvar(dist: OutcomeDistribution, alpha: float) -> float:
+    """Exact CVaR by the full-length formula: every outcome's share of the tail,
+    alpha minus the mass below it clipped to [0, its probability], and nothing
+    past the first outcome whose running sum reaches alpha."""
+    probs = dist.probs
+    cum = np.cumsum(probs)
+    take = np.minimum(np.maximum(alpha - (cum - probs), 0.0), probs)
+    take[np.searchsorted(cum, alpha) + 1 :] = 0.0
+    return float((dist.values @ take) / alpha)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def all_bitstrings(n: int) -> np.ndarray:
     """All assignments as rows of 0/1, row index = basis index (qubit 0 high bit)."""
     idx = np.arange(2**n)

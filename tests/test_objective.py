@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_distribution
-from cvarqopt import fixtures
+from conftest import random_distribution, reference_cvar, same_bits
+from cvarqopt import fixtures, objective
 from cvarqopt.hamiltonian import DiagonalHamiltonian
+from cvarqopt.harness import make_scorer
 from cvarqopt.objective import (
     CvarConfig,
     OutcomeDistribution,
@@ -219,6 +222,124 @@ def test_sample_outcomes_draws_once_and_matches_the_binary_search(case):
     np.testing.assert_array_equal(indices, np.searchsorted(cum, reference.random(shots), side="right"))
     np.testing.assert_array_equal(values, table[indices])
     assert rng.random() == reference.random()  # exactly `shots` doubles consumed
+
+
+CHUNK = objective.CUMSUM_CHUNK
+
+
+@st.composite
+def distributions_and_alphas(draw, sizes):
+    """Distributions of `sizes` outcomes, with zero-probability outcomes anywhere
+    and a total at or just under 1, and alphas on a running-sum value, next to
+    it, at 1 and below the first probability."""
+    k = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(k) ** draw(st.sampled_from([1, 8]))  # 8: many tiny probabilities
+    w[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    w[draw(st.integers(0, k - 1))] += 1.0  # at least one outcome in the support
+    probs = w / w.sum() * draw(shortfall)
+    values = np.cumsum(rng.random(k) + 1e-3) - rng.random() * k
+    cum = np.cumsum(probs)
+    # any entry, or the last of a chunk (of 3 entries too): alpha there, just below and just above
+    j = draw(st.one_of(st.integers(0, k - 1), st.sampled_from([min(c, k) - 1 for c in (3, 6, CHUNK, 2 * CHUNK)])))
+    first = probs[np.flatnonzero(probs)[0]]
+    alphas = [1.0, cum[j], np.nextafter(cum[j], 0.0), np.nextafter(cum[j], 2.0), first * draw(st.floats(0.01, 0.99)),
+              draw(st.floats(0.0, 1.0, exclude_min=True))]
+    return OutcomeDistribution(values, probs), [float(a) for a in alphas if 0.0 < a <= 1.0]
+
+
+@pytest.mark.parametrize("sizes", [
+    st.integers(1, 64), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]), st.integers(CHUNK + 2, 3 * CHUNK),
+    st.integers(3 * CHUNK + 1, 3 * CHUNK + 100),
+], ids=["short", "one-chunk-edge", "two-or-three-chunks", "over-three-chunks"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_exact_cvar_equals_the_full_length_formula_bit_for_bit(sizes, data):
+    dist, alphas = data.draw(distributions_and_alphas(sizes))
+    # 3: many chunks, even for short distributions
+    for chunk in (CHUNK, 3) if dist.probs.size <= 64 else (CHUNK,):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objective, "CUMSUM_CHUNK", chunk)
+            for alpha in alphas:
+                assert same_bits(cvar_exact(dist, alpha), reference_cvar(dist, alpha)), (chunk, alpha)
+
+
+def reference_distribution(state: StateVector, ham: DiagonalHamiltonian) -> OutcomeDistribution:
+    """The values in the state's support, each with its basis states' probabilities
+    added one at a time in basis order."""
+    totals = {}
+    for v, p in zip(ham.table.tolist(), state.probabilities.tolist()):
+        totals[v] = totals.get(v, 0.0) + p
+    support = sorted(v for v, p in totals.items() if p > 0.0)
+    return OutcomeDistribution(support, [totals[v] for v in support])
+
+
+def assert_exact_scorer_matches_the_reference(state, ham, alphas=(0.05, 0.3, 0.5, 1.0)):
+    ref = reference_distribution(state, ham)
+    d = outcome_distribution(state, ham)
+    np.testing.assert_array_equal(d.values, ref.values)
+    np.testing.assert_array_equal(d.probs, ref.probs)
+    for alpha in alphas:
+        value, _ = make_scorer(ham, alpha)(state)
+        assert same_bits(value, reference_cvar(ref, alpha)), alpha
+    return d
+
+
+ONE_QUBIT_H = DiagonalHamiltonian(1, [2.0, -1.0])
+# the two lowest values, -4 and -2, lie on basis states 1, 3 and 6, and value 0 on state 4
+ZERO_TAIL_H = DiagonalHamiltonian(3, [5.0, -2.0, 3.0, -4.0, 0.0, 1.0, -2.0, 7.0])
+ZERO_TAIL_STATE = StateVector(3, np.sqrt(np.array([1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 4.0]) / 10.0))
+
+
+@pytest.mark.parametrize("state, ham, full_support", [
+    (StateVector(1, np.array([0.6, 0.8j])), ONE_QUBIT_H, True),
+    (StateVector(1, np.array([0.0, 1.0])), ONE_QUBIT_H, False),
+    (StateVector.uniform(3), ZERO_TAIL_H, True),
+    (ZERO_TAIL_STATE, ZERO_TAIL_H, False),
+], ids=["n1", "n1-basis-state", "uniform", "zero-probability-tail"])
+def test_exact_scorer_equals_the_reference_bit_for_bit(state, ham, full_support):
+    d = assert_exact_scorer_matches_the_reference(state, ham)
+    # a full support shares the ranking's values; otherwise the support is copied out
+    assert (d.values is ham.ranking.values) is full_support
+
+
+@settings(deadline=None)
+@given(states_and_shots(), st.integers(1, 5))
+def test_exact_scorer_equals_the_reference_on_any_support(case, spread):
+    state, _, seed = case
+    table = np.random.default_rng(seed).integers(-spread, spread + 1, 2**state.n).astype(float)  # ties
+    assert_exact_scorer_matches_the_reference(state, DiagonalHamiltonian(state.n, table))
+
+
+@pytest.mark.parametrize("state", [StateVector.uniform(3), ZERO_TAIL_STATE], ids=["full-support", "zero-probability-tail"])
+def test_a_distribution_is_read_only_and_leaves_the_ranking_as_it_was(state):
+    before = ZERO_TAIL_H.ranking.values.copy()
+    d = outcome_distribution(state, ZERO_TAIL_H)
+    with pytest.raises(ValueError, match="read-only"):
+        d.values[0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        d.probs[0] = 0.5
+    np.testing.assert_array_equal(ZERO_TAIL_H.ranking.values, before)
+
+
+@pytest.mark.parametrize("alpha", [True, False, np.True_, "0.5", None, 0.5j, math.nan, math.inf, 0.0, -0.25, 1.5, 2],
+                         ids=repr)
+def test_every_cvar_entry_point_rejects_a_bad_alpha_with_one_message(alpha):
+    message = "^" + re.escape(f"alpha must be a number in (0, 1], got {alpha!r}") + "$"
+    d = OutcomeDistribution([0.0, 1.0], [0.5, 0.5])
+    for call in (lambda: cvar_exact(d, alpha), lambda: cvar_from_samples(np.array([0.0, 1.0]), alpha),
+                 lambda: CvarConfig(alpha)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [1, np.float64(0.25), np.float32(0.25), Fraction(1, 4)], ids=repr)
+def test_any_real_alpha_scores_as_its_float(alpha):
+    d = OutcomeDistribution([-1.0, 0.0, 2.0], [0.2, 0.3, 0.5])
+    samples = np.array([3.0, -1.0, 0.5, 2.0, 0.0])
+    assert type(CvarConfig(alpha).alpha) is float and CvarConfig(alpha).alpha == float(alpha)
+    assert same_bits(cvar_exact(d, alpha), cvar_exact(d, float(alpha)))
+    assert same_bits(cvar_from_samples(samples, alpha), cvar_from_samples(samples, float(alpha)))
 
 
 @pytest.mark.parametrize("shots", [2, 8], ids=["binary-search", "table"])
