@@ -24,16 +24,14 @@ from .objective import (
 from .optimizer import OptimizerConfig, RunTrace, best_observed_solution, minimize
 from .oracle import GroundTruth, enumerate_hamiltonian, exact_cvar_landscape
 from .problems import InstanceSpec, PortfolioFixture, generate, portfolio_qubo
-from .statevector import Circuit, Gate, StateVector, run_circuit
+from .statevector import StateVector, run_circuit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzSpec",
-    "Circuit",
     "CvarConfig",
     "DiagonalHamiltonian",
-    "Gate",
     "GroundTruth",
     "InstanceSpec",
     "IsingModel",

@@ -23,9 +23,7 @@ run from |0...0> starts as one cached state), the cost ranking, and which
 slice of theta each rotation layer takes.  Per evaluation `build_circuit`
 only binds theta into that plan, as the Python-scalar 2x2 entries of each
 layer (one for the shared RX angle) and the gathered cost phases, and returns
-a `BoundCircuit` of unchecked `Step`s; no `Gate` or `Circuit` is built.
-`qaoa_layer` gives the same cost and mixer step as checked gates, for
-`flatness`.
+a `BoundCircuit` of `Step`s.
 """
 from __future__ import annotations
 
@@ -36,8 +34,7 @@ from functools import cache
 import numpy as np
 
 from .hamiltonian import IsingModel, ValueRanking
-from .statevector import (BoundCircuit, Gate, StateVector, Step, _entries, _whole, check_qubits, diag, layer,
-                          run_circuit)
+from .statevector import BoundCircuit, StateVector, Step, _entries, _whole, check_qubits, run_circuit
 
 FAMILIES = ("vqe", "qaoa")
 ENTANGLEMENTS = ("all-to-all", "ring")
@@ -116,13 +113,8 @@ def cost_phases(cost: ValueRanking, gamma: float) -> np.ndarray:
     """exp(-i gamma * cost) per basis state, read-only, gathered from one exp per distinct value."""
     step = np.multiply(cost.values, -1j * float(gamma))
     phases = np.exp(step, out=step).take(cost.inverse)  # in place: a ranking can hold 2^n values
-    phases.setflags(write=False)  # a fresh array: a gate need not copy it
+    phases.setflags(write=False)  # a fresh array: read-only, so a diag that holds it cannot change
     return phases
-
-
-def qaoa_layer(cost: ValueRanking, n: int, beta: float, gamma: float) -> list[Gate]:
-    """One alternation as checked gates: the cost step `cost_phases` as a `diag`, then RX(2*beta) on every qubit."""
-    return [diag(cost_phases(cost, gamma)), layer("rx", [2.0 * beta] * n)]
 
 
 def _plan(spec: AnsatzSpec) -> tuple:
@@ -146,7 +138,7 @@ def _plan(spec: AnsatzSpec) -> tuple:
 
 def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
     """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer].
-    Binds theta into the spec's plan; no gate is checked."""
+    Binds theta into the spec's plan."""
     angles = _check_params(spec, theta)
     gates = []
     for op in _plan(spec):

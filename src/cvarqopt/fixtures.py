@@ -2,6 +2,9 @@
 closed-form state, CVaR landscape), the published six-asset portfolio
 constants, and frozen computed regression values.
 
+The counterexample circuit is a `BoundCircuit` of three single-gate `Step`s
+(H, CNOT, RY), so `run_circuit` runs it as it runs `ansatz.build_circuit`'s.
+
 Computed entries live in data/golden.json and can be rebuilt with
 `regenerate_golden()` (CLI: `cvarqopt regen-golden`); a test diffs the
 committed file against a fresh regeneration.  Published constants are defined
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import Circuit, cnot, h, ry
+from .statevector import BoundCircuit, Step, _entries
 
 GOLDEN_VERSION = 1
 
@@ -47,8 +50,9 @@ def two_qubit_hamiltonian() -> DiagonalHamiltonian:
     return DiagonalHamiltonian(2, np.array(TWO_QUBIT_DIAGONAL))
 
 
-def two_qubit_circuit(theta: float) -> Circuit:
-    return Circuit(2, [h(0), cnot(0, 1), ry(1, theta)])
+def two_qubit_circuit(theta: float) -> BoundCircuit:
+    return BoundCircuit(2, (Step("h", (0,), [_entries("h", None)]), Step("cnot", (0, 1)),
+                            Step("ry", (1,), [_entries("ry", float(theta))])))
 
 
 def two_qubit_amplitudes(theta: float) -> np.ndarray:

@@ -5,21 +5,23 @@ probability: if most diagonal values coincide (large delta) and most
 amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
-States start uniform and are evolved one `ansatz.qaoa_layer` at a time (the
-cost `diag` gathered from the Hamiltonian's ranking, then RX(2*beta) on every
-qubit), so they cover objectives (like the needle) that are not expressible
-as a quadratic Ising model.
+States start uniform and are evolved one layer at a time, each a
+`BoundCircuit` of two `Step`s: the cost `diag` that `ansatz.cost_phases`
+gathers from the Hamiltonian's ranking, then RX(2*beta) on every qubit.  So
+they cover objectives (like the needle) that are not expressible as a
+quadratic Ising model.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import qaoa_layer
+from .ansatz import cost_phases
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import Circuit, StateVector, check_qubits, run_circuit
+from .statevector import BoundCircuit, StateVector, Step, _entries, _whole, check_qubits, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -43,8 +45,9 @@ def compute_delta(ham: DiagonalHamiltonian) -> float:
 
 
 def _check_tol(tol: float) -> None:
-    """A negative tolerance makes no two amplitudes equal, so the bound would prove nothing."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """A negative tolerance makes no two amplitudes equal, so the bound would prove nothing;
+    a bool or a string is no tolerance at all."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"equality tolerance must be finite and >= 0, got {tol!r}")
 
 
@@ -77,7 +80,8 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        state = run_circuit(Circuit(n, qaoa_layer(ham.ranking, n, beta, gamma)), state)
+        cost = Step("diag", (), None, cost_phases(ham.ranking, gamma))
+        state = run_circuit(BoundCircuit(n, (cost, Step("rx", (), [_entries("rx", 2.0 * beta)] * n))), state)
         snapshots.append(state.amplitudes)  # read-only: the next run works on a copy
     return snapshots
 
@@ -148,7 +152,7 @@ def cluster_fraction_lower_bound(n: int, p: int, delta: float) -> float:
 
 def needle_hamiltonian(n: int, index: int = 0) -> DiagonalHamiltonian:
     """Minimization needle: value 0 at one distinguished bitstring, 1 elsewhere."""
-    n = check_qubits(n)
+    n, index = check_qubits(n), _whole("needle index", index)
     if not 0 <= index < 2**n:
         raise ValueError(f"needle index must be in [0, {2**n}), got {index}")
     table = np.ones(2**n)

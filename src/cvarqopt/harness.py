@@ -57,7 +57,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import BoundCircuit, Circuit, StateVector, _whole, run_circuit
+from .statevector import BoundCircuit, StateVector, _whole, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -102,7 +102,7 @@ def make_scorer(ham: DiagonalHamiltonian, alpha: float, mode: str = "exact", sho
 
 def make_objective(
     ham: DiagonalHamiltonian,
-    circuit_fn: Callable[[np.ndarray], BoundCircuit | Circuit],
+    circuit_fn: Callable[[np.ndarray], BoundCircuit],
     alpha: float,
     mode: str = "exact",
     shots: int = 8192,

@@ -4,10 +4,11 @@ RY, RX, H, CNOT and `diag`.
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
 R_A(t) = exp(-i t A / 2) for A in {X, Y}.  Two gates act on every qubit:
-`diag` multiplies amplitude j by d[j]; `layer` is a rotation on every qubit,
-applied qubit 0 first in n steps (`_rotate`) whose bytes equal one qubit at a
-time, and a run from |0...0> that opens with one starts from that layer's
-product state (for H, one cached read-only state per n).
+`diag` multiplies amplitude j by d[j]; a rotation layer (a rotation `Step` on
+no listed qubit) turns every qubit, applied qubit 0 first in n steps
+(`_rotate`) whose bytes equal one qubit at a time, and a run from |0...0> that
+opens with one starts from that layer's product state (for H, one cached
+read-only state per n).
 
 Each step reads the top qubit's halves v0, v1 and writes a*v0 + b*v1 and
 c*v0 + d*v1 to the even and odd slots of the other buffer, so the next qubit
@@ -35,16 +36,15 @@ form a step takes:
 So every amplitude gets the products and sums of the per-qubit 2x2 steps, in
 qubit order, whatever the path.
 
-One interpreter (`_run`) runs a circuit on one state, a 1-D array
-(`run_circuit`).  It reads four fields of each gate: name, qubits, a
-rotation's 2x2 entries (`matrices`, Python scalars) and a diag's diagonal.  A
-checked `Gate` computes its entries once, when it is built, for the
-hand-built circuits of `fixtures`, `flatness` and the tests;
-`ansatz.build_circuit` binds unchecked `Step`s with the same fields into a
-`BoundCircuit` per evaluation.  Every run allocates its buffers afresh, as a
-buffer kept across runs would be handed out as a state: one per rotation
-layer, and a spare for four-call steps unless the layer is blocked, so a
-blocked layer holds no more than two state-sized buffers.
+One interpreter (`_run`) runs a `BoundCircuit` of `Step`s on one state, a
+1-D array (`run_circuit`).  A step holds four fields: name, qubits, a
+rotation's 2x2 entries (`matrices`, Python scalars) and a diag's diagonal.
+Nothing checks them: their builders (`ansatz.build_circuit`,
+`flatness.qaoa_snapshots`, `fixtures.two_qubit_circuit`) fit them to n by
+construction.  Every run allocates its buffers afresh, as a buffer kept
+across runs would be handed out as a state: one per rotation layer, and a
+spare for four-call steps unless the layer is blocked, so a blocked layer
+holds no more than two state-sized buffers.
 
 A state stays float64 while every gate it meets is real (h, ry, cnot, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
@@ -70,12 +70,7 @@ MAX_QUBITS = 20
 # blocks of 2^12, on one core.
 BLOCK = 2**14
 
-GATE_NAMES = ("ry", "rx", "h", "cnot", "diag")
 _ROTATIONS = ("h", "ry", "rx")
-
-
-class InvalidGateError(ValueError):
-    """Raised for malformed gates or gate indices out of range."""
 
 
 def _whole(name: str, value) -> int:
@@ -93,56 +88,18 @@ def check_qubits(n: int) -> int:
     return n
 
 
-def _makes_complex(gate) -> bool:
-    """Whether applying this gate can give a real state a nonzero imaginary part."""
-    return gate.diagonal.dtype.kind == "c" if gate.name == "diag" else gate.name == "rx"
-
-
 class Step(NamedTuple):
-    """A gate as the interpreter reads it, with none of `Gate`'s checks: what `ansatz.build_circuit`
-    binds per evaluation.  A `Gate` carries the same fields."""
+    """One gate as the interpreter reads it: h, ry or rx on one qubit or on every qubit, cnot, or diag."""
 
     name: str
     qubits: tuple = ()  # () for a gate on every qubit
     matrices: list | None = None  # a rotation's 2x2 entries per qubit it turns, as `_entries` gives them
     diagonal: np.ndarray | None = None  # diag: (2^n,)
 
-    is_complex = property(_makes_complex)
-
-
-@dataclass(frozen=True, eq=False)  # by identity: field-wise == would ignore or mis-compare the arrays
-class Gate:
-    name: str
-    qubits: tuple[int, ...]  # () for a gate on every qubit: diag, or a rotation layer
-    angles: tuple = ()  # a rotation's angle per qubit it turns, None for h
-    diagonal: np.ndarray | None = field(default=None, repr=False)  # diag only: (2^n,), read-only
-    matrices: list | None = field(init=False, default=None, repr=False)  # a rotation's entries, as `Step` holds them
-
-    is_complex = property(_makes_complex)
-
-    def __post_init__(self):
-        if self.name not in GATE_NAMES:
-            raise InvalidGateError(f"unknown gate {self.name!r}")
-        if self.qubits and (min(self.qubits) < 0 or len(set(self.qubits)) != len(self.qubits)):
-            raise InvalidGateError(f"negative or repeated qubit index in {self.qubits}")
-        if (self.name == "diag") != (self.diagonal is not None):
-            raise InvalidGateError("a diagonal goes with diag, and only there")
-        if self.name == "diag":
-            d = np.asarray(self.diagonal)
-            d = d.copy() if d.flags.writeable else d  # read-only, so the gate cannot change once built
-            d.flags.writeable = False
-            object.__setattr__(self, "diagonal", d)
-            if d.ndim != 1 or self.angles or self.qubits:
-                raise InvalidGateError(f"diag takes a vector, and no qubit or angle: {self}")
-        elif self.name in _ROTATIONS:
-            kind = type(None) if self.name == "h" else numbers.Real
-            if (type(self.angles) is not tuple or not self.angles or len(self.qubits) > 1
-                    or (self.qubits and len(self.angles) > 1) or not all(isinstance(a, kind) for a in self.angles)):
-                raise InvalidGateError(f"{self.name} takes one qubit and an angle, or every qubit and an angle "
-                                       f"each (None for h), got {self.qubits} {self.angles}")
-            object.__setattr__(self, "matrices", [_entries(self.name, angle) for angle in self.angles])
-        elif len(self.qubits) != 2 or self.angles:
-            raise InvalidGateError(f"cnot takes 2 qubits and no angle: {self}")
+    @property
+    def is_complex(self) -> bool:
+        """Whether applying this step can give a real state a nonzero imaginary part."""
+        return self.diagonal.dtype.kind == "c" if self.name == "diag" else self.name == "rx"
 
 
 def _entries(name: str, angle: float | None) -> list:
@@ -157,48 +114,8 @@ def _entries(name: str, angle: float | None) -> list:
     return [[c, -1j * s], [-1j * s, c]]
 
 
-def ry(qubit: int, angle: float) -> Gate:
-    return Gate("ry", (qubit,), (float(angle),))
-
-
-def h(qubit: int) -> Gate:
-    return Gate("h", (qubit,), (None,))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("cnot", (control, target))
-
-
-def diag(d: np.ndarray) -> Gate:
-    """Multiply amplitude j by d[j]."""
-    return Gate("diag", (), (), d)
-
-
-def layer(name: str, angles) -> Gate:
-    """An h, ry or rx rotation on every qubit: qubit q turns by angles[q]."""
-    return Gate(name, (), tuple(angles))
-
-
-@dataclass(frozen=True)
-class Circuit:
-    n: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", check_qubits(self.n))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.qubits and max(g.qubits) >= self.n:
-                raise InvalidGateError(f"gate {g} out of range for n={self.n}")
-            if g.name == "diag" and g.diagonal.size != 2**self.n:
-                raise InvalidGateError(f"diag of width {g.diagonal.size} does not fit n={self.n}")
-            if g.name in _ROTATIONS and not g.qubits and len(g.angles) != self.n:
-                raise InvalidGateError(f"{g.name} layer of {len(g.angles)} angles does not fit n={self.n}")
-
-
 class BoundCircuit(NamedTuple):
-    """Gates or `Step`s that run on n qubits like a `Circuit`'s, taken as given: `ansatz.build_circuit`
-    binds one per evaluation."""
+    """`Step`s that run in order on n qubits, taken as given: `ansatz.build_circuit` binds one per evaluation."""
 
     n: int
     gates: tuple
@@ -343,7 +260,7 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
 
 
 def _apply(amps: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply the gate or step to the 2^n amplitudes; returns the result and leaves `amps` overwritten."""
+    """Apply the step to the 2^n amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
         amps *= gate.diagonal
     elif not gate.qubits:
@@ -361,7 +278,7 @@ def _apply(amps: np.ndarray, gate, n: int) -> np.ndarray:
     return amps
 
 
-def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
+def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
     """Apply the circuit's gates in order to the (2^n,) `amps`, left overwritten, or else to |0...0>."""
     gates, n = circuit.gates, circuit.n
     if amps is None:
@@ -380,7 +297,7 @@ def _run(circuit: Circuit | BoundCircuit, amps: np.ndarray | None) -> np.ndarray
     return amps
 
 
-def run_circuit(circuit: Circuit | BoundCircuit, initial: StateVector | None = None) -> StateVector:
+def run_circuit(circuit: BoundCircuit, initial: StateVector | None = None) -> StateVector:
     """Apply all gates of the circuit in order, starting from |0...0> unless an initial state is given."""
     if initial is not None and initial.n != circuit.n:
         raise ValueError(f"state has n={initial.n} but circuit has n={circuit.n}")

@@ -1,5 +1,13 @@
 """Gate-level references that the package itself never runs.
 
+Tests build circuits as `BoundCircuit(n, (...))` of `Step`s, which nothing
+checks, from these plain constructors:
+
+- `h(q)`, `ry(q, t)`, `rx(q, t)`: one rotation on qubit q;
+- `cnot(c, t)`, and `diag(d)`, which multiplies amplitude j by d[j];
+- `layer(name, angles)`: an h, ry or rx rotation on every qubit, qubit q by
+  angles[q] (None for h).
+
 Every problem gives a diagonal Hamiltonian, so the package applies a CZ
 entangler block as one +-1 `diag` and the QAOA cost step exp(-i gamma * cost)
 as one complex `diag`.  These helpers build the gate-by-gate forms from the
@@ -8,7 +16,6 @@ check the whole-register gates against them:
 
 - `cz(n, a, b)`: CZ on qubits a and b as an exact +-1 int8 `diag`;
 - `rz(n, q, t)`: RZ(t) = exp(-i t Z / 2) on qubit q as a phase `diag`;
-- `rx(q, t)`: RX(t) on one qubit;
 - `cost_layer_gates`: the hardware compilation of the cost step,
   RZ(2*gamma*c_i) per field and a CNOT/RZ(2*gamma*2Q_ik)/CNOT block per
   coupling;
@@ -21,7 +28,31 @@ check the whole-register gates against them:
 import numpy as np
 
 from cvarqopt.hamiltonian import IsingModel
-from cvarqopt.statevector import Gate, _entries, cnot, diag
+from cvarqopt.statevector import Step, _entries
+
+
+def h(q: int) -> Step:
+    return Step("h", (q,), [_entries("h", None)])
+
+
+def ry(q: int, t: float) -> Step:
+    return Step("ry", (q,), [_entries("ry", float(t))])
+
+
+def rx(q: int, t: float) -> Step:
+    return Step("rx", (q,), [_entries("rx", float(t))])
+
+
+def cnot(control: int, target: int) -> Step:
+    return Step("cnot", (control, target))
+
+
+def diag(d) -> Step:
+    return Step("diag", (), None, np.asarray(d))
+
+
+def layer(name: str, angles) -> Step:
+    return Step(name, (), [_entries(name, angle) for angle in angles])
 
 
 def bit(n: int, q: int) -> np.ndarray:
@@ -29,19 +60,15 @@ def bit(n: int, q: int) -> np.ndarray:
     return (np.arange(2**n) >> (n - 1 - q)) & 1
 
 
-def cz(n: int, a: int, b: int) -> Gate:
+def cz(n: int, a: int, b: int) -> Step:
     return diag((1 - 2 * (bit(n, a) & bit(n, b))).astype(np.int8))
 
 
-def rz(n: int, q: int, t: float) -> Gate:
+def rz(n: int, q: int, t: float) -> Step:
     return diag(np.where(bit(n, q) == 1, np.exp(0.5j * t), np.exp(-0.5j * t)))
 
 
-def rx(q: int, t: float) -> Gate:
-    return Gate("rx", (q,), (float(t),))
-
-
-def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Gate]:
+def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Step]:
     """Gate-level exp(-i gamma * cost); zero terms emit nothing."""
     n = ising.n
     gates = [rz(n, i, 2.0 * gamma * ising.c[i]) for i in range(n) if ising.c[i] != 0.0]

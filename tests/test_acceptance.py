@@ -11,14 +11,14 @@ import pytest
 
 from conftest import random_distribution, random_qubo
 from cvarqopt import fixtures
-from cvarqopt.ansatz import AnsatzSpec, qaoa_layer, trial_state
+from cvarqopt.ansatz import AnsatzSpec, build_circuit, trial_state
 from cvarqopt.flatness import flatness_report, needle_hamiltonian
 from cvarqopt.hamiltonian import ising_to_hamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.harness import ExperimentConfig, RunFailure, derive_seed, run_batch, run_single, run_sweep
 from cvarqopt.objective import CvarConfig, cvar_exact, cvar_sampled, outcome_distribution
 from cvarqopt.oracle import enumerate_hamiltonian
 from cvarqopt.problems import InstanceSpec, generate, portfolio_qubo
-from cvarqopt.statevector import Circuit, StateVector, run_circuit
+from cvarqopt.statevector import BoundCircuit, StateVector, run_circuit
 from gate_reference import cost_layer_gates, spin_cost
 
 
@@ -83,11 +83,11 @@ def test_criterion_04_cost_unitary_matches_exact_phases():
         gamma = float(rng.uniform(-np.pi, np.pi))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        cost_step = qaoa_layer(ising.ranking, n, beta=0.0, gamma=gamma)[0]
+        cost_step = build_circuit(AnsatzSpec("qaoa", n=n, p=1, ising=ising), [0.0, gamma]).gates[1]
         assert cost_step.name == "diag"
-        got = run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes
+        got = run_circuit(BoundCircuit(n, (cost_step,)), StateVector(n, amps)).amplitudes
         exact = amps * np.exp(-1j * gamma * spin_cost(ising))
-        compiled = run_circuit(Circuit(n, cost_layer_gates(ising, gamma)), StateVector(n, amps)).amplitudes
+        compiled = run_circuit(BoundCircuit(n, tuple(cost_layer_gates(ising, gamma))), StateVector(n, amps)).amplitudes
         worst = max(worst, float(np.abs(got - exact).max()), float(np.abs(got - compiled).max()))
     assert worst < 1e-9
     announce(4, f"20 random cost diags match exact phases and RZ/CNOT gates (worst dev {worst:.2e})")

@@ -12,14 +12,14 @@ from cvarqopt.ansatz import (
     AnsatzSpec,
     build_circuit,
     entangler_pairs,
+    cost_phases,
     entangler_signs,
-    qaoa_layer,
     trial_state,
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
 from cvarqopt.oracle import exact_cvar_landscape
-from cvarqopt.statevector import BoundCircuit, Circuit, StateVector, diag, h, layer, run_circuit, ry
-from gate_reference import cost_layer_gates, cz, product_state, rotate_per_qubit, rx, spin_cost
+from cvarqopt.statevector import BoundCircuit, StateVector, run_circuit
+from gate_reference import cost_layer_gates, cz, diag, h, layer, product_state, rotate_per_qubit, rx, ry, spin_cost
 
 
 def gate_counts(circuit):
@@ -36,7 +36,7 @@ def cz_reference_circuit(spec, theta):
     for k in range(1, spec.p + 1):
         gates += [cz(n, a, b) for a, b in entangler_pairs(n, spec.entanglement)]
         gates += [ry(q, theta[k * n + q]) for q in range(n)]
-    return Circuit(n, gates)
+    return BoundCircuit(n, tuple(gates))
 
 
 def test_layered_counts_three_qubits_depth_two():
@@ -77,7 +77,7 @@ def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
             gates = [h(q) for q in range(n)]
             for beta, gamma in zip(theta[:p], theta[p:]):
                 gates += [diag(np.exp(-1j * gamma * values)[ranks]), *(rx(q, 2.0 * beta) for q in range(n))]
-            want = run_circuit(Circuit(n, gates)).amplitudes
+            want = run_circuit(BoundCircuit(n, tuple(gates))).amplitudes
             got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
             assert np.array_equal(got, want), (n, p)
 
@@ -153,7 +153,7 @@ def test_zero_angles_give_uniform_state(rng):
 
 def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
-    assert gate_counts(Circuit(3, cost_layer_gates(ising, 0.7))) == {"cnot": 2, "diag": 1}  # the RZ is a diag
+    assert gate_counts(BoundCircuit(3, tuple(cost_layer_gates(ising, 0.7)))) == {"cnot": 2, "diag": 1}  # the RZ is a diag
     circ = build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
     assert gate_counts(circ) == {"h": 1, "rx": 1, "diag": 1}
 
@@ -169,7 +169,7 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     q = type(q)(n, q.b + 1.0, q.A + np.triu(np.ones((n, n)), 1))  # force dense terms
     ising = qubo_to_ising(q)
     pairs = np.count_nonzero(ising.Q)
-    counts = gate_counts(Circuit(n, [g for _ in range(p) for g in cost_layer_gates(ising, 1.0)]))
+    counts = gate_counts(BoundCircuit(n, tuple(g for _ in range(p) for g in cost_layer_gates(ising, 1.0))))
     assert counts["cnot"] == 2 * pairs * p
     assert counts["diag"] == (pairs + np.count_nonzero(ising.c)) * p  # one RZ diag per term
     circ = build_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
@@ -218,7 +218,7 @@ def test_cost_layer_equals_exact_phase_multiplication(n, rng):
     ising = qubo_to_ising(random_qubo(rng, n))
     gamma = float(rng.uniform(-np.pi, np.pi))
     pre = np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)) / math.sqrt(2**n)
-    circ = Circuit(n, cost_layer_gates(ising, gamma))
+    circ = BoundCircuit(n, tuple(cost_layer_gates(ising, gamma)))
     got = run_circuit(circ, StateVector(n, pre)).amplitudes
     want = pre * np.exp(-1j * gamma * spin_cost(ising))
     phase = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
@@ -234,7 +234,7 @@ def test_qaoa_state_matches_gate_level_cost_layers(n, p, rng):
     gates = [h(q) for q in range(n)]
     for beta, gamma in zip(theta[:p], theta[p:]):
         gates += [*cost_layer_gates(ising, gamma), layer("rx", [2.0 * beta] * n)]
-    want = run_circuit(Circuit(n, gates)).amplitudes
+    want = run_circuit(BoundCircuit(n, tuple(gates))).amplitudes
     got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
     k = int(np.argmax(np.abs(want)))
     got = got * (want[k] / got[k]) / abs(want[k] / got[k])  # align the global phase
@@ -267,7 +267,7 @@ def test_entangler_order_does_not_matter(rng):
         gates = [ry(q, theta[q]) for q in range(n)]
         gates += [cz(n, a, b) for a, b in pairs]
         gates += [ry(q, theta[n + q]) for q in range(n)]
-        out = run_circuit(Circuit(n, gates))
+        out = run_circuit(BoundCircuit(n, tuple(gates)))
         np.testing.assert_allclose(out.amplitudes, reference.amplitudes, atol=1e-12)
 
 
@@ -304,18 +304,17 @@ def test_vqe_trial_state_is_float64_and_qaoa_complex(rng):
     st.integers(0, 2**32 - 1),
 )
 def test_qaoa_cost_phases_equal_full_length_exp_bit_for_bit(case, gamma, seed):
-    """`qaoa_layer`'s cost diag, gathered from one exp per distinct value, holds
-    exp(-1j * gamma * table) bit for bit, and multiplies a state by it."""
+    """`cost_phases`, gathered from one exp per distinct value, holds exp(-1j * gamma * table)
+    bit for bit, and a diag of it multiplies a state by it."""
     n, table = case
     table = np.array(table)
-    cost_step, mixer = qaoa_layer(DiagonalHamiltonian(n, table).ranking, n, 0.3, gamma)
+    cost_step = diag(cost_phases(DiagonalHamiltonian(n, table).ranking, gamma))
     want = np.exp(-1j * gamma * table)
     assert np.array_equal(cost_step.diagonal, want)
-    assert mixer.name == "rx" and mixer.angles == (0.6,) * n
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    assert np.array_equal(run_circuit(Circuit(n, [cost_step]), StateVector(n, amps)).amplitudes, amps * want)
+    assert np.array_equal(run_circuit(BoundCircuit(n, (cost_step,)), StateVector(n, amps)).amplitudes, amps * want)
 
 
 def gate_by_gate(spec, theta) -> np.ndarray:

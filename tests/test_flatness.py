@@ -17,8 +17,8 @@ from cvarqopt.flatness import (
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.problems import InstanceSpec, generate
-from cvarqopt.statevector import Circuit, StateVector, diag, run_circuit
-from gate_reference import rx
+from cvarqopt.statevector import BoundCircuit, StateVector, run_circuit
+from gate_reference import diag, rx
 
 
 def test_delta_of_reference_diagonal():
@@ -116,7 +116,7 @@ def test_snapshots_equal_per_qubit_mixer_gates(rng):
         for beta, gamma in zip(betas, gammas):
             phases = np.exp(-1j * gamma * ham.ranking.values)[ham.ranking.inverse]
             gates = [diag(phases), *(rx(q, 2.0 * beta) for q in range(n))]
-            state = run_circuit(Circuit(n, gates), state)
+            state = run_circuit(BoundCircuit(n, tuple(gates)), state)
             want.append(state.amplitudes)
         got = qaoa_snapshots(ham, betas, gammas)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
@@ -131,11 +131,14 @@ def test_depth_zero_bound_is_equality():
     assert report.bound_holds
 
 
-@pytest.mark.parametrize("index", [-1, 16, 17])
+@pytest.mark.parametrize("index", [-1, 16, 17, True, 1.5])
 def test_needle_index_out_of_range_rejected(index):
+    """A bool would index numpy as a mask, making every basis state the needle."""
     with pytest.raises(ValueError, match="needle index"):
         needle_hamiltonian(4, index)
     assert needle_hamiltonian(4, 15).ranking.ground.tolist() == [15]
+    for whole in (2.0, np.int64(2)):
+        assert needle_hamiltonian(4, whole).ranking.ground.tolist() == [2]
 
 
 def test_needle_single_layer_bound_holds(rng):
@@ -217,8 +220,9 @@ def test_snapshot_validation():
         cluster_fraction_lower_bound(4, 0, 0.5)
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf"), True, "0.1"])
 def test_negative_or_non_finite_tolerance_is_rejected(tol):
+    """True would merge amplitudes within 1.0; a string is no number."""
     ham = needle_hamiltonian(4)
     snapshots = qaoa_snapshots(ham, [0.3], [0.7])
     with pytest.raises(ValueError, match="tolerance"):

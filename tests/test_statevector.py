@@ -9,35 +9,19 @@ from hypothesis import strategies as st
 from cvarqopt import fixtures, statevector
 from cvarqopt.ansatz import AnsatzSpec, build_circuit
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel
-from cvarqopt.statevector import (
-    GATE_NAMES,
-    Circuit,
-    Gate,
-    InvalidGateError,
-    StateVector,
-    _entries,
-    _rotate,
-    check_qubits,
-    checked_state,
-    cnot,
-    diag,
-    h,
-    layer,
-    run_circuit,
-    ry,
-)
-from gate_reference import apply_matrix, bit, cz, product_state, rotate_per_qubit, rx, rz
+from cvarqopt.statevector import BoundCircuit, StateVector, _entries, _rotate, check_qubits, checked_state, run_circuit
+from gate_reference import apply_matrix, bit, cnot, cz, diag, h, layer, product_state, rotate_per_qubit, rx, ry, rz
 
 S2 = 1.0 / np.sqrt(2.0)
 
 
 def test_hadamard_on_zero():
-    out = run_circuit(Circuit(1, [h(0)]))
+    out = run_circuit(BoundCircuit(1, (h(0),)))
     np.testing.assert_allclose(out.amplitudes, [S2, S2], atol=1e-12)
 
 
 def test_cz_identity_on_zero():
-    out = run_circuit(Circuit(2, [cz(2, 0, 1)]))
+    out = run_circuit(BoundCircuit(2, (cz(2, 0, 1),)))
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
@@ -54,30 +38,30 @@ def test_reference_circuit_at_zero_is_bell():
 
 
 def test_empty_circuit_is_identity():
-    out = run_circuit(Circuit(3))
+    out = run_circuit(BoundCircuit(3, ()))
     np.testing.assert_allclose(out.amplitudes, StateVector.zero(3).amplitudes)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_parallel_hadamards_give_uniform(n):
-    out = run_circuit(Circuit(n, [h(q) for q in range(n)]))
+    out = run_circuit(BoundCircuit(n, tuple(h(q) for q in range(n))))
     np.testing.assert_allclose(out.amplitudes, np.full(2**n, 1 / np.sqrt(2**n)), atol=1e-12)
 
 
 def test_qubit0_is_most_significant_bit():
     # RY(pi) flips qubit 0, landing on basis index 2 of a 2-qubit register
-    out = run_circuit(Circuit(2, [ry(0, np.pi)]))
+    out = run_circuit(BoundCircuit(2, (ry(0, np.pi),)))
     np.testing.assert_allclose(out.probabilities, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_cnot_flips_target_when_control_set():
-    out = run_circuit(Circuit(2, [ry(0, np.pi), cnot(0, 1)]))
+    out = run_circuit(BoundCircuit(2, (ry(0, np.pi), cnot(0, 1))))
     np.testing.assert_allclose(out.probabilities, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_probabilities_basics():
     np.testing.assert_allclose(StateVector.zero(1).probabilities, [1, 0])
-    plus = run_circuit(Circuit(1, [h(0)]))
+    plus = run_circuit(BoundCircuit(1, (h(0),)))
     np.testing.assert_allclose(plus.probabilities, [0.5, 0.5], atol=1e-12)
 
 
@@ -93,7 +77,7 @@ def test_probabilities_reference_quarter_point():
     ids=lambda g: g.name,
 )
 def test_every_gate_matrix_is_unitary(gate):
-    m = np.array(_entries(gate.name, gate.angles[0]))
+    m = np.array(gate.matrices[0])
     np.testing.assert_allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=1e-12)
 
 
@@ -108,33 +92,21 @@ def test_random_circuit_preserves_norm(n, rng):
         gates.append(
             [h(q), ry(q, angle), rx(q, angle), rz(n, q, angle), cz(n, q, q2), cnot(q, q2)][kind]
         )
-    out = run_circuit(Circuit(n, gates))
+    out = run_circuit(BoundCircuit(n, tuple(gates)))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
 def test_cz_is_symmetric(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = StateVector(3, amps / np.linalg.norm(amps))
-    a = run_circuit(Circuit(3, [cz(3, 0, 2)]), state)
-    b = run_circuit(Circuit(3, [cz(3, 2, 0)]), state)
+    a = run_circuit(BoundCircuit(3, (cz(3, 0, 2),)), state)
+    b = run_circuit(BoundCircuit(3, (cz(3, 2, 0),)), state)
     np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
-
-
-def test_gate_index_out_of_range():
-    with pytest.raises(InvalidGateError):
-        run_circuit(Circuit(2, [ry(2, 0.5)]))
-    with pytest.raises(InvalidGateError):
-        Circuit(2, [cnot(0, 3)])
-
-
-def test_control_equals_target_rejected():
-    with pytest.raises(InvalidGateError):
-        cnot(1, 1)
 
 
 def test_run_circuit_dimension_mismatch():
     with pytest.raises(ValueError):
-        run_circuit(Circuit(2, [h(0)]), StateVector.zero(3))
+        run_circuit(BoundCircuit(2, (h(0),)), StateVector.zero(3))
 
 
 def test_run_circuit_leaves_initial_state_untouched():
@@ -142,42 +114,23 @@ def test_run_circuit_leaves_initial_state_untouched():
     state = StateVector.zero(2)
     before = state.amplitudes.copy()
     gates = [h(0), diag(np.array([1, -1, -1, 1])), layer("ry", [0.3, -0.4]), cnot(1, 0), rx(1, 0.2)]
-    assert not np.array_equal(run_circuit(Circuit(2, gates), state).amplitudes, before)
+    assert not np.array_equal(run_circuit(BoundCircuit(2, tuple(gates)), state).amplitudes, before)
     np.testing.assert_array_equal(state.amplitudes, before)
-
-
-@given(st.integers(1, 6), st.integers(1, 130))
-def test_wrong_length_diag_is_rejected(n, length):
-    gate = diag(np.ones(length))
-    if length == 2**n:
-        assert np.linalg.norm(run_circuit(Circuit(n, [gate])).amplitudes) == 1.0
-        return
-    with pytest.raises(InvalidGateError):
-        Circuit(n, [gate])
 
 
 def test_diag_gate_applies_vector_or_phases(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = StateVector(3, amps / np.linalg.norm(amps))
     phases = np.exp(-0.7j * rng.uniform(-2.0, 2.0, 8))
-    assert np.array_equal(run_circuit(Circuit(3, [diag(phases)]), state).amplitudes, state.amplitudes * phases)
+    assert np.array_equal(run_circuit(BoundCircuit(3, (diag(phases),)), state).amplitudes, state.amplitudes * phases)
     signs = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
-    assert np.array_equal(run_circuit(Circuit(3, [diag(signs)]), state).amplitudes, state.amplitudes * signs)
-
-
-def test_diag_gate_keeps_a_read_only_copy():
-    d = np.ones(4)
-    gate = diag(d)
-    d[0] = -1.0  # the caller's array stays its own
-    assert gate.diagonal[0] == 1.0 and not gate.diagonal.flags.writeable
-    with pytest.raises(InvalidGateError):
-        diag(np.ones((1, 4)))  # a vector
+    assert np.array_equal(run_circuit(BoundCircuit(3, (diag(signs),)), state).amplitudes, state.amplitudes * signs)
 
 
 def per_qubit(name, angles):
     """The gates a layer stands for, one per qubit."""
     make = {"h": lambda q, a: h(q), "ry": ry, "rx": rx}[name]
-    return [make(q, a) for q, a in enumerate(angles)]
+    return tuple(make(q, a) for q, a in enumerate(angles))
 
 
 @pytest.mark.parametrize("name", ["h", "ry", "rx"])
@@ -186,11 +139,11 @@ def test_layer_equals_its_single_qubit_gates(name, rng):
         angles = [None] * n if name == "h" else rng.uniform(-np.pi, np.pi, n).tolist()
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        want = run_circuit(Circuit(n, per_qubit(name, angles)), state).amplitudes
-        assert np.array_equal(run_circuit(Circuit(n, [layer(name, angles)]), state).amplitudes, want), n
+        want = run_circuit(BoundCircuit(n, per_qubit(name, angles)), state).amplitudes
+        assert np.array_equal(run_circuit(BoundCircuit(n, (layer(name, angles),)), state).amplitudes, want), n
         # from |0...0> a leading layer starts from its product state instead
-        want = run_circuit(Circuit(n, per_qubit(name, angles))).amplitudes
-        assert np.array_equal(run_circuit(Circuit(n, [layer(name, angles)])).amplitudes, want), n
+        want = run_circuit(BoundCircuit(n, per_qubit(name, angles))).amplitudes
+        assert np.array_equal(run_circuit(BoundCircuit(n, (layer(name, angles),))).amplitudes, want), n
 
 
 # angles whose matrices hold exact and signed zeros (+-0 gives the identity), and any others
@@ -227,9 +180,9 @@ def assert_layer_matches_the_per_qubit_steps(case):
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
     n = len(angles)
-    for gates in ([layer(name, angles)], per_qubit(name, angles)):
-        assert run_circuit(Circuit(n, gates), StateVector(n, amps)).amplitudes.tobytes() == want.tobytes()
-    assert run_circuit(Circuit(n, [layer(name, angles)])).amplitudes.tobytes() == product_state(name, angles).tobytes()
+    for gates in ((layer(name, angles),), per_qubit(name, angles)):
+        assert run_circuit(BoundCircuit(n, gates), StateVector(n, amps)).amplitudes.tobytes() == want.tobytes()
+    assert run_circuit(BoundCircuit(n, (layer(name, angles),))).amplitudes.tobytes() == product_state(name, angles).tobytes()
 
 
 @settings(deadline=None, max_examples=150)
@@ -270,7 +223,7 @@ def test_layer_kernel_at_twenty_qubits(name, rng):
     want = amps.copy()
     for q, angle in enumerate(angles):
         apply_matrix(want, q, _entries(name, angle))
-    assert run_circuit(Circuit(20, [layer(name, angles)]), StateVector(20, amps)).amplitudes.tobytes() == want.tobytes()
+    assert run_circuit(BoundCircuit(20, (layer(name, angles),)), StateVector(20, amps)).amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, dtype", [("rx", complex), ("ry", np.float64)])
@@ -291,46 +244,16 @@ def test_a_blocked_layer_holds_one_extra_state_buffer(name, dtype, rng):
 
 def test_product_state_start_at_twenty_qubits(rng):
     angles = rng.uniform(-np.pi, np.pi, 20).tolist()
-    want = run_circuit(Circuit(20, per_qubit("ry", angles))).amplitudes
-    assert np.array_equal(run_circuit(Circuit(20, [layer("ry", angles)])).amplitudes, want)
+    want = run_circuit(BoundCircuit(20, per_qubit("ry", angles))).amplitudes
+    assert np.array_equal(run_circuit(BoundCircuit(20, (layer("ry", angles),))).amplitudes, want)
 
 
 def test_one_qubit_layers_match_closed_forms():
     c, s = math.cos(0.35), math.sin(0.35)
-    assert np.array_equal(run_circuit(Circuit(1, [layer("ry", [0.7])])).amplitudes, [c, s])
-    assert np.array_equal(run_circuit(Circuit(1, [layer("rx", [0.7])])).amplitudes, [c, -1j * s])
+    assert np.array_equal(run_circuit(BoundCircuit(1, (layer("ry", [0.7]),))).amplitudes, [c, s])
+    assert np.array_equal(run_circuit(BoundCircuit(1, (layer("rx", [0.7]),))).amplitudes, [c, -1j * s])
     r = 1 / math.sqrt(2)
-    assert np.array_equal(run_circuit(Circuit(1, [layer("h", [None])])).amplitudes, [r, r])
-
-
-@given(st.integers(1, 6), st.integers(1, 8))
-def test_wrong_size_layer_is_rejected(n, size):
-    gate = layer("ry", [0.3] * size)
-    if size == n:
-        assert abs(np.linalg.norm(run_circuit(Circuit(n, [gate])).amplitudes) - 1.0) < 1e-12
-        return
-    with pytest.raises(InvalidGateError):
-        Circuit(n, [gate])
-
-
-def test_rotation_gates_check_their_qubits_and_angles():
-    assert layer("ry", np.array([0.1, 0.2])).angles == (0.1, 0.2) and ry(2, 1).angles == (1.0,)
-    for qubits, angles in [((0,), ()), ((), ()), ((0, 1), (0.1, 0.2)), ((0,), (0.1, 0.2))]:
-        with pytest.raises(InvalidGateError):
-            Gate("ry", qubits, angles)
-    for name, angles in [("h", (0.1,)), ("ry", (None,)), ("rx", (0.1, None)), ("ry", ((0.1, 0.2),)),
-                         ("layer", (0.1,))]:
-        with pytest.raises(InvalidGateError):
-            Gate(name, (), angles)
-    with pytest.raises(InvalidGateError):
-        Gate("ry", (-1,), (0.1,))
-    with pytest.raises(InvalidGateError):
-        Gate("cnot", (0, 1), (0.1,))
-    for name in ("rz", "cz"):  # tests build these as diags; the package runs neither
-        with pytest.raises(InvalidGateError, match="unknown gate"):
-            Gate(name, (0,), (0.1,))
-    with pytest.raises(InvalidGateError):
-        Gate("diag", (), (0.1,), np.ones(4))  # a diag takes no angle
+    assert np.array_equal(run_circuit(BoundCircuit(1, (layer("h", [None]),))).amplitudes, [r, r])
 
 
 def test_package_keeps_only_the_gate_kinds_it_runs():
@@ -341,16 +264,7 @@ def test_package_keeps_only_the_gate_kinds_it_runs():
         build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), np.zeros(2)),
         fixtures.two_qubit_circuit(0.3),
     ]
-    assert {g.name for c in circuits for g in c.gates} == set(GATE_NAMES)
-    assert GATE_NAMES == ("ry", "rx", "h", "cnot", "diag")
-
-
-def test_gates_compare_by_identity():
-    """Gates that differ only in their arrays are different gates."""
-    assert layer("ry", [0.1]) != layer("ry", [0.2])
-    assert diag(np.ones(4)) != diag(-np.ones(4))
-    gate = ry(0, 0.5)
-    assert gate == gate and gate != ry(0, 0.5)
+    assert {g.name for c in circuits for g in c.gates} == {"ry", "rx", "h", "cnot", "diag"}
 
 
 def test_real_amplitudes_stay_float64_and_others_turn_complex():
@@ -368,15 +282,15 @@ def test_real_gates_keep_a_real_state_real(rng):
     assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), diag(np.ones(2) + 0j)])
     amps = rng.normal(size=8)
     gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2), cnot(2, 1)]
-    out = run_circuit(Circuit(3, gates), StateVector(3, amps / np.linalg.norm(amps)))
+    out = run_circuit(BoundCircuit(3, tuple(gates)), StateVector(3, amps / np.linalg.norm(amps)))
     assert out.amplitudes.dtype == np.float64
 
 
 def test_ry_then_rx_layer_promotes_exactly(rng):
     for n in range(1, 9):
         ry_angles, rx_angles = rng.uniform(-np.pi, np.pi, (2, n)).tolist()
-        assert run_circuit(Circuit(n, [layer("ry", ry_angles)])).amplitudes.dtype == np.float64
-        circuit = Circuit(n, [layer("ry", ry_angles), layer("rx", rx_angles)])
+        assert run_circuit(BoundCircuit(n, (layer("ry", ry_angles),))).amplitudes.dtype == np.float64
+        circuit = BoundCircuit(n, (layer("ry", ry_angles), layer("rx", rx_angles)))
         got = run_circuit(circuit).amplitudes
         want = run_circuit(circuit, StateVector.zero(n)).amplitudes  # complex from the start
         assert got.dtype == complex and np.array_equal(got, want), n
@@ -387,7 +301,7 @@ def test_sign_diag_then_complex_diag_promotes_exactly(rng):
     amps = rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
     phases = np.exp(-0.9j * rng.integers(-4, 5, 2**n))
-    circuit = Circuit(n, [diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8)), diag(phases)])
+    circuit = BoundCircuit(n, (diag(np.where(rng.random(2**n) < 0.5, -1, 1).astype(np.int8)), diag(phases)))
     got = run_circuit(circuit, StateVector(n, amps)).amplitudes
     want = run_circuit(circuit, StateVector(n, amps.astype(complex))).amplitudes
     assert got.dtype == complex and np.array_equal(got, want)
@@ -453,7 +367,7 @@ def test_qubit_counts_are_whole_numbers_stored_as_ints():
     assert check_qubits(2.0) == 2 and type(check_qubits(2.0)) is int
     ham = DiagonalHamiltonian(2.0, np.arange(4.0))
     assert ham.n == 2 and type(ham.n) is int
-    assert type(Circuit(3.0).n) is int and type(StateVector.zero(2.0).n) is int
+    assert type(StateVector.zero(2.0).n) is int
     for bad in (True, 2.5, "2"):
         with pytest.raises(ValueError, match="n takes integers"):
             DiagonalHamiltonian(bad, np.arange(4.0))
