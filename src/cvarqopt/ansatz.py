@@ -17,18 +17,18 @@ offset is a global phase and is never applied.  Every problem here has a
 diagonal cost, so the RZ/CNOT compilation a hardware backend would need is
 never built.
 
-A spec compiles once, at its first `build_circuit`, to a plan that holds
-everything theta does not change: the entangler diag, the H layer (which a
-run from |0...0> starts as one cached state), the cost ranking, and which
-slice of theta each rotation layer takes.  Per evaluation `build_circuit`
-only binds theta into that plan, as the Python-scalar 2x2 entries of each
-layer (one for the shared RX angle) and the gathered cost phases, and returns
-a `BoundCircuit` of `Step`s.
+Per evaluation `build_circuit` binds theta into Python-scalar 2x2 entries
+for each rotation layer (one for the shared RX angle) and the gathered cost
+phases, and returns a `BoundCircuit` of `Step`s; `_qaoa_layer` binds one
+alternating layer, for `build_circuit` and `flatness` alike.  What theta does
+not change is cached outside the spec: the entangler diag per (n,
+entanglement), the H layer per n (a run from |0...0> starts from it as one
+cached state), and the cost ranking on the Ising model.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -47,7 +47,6 @@ class AnsatzSpec:
     p: int
     entanglement: str = "all-to-all"  # vqe only
     ising: IsingModel | None = None  # qaoa only
-    plan: tuple | None = field(init=False, default=None, repr=False, compare=False)  # see `_plan`
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_qubits(self.n))
@@ -117,42 +116,31 @@ def cost_phases(cost: ValueRanking, gamma: float) -> np.ndarray:
     return phases
 
 
-def _plan(spec: AnsatzSpec) -> tuple:
-    """The spec's gates with theta left out, compiled at first use and kept on the spec: per gate,
-    a `Step`, or (rotation, index) for RX(2*theta[index]) on every qubit, or (rotation, slice)
-    for one angle per qubit, or (cost ranking, index of gamma)."""
-    if spec.plan is None:
-        n, p = spec.n, spec.p
-        if spec.family == "vqe":
-            signs = _entangler(n, spec.entanglement)
-            plan = [("ry", slice(0, n))]
-            for k in range(1, p + 1):
-                plan += [signs, ("ry", slice(k * n, (k + 1) * n))]
-        else:
-            plan = [Step("h", (), [_entries("h", None)] * n)]
-            for k in range(p):
-                plan += [(spec.ising.ranking, p + k), ("rx", k)]
-        object.__setattr__(spec, "plan", tuple(plan))
-    return spec.plan
+@cache  # one entry per n
+def _hadamards(n: int) -> Step:
+    return Step("h", (), [_entries("h", None)] * n)
+
+
+def _qaoa_layer(ranking: ValueRanking, beta: float, gamma: float, n: int) -> tuple[Step, Step]:
+    """One alternating layer: the cost diag exp(-i gamma * cost), then RX(2*beta) on every qubit."""
+    return Step("diag", (), None, cost_phases(ranking, gamma)), Step("rx", (), [_entries("rx", 2.0 * beta)] * n)
 
 
 def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
-    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer].
-    Binds theta into the spec's plan."""
+    """vqe: RY layer, then p x [CZ entangler, RY layer].  qaoa: H layer, then p x [cost diag, RX layer]."""
     angles = _check_params(spec, theta)
-    gates = []
-    for op in _plan(spec):
-        if type(op) is Step:
-            gates.append(op)
-            continue
-        what, at = op
-        if type(what) is ValueRanking:
-            gates.append(Step("diag", (), None, cost_phases(what, angles[at])))
-        elif type(at) is int:  # one mixer angle for every qubit
-            gates.append(Step(what, (), [_entries(what, 2.0 * angles[at])] * spec.n))
-        else:
-            gates.append(Step(what, (), [_entries(what, angle) for angle in angles[at]]))
-    return BoundCircuit(spec.n, tuple(gates))
+    n, p = spec.n, spec.p
+    if spec.family == "vqe":
+        signs = _entangler(n, spec.entanglement)
+        gates = [Step("ry", (), [_entries("ry", angle) for angle in angles[:n]])]
+        for k in range(1, p + 1):
+            gates += [signs, Step("ry", (), [_entries("ry", angle) for angle in angles[k * n : (k + 1) * n]])]
+    else:
+        ranking = spec.ising.ranking
+        gates = [_hadamards(n)]
+        for k in range(p):
+            gates += _qaoa_layer(ranking, angles[k], angles[p + k], n)
+    return BoundCircuit(n, tuple(gates))
 
 
 def trial_state(spec: AnsatzSpec, theta) -> StateVector:

@@ -6,10 +6,10 @@ amplitudes stay equal across layers (large per-layer equal fraction), every
 amplitude is pinned near 1/sqrt(2^n) by an explicit bound.
 
 States start uniform and are evolved one layer at a time, each a
-`BoundCircuit` of two `Step`s: the cost `diag` that `ansatz.cost_phases`
-gathers from the Hamiltonian's ranking, then RX(2*beta) on every qubit.  So
-they cover objectives (like the needle) that are not expressible as a
-quadratic Ising model.
+`BoundCircuit` of the two `Step`s that `ansatz._qaoa_layer` binds for the
+alternating family: the cost `diag` gathered from the Hamiltonian's ranking,
+then RX(2*beta) on every qubit.  So they cover objectives (like the needle)
+that are not expressible as a quadratic Ising model.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import cost_phases
+from .ansatz import _qaoa_layer
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import BoundCircuit, StateVector, Step, _entries, _whole, check_qubits, run_circuit
+from .statevector import BoundCircuit, StateVector, _whole, check_qubits, run_circuit
 
 DEFAULT_EQUALITY_TOL = 1e-9  # absolute, per complex component: merges fp twins only
 
@@ -80,8 +80,7 @@ def qaoa_snapshots(ham: DiagonalHamiltonian, betas, gammas) -> list[np.ndarray]:
     state = StateVector.uniform(n)
     snapshots = [state.amplitudes]
     for beta, gamma in zip(betas, gammas):
-        cost = Step("diag", (), None, cost_phases(ham.ranking, gamma))
-        state = run_circuit(BoundCircuit(n, (cost, Step("rx", (), [_entries("rx", 2.0 * beta)] * n))), state)
+        state = run_circuit(BoundCircuit(n, _qaoa_layer(ham.ranking, beta, gamma, n)), state)
         snapshots.append(state.amplitudes)  # read-only: the next run works on a copy
     return snapshots
 

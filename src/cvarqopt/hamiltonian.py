@@ -27,10 +27,13 @@ class QuboProblem:
     const: float = 0.0
 
     def __post_init__(self):
+        if (n := _whole("n", self.n)) < 1:  # as `IsingModel` checks it
+            raise ValueError(f"n must be at least 1, got {n}")
         b = np.asarray(self.b, dtype=float)
         A = np.asarray(self.A, dtype=float)
-        if b.shape != (self.n,) or A.shape != (self.n, self.n):
-            raise ValueError(f"inconsistent dimensions for n={self.n}: b{b.shape}, A{A.shape}")
+        if b.shape != (n,) or A.shape != (n, n):
+            raise ValueError(f"inconsistent dimensions for n={n}: b{b.shape}, A{A.shape}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "const", float(self.const))
@@ -48,7 +51,7 @@ class QuboProblem:
     @classmethod
     def from_json(cls, text: str) -> "QuboProblem":
         d = json.loads(text)
-        return cls(n=int(d["n"]), b=d["b"], A=d["A"], const=float(d.get("const", 0.0)))
+        return cls(n=d["n"], b=d["b"], A=d["A"], const=float(d.get("const", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,6 @@ def qubo_to_hamiltonian(q: QuboProblem) -> DiagonalHamiltonian:
 
 def evaluate_bitstring(ham: DiagonalHamiltonian, j: int) -> float:
     """Objective value of basis state j."""
-    if not 0 <= j < 2**ham.n:
+    if not 0 <= (j := _whole("basis index", j)) < 2**ham.n:
         raise IndexError(f"basis index {j} out of range for n={ham.n}")
     return float(ham.ranking.values[ham.ranking.inverse[j]])

@@ -2,10 +2,11 @@
 full sweeps over problem x size x algorithm x depth x alpha grids, and
 metric aggregation.
 
-A run builds its `AnsatzSpec` once.  The spec compiles to its theta-free
-plan at the first evaluation, and every evaluation after that only binds its
-point into the plan (`build_circuit`) and runs the bound steps
-(`run_circuit`), so no gate is built or checked per evaluation.
+A run builds its `AnsatzSpec` once.  Every evaluation binds its point into
+the spec's gates (`build_circuit`) and runs them (`run_circuit`); the gates
+theta does not change are cached, so no gate is checked and nothing
+theta-free is rebuilt per evaluation.  A run's seed is a whole number, 0 by
+default, so a run that names none is as reproducible as one that does.
 
 `run_batch` runs a list of `run_single` argument sets, in turn in this
 process with one worker, or on a process pool with more; every run goes
@@ -67,7 +68,7 @@ DEFAULT_ALPHAS = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 63-bit seed from the master seed and a row key."""
-    key = "/".join([str(int(master_seed)), *map(str, parts)])
+    key = "/".join([str(_whole("master_seed", master_seed)), *map(str, parts)])
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") % 2**63
 
@@ -135,7 +136,7 @@ def run_single(
     alpha: float,
     mode: str = "exact",
     shots: int = 8192,
-    seed: int | None = None,
+    seed: int = 0,
     entanglement: str = "all-to-all",
     max_evaluations: int | None = None,
     initial_point: str = "zeros",
@@ -146,7 +147,7 @@ def run_single(
     ham = ising_to_hamiltonian(ising)
     n = qubo.n
     spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
-    seq = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(_whole("seed", seed))
     init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
     theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
     cfg = OptimizerConfig(

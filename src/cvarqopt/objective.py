@@ -88,10 +88,11 @@ class CvarConfig:
     alpha: float
     mode: str = "exact"  # "exact" | "sampled"
     shots: int = 8192
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled":

@@ -39,8 +39,9 @@ qubit order, whatever the path.
 One interpreter (`_run`) runs a `BoundCircuit` of `Step`s on one state, a
 1-D array (`run_circuit`).  A step holds four fields: name, qubits, a
 rotation's 2x2 entries (`matrices`, Python scalars) and a diag's diagonal.
-Nothing checks them: their builders (`ansatz.build_circuit`,
-`flatness.qaoa_snapshots`, `fixtures.two_qubit_circuit`) fit them to n by
+Nothing checks them: only `ansatz` (`build_circuit`, and its alternating
+layer, which `flatness.qaoa_snapshots` runs too) and
+`fixtures.two_qubit_circuit` build steps, and they fit them to n by
 construction.  Every run allocates its buffers afresh, as a buffer kept
 across runs would be handed out as a state: one per rotation layer, and a
 spare for four-call steps unless the layer is blocked, so a blocked layer

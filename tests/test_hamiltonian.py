@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,14 @@ def test_evaluate_bitstring_reference_diagonal():
         evaluate_bitstring(ham, -1)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "1", None])
+def test_evaluate_bitstring_takes_a_whole_basis_index(bad):
+    ham = DiagonalHamiltonian(2, [0.0, 1.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match=f"^basis index takes integers, got {bad!r}$"):
+        evaluate_bitstring(ham, bad)
+    assert evaluate_bitstring(ham, 2.0) == evaluate_bitstring(ham, np.int64(2)) == 3.0
+
+
 def test_triangle_cut_values():
     from cvarqopt.problems import InstanceSpec, generate
 
@@ -122,6 +132,18 @@ def test_ising_requires_strict_upper_triangle():
         IsingModel(2, c=[0.0, 0.0], Q=[[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         IsingModel(2, c=[0.0, 0.0], Q=[[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad,message", [(True, "n takes integers"), (1.5, "n takes integers"), ("1", "n takes integers"),
+                                         (0, "n must be at least 1, got 0"), (-1, "n must be at least 1, got -1")])
+def test_a_qubo_checks_its_size(bad, message):
+    """As `IsingModel` does: a bool would be stored as n and written to JSON as `true`."""
+    with pytest.raises(ValueError, match=message):
+        QuboProblem(bad, [1.0], [[1.0]])
+    with pytest.raises(ValueError, match=message):  # an instance file is read without truncating its n
+        QuboProblem.from_json(json.dumps({"n": bad, "b": [1.0], "A": [[1.0]]}))
+    qubo = QuboProblem(2.0, np.zeros(2), np.eye(2))
+    assert qubo.n == 2 and type(qubo.n) is int and '"n": 2,' in qubo.to_json()
 
 
 def test_an_ising_model_checks_its_size():

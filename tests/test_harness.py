@@ -192,6 +192,15 @@ def test_derive_seed_is_stable_and_key_sensitive():
     assert s != derive_seed(8, "run", "maxcut", 10, 0, "vqe", 1, 0.1)
     assert s != derive_seed(7, "run", "maxcut", 10, 1, "vqe", 1, 0.1)
     assert 0 <= s < 2**63
+    assert s == int.from_bytes(hashlib.sha256(b"7/run/maxcut/10/0/vqe/1/0.1").digest()[:8], "big") % 2**63
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, "1", None])
+def test_derive_seed_takes_a_whole_master_seed(bad):
+    """`int()` would read 1.7 and True as 1, so two different configs would share every seed."""
+    with pytest.raises(ValueError, match=f"^master_seed takes integers, got {bad!r}$"):
+        derive_seed(bad, "x")
+    assert derive_seed(2.0, "x") == derive_seed(np.int64(2), "x") == derive_seed(2, "x")
 
 
 def test_sweep_rows_are_complete_and_deterministic():
@@ -334,6 +343,25 @@ def test_run_single_depth_and_budget_take_whole_numbers(field, bad):
     with pytest.raises(ValueError, match=f"^{field} takes integers, got {bad!r}$"):
         run_single(qubo, **{**args, field: bad})
     assert_same_trace(run_single(qubo, **{**args, field: float(args[field])}), run_single(qubo, **args))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_run_single_default_seed_is_reproducible(mode):
+    """The default seed is 0, not fresh OS entropy: two identical calls give one trace."""
+    qubo = generate(InstanceSpec("maxcut", 4, 1))
+    args = dict(algo="vqe", p=1, alpha=0.5, mode=mode, shots=64, max_evaluations=10, initial_point="random")
+    assert_same_trace(run_single(qubo, **args), run_single(qubo, **args))
+    assert_same_trace(run_single(qubo, **args), run_single(qubo, **args, seed=0))
+
+
+@pytest.mark.parametrize("bad", [None, True, 1.5, "3"])
+def test_run_single_seed_takes_whole_numbers(bad):
+    """A bool is not seed 1, and None does not draw a seed from the OS; a whole float runs as its int."""
+    qubo = generate(InstanceSpec("maxcut", 4, 0))
+    args = dict(algo="vqe", p=1, alpha=0.5, mode="sampled", shots=64, max_evaluations=10)
+    with pytest.raises(ValueError, match=f"^seed takes integers, got {bad!r}$"):
+        run_single(qubo, **args, seed=bad)
+    assert_same_trace(run_single(qubo, **args, seed=2.0), run_single(qubo, **args, seed=2))
 
 
 def test_sweep_csv_round_trip():

@@ -356,6 +356,20 @@ def test_sampled_is_deterministic_given_seed():
     assert cvar_sampled(state, REF_H, cfg) == cvar_sampled(state, REF_H, cfg)
 
 
+@pytest.mark.parametrize("bad", [None, True, 1.5, "5"])
+def test_sampled_seed_defaults_to_zero_and_takes_whole_numbers(bad):
+    """The default seed is 0, so a default config draws the same shots every time."""
+    state = ref_state(0.7)
+
+    def sampled(**seed):
+        return cvar_sampled(state, REF_H, CvarConfig(0.3, "sampled", shots=512, **seed))
+
+    assert sampled() == sampled() == sampled(seed=0) and sampled(seed=2.0) == sampled(seed=2)
+    assert CvarConfig(0.3, seed=2.0).seed == 2 and type(CvarConfig(0.3, seed=2.0).seed) is int
+    with pytest.raises(ValueError, match=f"^seed takes integers, got {bad!r}$"):
+        CvarConfig(0.3, "sampled", shots=512, seed=bad)
+
+
 def test_sampled_mean_tracks_exact_within_three_standard_errors():
     state = ref_state(1.9)
     d = outcome_distribution(state, REF_H)

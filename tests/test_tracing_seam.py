@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cvarqopt
-from cvarqopt import ansatz, flatness, harness, statevector
+from cvarqopt import ansatz, flatness, hamiltonian, harness, statevector
 from cvarqopt.problems import InstanceSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +44,7 @@ def test_public_api_is_pinned():
     ]
     gone = ("Gate", "Circuit", "InvalidGateError", "GATE_NAMES", "ry", "h", "cnot", "diag", "layer")
     assert [name for name in gone if hasattr(statevector, name)] == []
-    assert not hasattr(ansatz, "qaoa_layer")
+    assert [name for name in ("qaoa_layer", "_plan") if hasattr(ansatz, name)] == []
 
 
 def test_every_wrapped_name_exists():
@@ -80,6 +80,24 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_unused_import_check_sees_unused_names():
     source = "from x import a, b as c\nimport d.e\nimport f\n__all__ = ['a']\nprint(d, c.attr)\n"
     assert unused_imports(source) == {"f"}
+
+
+def step_builders(sources: dict[str, str]) -> set[str]:
+    """The modules, by file name, whose code calls `Step(...)`."""
+    return {name for name, source in sources.items()
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Step"
+                   for node in ast.walk(ast.parse(source)))}
+
+
+def test_only_the_ansatz_and_the_fixtures_build_steps():
+    """One binder per ansatz family: `flatness` runs `ansatz`'s alternating layer, not its own."""
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "cvarqopt").glob("*.py")}
+    assert step_builders(sources) == {"ansatz.py", "fixtures.py"}
+
+
+def test_step_builder_check_sees_calls():
+    sources = {"a.py": "x = Step('h')\n", "b.py": "class Step:\n    pass\ny = Step\n", "c.py": "z = f(Step('rx'))\n"}
+    assert step_builders(sources) == {"a.py", "c.py"}
 
 
 def orphaned_helpers(sources: list[str]) -> set[str]:
@@ -161,24 +179,25 @@ def test_serial_sweep_generates_and_runs_once_per_grid_key(monkeypatch):
 
 @pytest.mark.parametrize("algo,p", [("vqe", 1), ("qaoa", 2)])
 def test_run_single_checks_no_gate_per_evaluation(monkeypatch, algo, p):
-    """A run builds one `AnsatzSpec` and compiles its plan once, at its first evaluation; every
-    later evaluation only binds its angles into that plan, whatever the budget."""
-    specs, plans = [], []  # plans holds every plan it sees, so distinct plans have distinct ids
+    """A run builds one `AnsatzSpec`, and what its evaluations share (the entangler signs, the Ising
+    spin table) is built the same number of times at either budget: per-run setup does not grow
+    with the evaluations."""
+    specs, counts, setups = [], {}, []
 
     def counted_init(self, original=ansatz.AnsatzSpec.__post_init__):
         specs.append(self)
         original(self)
 
-    def counted_plan(spec, original=ansatz._plan):
-        plans.append(original(spec))
-        return plans[-1]
-
     monkeypatch.setattr(ansatz.AnsatzSpec, "__post_init__", counted_init)
-    monkeypatch.setattr(ansatz, "_plan", counted_plan)
+    counting(monkeypatch, ansatz, "entangler_signs", counts)
+    counting(monkeypatch, hamiltonian, "_spin_table", counts)
     qubo = generate(InstanceSpec("maxcut", 4, seed=1))
     for budget in (12, 24):
         specs.clear()
-        plans.clear()
+        counts.clear()
+        ansatz._entangler.cache_clear()
         trace = harness.run_single(qubo, algo, p=p, alpha=0.5, seed=3, max_evaluations=budget)
-        assert trace.n_evaluations == budget
-        assert len(specs) == 1 and len(plans) == budget and len({id(plan) for plan in plans}) == 1
+        assert trace.n_evaluations == budget and len(specs) == 1
+        setups.append(dict(counts))
+    assert setups[0] == setups[1] == ({"entangler_signs": 1, "_spin_table": 1} if algo == "vqe"
+                                      else {"_spin_table": 1})
