@@ -8,7 +8,6 @@ from .hamiltonian import (
     DiagonalHamiltonian,
     IsingModel,
     QuboProblem,
-    evaluate_bitstring,
     ising_to_hamiltonian,
     qubo_to_hamiltonian,
     qubo_to_ising,
@@ -22,7 +21,7 @@ from .objective import (
     overlap_with_optimum,
 )
 from .optimizer import OptimizerConfig, RunTrace, best_observed_solution, minimize
-from .oracle import GroundTruth, enumerate_hamiltonian, exact_cvar_landscape
+from .oracle import GroundTruth, enumerate_hamiltonian
 from .problems import InstanceSpec, PortfolioFixture, generate, portfolio_qubo
 from .statevector import StateVector, run_circuit
 
@@ -46,8 +45,6 @@ __all__ = [
     "cvar_exact",
     "cvar_sampled",
     "enumerate_hamiltonian",
-    "evaluate_bitstring",
-    "exact_cvar_landscape",
     "generate",
     "ising_to_hamiltonian",
     "minimize",

@@ -118,12 +118,12 @@ def cost_phases(cost: ValueRanking, gamma: float) -> np.ndarray:
 
 @cache  # one entry per n
 def _hadamards(n: int) -> Step:
-    return Step("h", (), [_entries("h", None)] * n)
+    return Step("h", [_entries("h", None)] * n)
 
 
 def _qaoa_layer(ranking: ValueRanking, beta: float, gamma: float, n: int) -> tuple[Step, Step]:
     """One alternating layer: the cost diag exp(-i gamma * cost), then RX(2*beta) on every qubit."""
-    return Step("diag", (), None, cost_phases(ranking, gamma)), Step("rx", (), [_entries("rx", 2.0 * beta)] * n)
+    return Step("diag", None, cost_phases(ranking, gamma)), Step("rx", [_entries("rx", 2.0 * beta)] * n)
 
 
 def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
@@ -132,9 +132,9 @@ def build_circuit(spec: AnsatzSpec, theta) -> BoundCircuit:
     n, p = spec.n, spec.p
     if spec.family == "vqe":
         signs = _entangler(n, spec.entanglement)
-        gates = [Step("ry", (), [_entries("ry", angle) for angle in angles[:n]])]
+        gates = [Step("ry", [_entries("ry", angle) for angle in angles[:n]])]
         for k in range(1, p + 1):
-            gates += [signs, Step("ry", (), [_entries("ry", angle) for angle in angles[k * n : (k + 1) * n]])]
+            gates += [signs, Step("ry", [_entries("ry", angle) for angle in angles[k * n : (k + 1) * n]])]
     else:
         ranking = spec.ising.ranking
         gates = [_hadamards(n)]

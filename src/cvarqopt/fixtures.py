@@ -2,8 +2,14 @@
 closed-form state, CVaR landscape), the published six-asset portfolio
 constants, and frozen computed regression values.
 
-The counterexample circuit is a `BoundCircuit` of three single-gate `Step`s
-(H, CNOT, RY), so `run_circuit` runs it as it runs `ansatz.build_circuit`'s.
+The counterexample circuit, H(q0), CNOT(q0 -> q1), RY(theta on q1), is built
+from the kinds of whole-register `Step` that `ansatz.build_circuit` emits
+(RY-shaped layers and a +-1 `diag`), so `run_circuit` runs it as it runs the
+ansatz's.  Each layer but the last turns one qubit by sqrt(2) * RY(+-pi/2),
+whose entries are +-1, and the identity on the other, so until the last layer
+every amplitude is a small integer and no step rounds.  The last layer halves
+qubit 0's 2 to sqrt(1/2) exactly and turns qubit 1 by RY(theta), so the state
+has the bytes of the gate-by-gate H, CNOT, RY run (a test checks this).
 
 Computed entries live in data/golden.json and can be rebuilt with
 `regenerate_golden()` (CLI: `cvarqopt regen-golden`); a test diffs the
@@ -50,9 +56,23 @@ def two_qubit_hamiltonian() -> DiagonalHamiltonian:
     return DiagonalHamiltonian(2, np.array(TWO_QUBIT_DIAGONAL))
 
 
+def _k(a: float, c: float) -> list:
+    """The RY-shaped 2x2 entries ((a, -c), (c, a)); _k(1, 0) is the identity."""
+    return [[a, -c], [c, a]]
+
+
 def two_qubit_circuit(theta: float) -> BoundCircuit:
-    return BoundCircuit(2, (Step("h", (0,), [_entries("h", None)]), Step("cnot", (0, 1)),
-                            Step("ry", (1,), [_entries("ry", float(theta))])))
+    """H(q0), CNOT(q0 -> q1), RY(theta on q1) as five whole-register steps; the states between
+    them, unnormalized, are [1, 0, 1, 0], [1, 1, 1, 1], [1, 1, -1, 1], [2, 0, 0, 2] and then
+    [r, 0, 0, r] with r = sqrt(1/2) before RY(theta)."""
+    one, r = _k(1.0, 0.0), _entries("h", None)[0][0]
+    return BoundCircuit(2, (
+        Step("ry", [_k(1.0, 1.0), one]),
+        Step("ry", [one, _k(1.0, 1.0)]),
+        Step("diag", None, np.array([1, 1, -1, 1], dtype=np.int8)),  # (Z x I) CZ
+        Step("ry", [one, _k(1.0, -1.0)]),
+        Step("ry", [_k(r / 2, 0.0), _entries("ry", float(theta))]),
+    ))
 
 
 def two_qubit_amplitudes(theta: float) -> np.ndarray:

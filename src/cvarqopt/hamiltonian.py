@@ -38,11 +38,6 @@ class QuboProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "const", float(self.const))
 
-    def value(self, x) -> float:
-        """Objective const + b.x + x^T A x at a binary assignment."""
-        x = np.asarray(x, dtype=float)
-        return float(self.const + self.b @ x + x @ self.A @ x)
-
     def to_json(self) -> str:
         return json.dumps(
             {"n": self.n, "b": self.b.tolist(), "A": self.A.tolist(), "const": self.const}
@@ -62,7 +57,7 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        if (n := _whole("n", self.n)) < 1:  # no upper bound: a model the simulator cannot hold may still be valued
+        if (n := _whole("n", self.n)) < 1:  # no upper bound: a model the simulator cannot hold may still be ranked
             raise ValueError(f"n must be at least 1, got {n}")
         c = np.asarray(self.c, dtype=float)
         Q = np.asarray(self.Q, dtype=float)
@@ -74,11 +69,6 @@ class IsingModel:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "offset", float(self.offset))
-
-    def value(self, z) -> float:
-        """Energy offset + c.z + sum_{i<k} 2*Q[i,k]*z_i*z_k at a spin assignment."""
-        z = np.asarray(z, dtype=float)
-        return float(self.offset + self.c @ z + 2.0 * (z @ self.Q @ z))
 
     @cached_property
     def ranking(self) -> "ValueRanking":
@@ -187,10 +177,3 @@ def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
 
 def qubo_to_hamiltonian(q: QuboProblem) -> DiagonalHamiltonian:
     return ising_to_hamiltonian(qubo_to_ising(q))
-
-
-def evaluate_bitstring(ham: DiagonalHamiltonian, j: int) -> float:
-    """Objective value of basis state j."""
-    if not 0 <= (j := _whole("basis index", j)) < 2**ham.n:
-        raise IndexError(f"basis index {j} out of range for n={ham.n}")
-    return float(ham.ranking.values[ham.ranking.inverse[j]])

@@ -5,8 +5,8 @@ metric aggregation.
 A run builds its `AnsatzSpec` once.  Every evaluation binds its point into
 the spec's gates (`build_circuit`) and runs them (`run_circuit`); the gates
 theta does not change are cached, so no gate is checked and nothing
-theta-free is rebuilt per evaluation.  A run's seed is a whole number, 0 by
-default, so a run that names none is as reproducible as one that does.
+theta-free is rebuilt per evaluation.  A run's seed is a whole number >= 0,
+0 by default, so a run that names none is as reproducible as one that does.
 
 `run_batch` runs a list of `run_single` argument sets, in turn in this
 process with one worker, or on a process pool with more; every run goes
@@ -58,7 +58,7 @@ from .objective import (
 )
 from .optimizer import EvalRecord, OptimizerConfig, RunTrace, minimize
 from .problems import PROBLEM_NAMES, InstanceSpec, generate
-from .statevector import BoundCircuit, StateVector, _whole, run_circuit
+from .statevector import BoundCircuit, StateVector, _seed, _whole, run_circuit
 
 CSV_HEADER = "problem,n,seed,algo,p,alpha,eval,norm_iter,objective,overlap"
 _CSV_TYPES = (str, int, int, str, int, float, int, float, float, float)
@@ -119,12 +119,12 @@ def make_objective(
     return objective
 
 
-def initial_parameters(n_params: int, how: str, seed: int | None = None) -> np.ndarray:
-    """theta0 = 0 by default; sweeps use a seeded uniform draw in [-pi, pi]^d."""
+def initial_parameters(n_params: int, how: str, seed: int = 0) -> np.ndarray:
+    """theta0 = 0 by default; sweeps use a seeded uniform draw in [-pi, pi]^d (seed a whole number >= 0)."""
     if how == "zeros":
         return np.zeros(n_params)
     if how == "random":
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(_seed(seed)))
         return rng.uniform(-np.pi, np.pi, size=n_params)
     raise ValueError(f"unknown initial point mode {how!r}")
 
@@ -147,7 +147,7 @@ def run_single(
     ham = ising_to_hamiltonian(ising)
     n = qubo.n
     spec = AnsatzSpec(algo, n=n, p=p, entanglement=entanglement, ising=ising if algo == "qaoa" else None)
-    seq = np.random.SeedSequence(_whole("seed", seed))
+    seq = np.random.SeedSequence(_seed(seed))
     init_seed, sample_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
     theta0 = initial_parameters(spec.parameter_count, initial_point, init_seed)
     cfg = OptimizerConfig(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian
-from .statevector import StateVector, _whole
+from .statevector import StateVector, _seed, _whole
 
 # inverse-CDF sampling over the probability table, stream below
 PRNG_NAME = "numpy.random.PCG64"
@@ -79,9 +79,6 @@ class OutcomeDistribution:
         object.__setattr__(dist, "probs", probs)
         return dist
 
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
 
 @dataclass(frozen=True)
 class CvarConfig:
@@ -92,7 +89,7 @@ class CvarConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fixtures
 from .hamiltonian import QuboProblem
-from .statevector import _whole
+from .statevector import _seed, _whole
 
 PROBLEM_NAMES = ("stable_set", "max3sat", "partition", "maxcut", "market_split", "portfolio")
 
@@ -43,7 +43,7 @@ class InstanceSpec:
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
         object.__setattr__(self, "n_qubits", _whole("n_qubits", self.n_qubits))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if self.problem in ("maxcut", "stable_set") and self.n_qubits < 2:

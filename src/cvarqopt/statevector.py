@@ -1,14 +1,13 @@
-"""Dense state-vector simulation of the gates the ansatz builders and fixtures run:
-RY, RX, H, CNOT and `diag`.
+"""Dense state-vector simulation of the two whole-register steps the ansatz
+builders and fixtures run: `diag`, and a layer of H, RY or RX on every qubit.
 
 Basis convention: basis index j encodes qubit 0 as the most significant bit,
 so |q0 q1 ... q_{n-1}> sits at index sum_i q_i * 2^(n-1-i).  Rotations follow
-R_A(t) = exp(-i t A / 2) for A in {X, Y}.  Two gates act on every qubit:
-`diag` multiplies amplitude j by d[j]; a rotation layer (a rotation `Step` on
-no listed qubit) turns every qubit, applied qubit 0 first in n steps
-(`_rotate`) whose bytes equal one qubit at a time, and a run from |0...0> that
-opens with one starts from that layer's product state (for H, one cached
-read-only state per n).
+R_A(t) = exp(-i t A / 2) for A in {X, Y}.  `diag` multiplies amplitude j by
+d[j]; a rotation layer turns every qubit by its own 2x2 matrix, applied qubit
+0 first in n steps (`_rotate`) whose bytes equal one qubit at a time, and a
+run from |0...0> that opens with one starts from that layer's product state
+(for H, one cached read-only state per n).
 
 Each step reads the top qubit's halves v0, v1 and writes a*v0 + b*v1 and
 c*v0 + d*v1 to the even and odd slots of the other buffer, so the next qubit
@@ -37,17 +36,17 @@ So every amplitude gets the products and sums of the per-qubit 2x2 steps, in
 qubit order, whatever the path.
 
 One interpreter (`_run`) runs a `BoundCircuit` of `Step`s on one state, a
-1-D array (`run_circuit`).  A step holds four fields: name, qubits, a
-rotation's 2x2 entries (`matrices`, Python scalars) and a diag's diagonal.
-Nothing checks them: only `ansatz` (`build_circuit`, and its alternating
-layer, which `flatness.qaoa_snapshots` runs too) and
+1-D array (`run_circuit`).  A step holds three fields: name, a rotation
+layer's 2x2 entries per qubit (`matrices`, Python scalars) and a diag's
+diagonal.  Nothing checks them: only `ansatz` (`build_circuit`, and its
+alternating layer, which `flatness.qaoa_snapshots` runs too) and
 `fixtures.two_qubit_circuit` build steps, and they fit them to n by
 construction.  Every run allocates its buffers afresh, as a buffer kept
 across runs would be handed out as a state: one per rotation layer, and a
 spare for four-call steps unless the layer is blocked, so a blocked layer
 holds no more than two state-sized buffers.
 
-A state stays float64 while every gate it meets is real (h, ry, cnot, a real
+A state stays float64 while every gate it meets is real (h, ry, a real
 diag), and turns complex128 at the first complex gate (rx, a complex diag);
 the cast is exact, and real arithmetic gives the same values as complex
 arithmetic on the real parts.  A `StateVector`'s amplitudes are read-only: it
@@ -82,6 +81,13 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A PRNG seed as an int; a ValueError naming it unless it is a whole number >= 0."""
+    if (seed := _whole("seed", value)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def check_qubits(n: int) -> int:
     """n as an int; a ValueError unless it is a whole number in [1, MAX_QUBITS], the sizes the dense simulator holds."""
     if not 1 <= (n := _whole("n", n)) <= MAX_QUBITS:
@@ -90,11 +96,10 @@ def check_qubits(n: int) -> int:
 
 
 class Step(NamedTuple):
-    """One gate as the interpreter reads it: h, ry or rx on one qubit or on every qubit, cnot, or diag."""
+    """One whole-register gate as the interpreter reads it: h, ry or rx on every qubit, or diag."""
 
     name: str
-    qubits: tuple = ()  # () for a gate on every qubit
-    matrices: list | None = None  # a rotation's 2x2 entries per qubit it turns, as `_entries` gives them
+    matrices: list | None = None  # a rotation's 2x2 entries per qubit, qubit 0 first, as `_entries` gives them
     diagonal: np.ndarray | None = None  # diag: (2^n,)
 
     @property
@@ -151,12 +156,6 @@ class StateVector:
         probs.setflags(write=False)  # half the cost of `flags.writeable = False`, once per evaluation
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "probabilities", probs)
-
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        """|0...0> on n qubits."""
-        n = check_qubits(n)
-        return cls(n, np.eye(1, 2**n, dtype=complex)[0])
 
     @classmethod
     def uniform(cls, n: int) -> "StateVector":
@@ -260,23 +259,12 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
     return state
 
 
-def _apply(amps: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply the step to the 2^n amplitudes; returns the result and leaves `amps` overwritten."""
+def _apply(amps: np.ndarray, gate) -> np.ndarray:
+    """Apply the step to the amplitudes; returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
         amps *= gate.diagonal
-    elif not gate.qubits:
-        return _rotate(amps, gate.name, gate.matrices)
-    elif gate.name in _ROTATIONS:
-        psi = amps.reshape(2 ** gate.qubits[0], 2, -1)  # axis 1 is the qubit
-        v0, v1 = psi[:, 0], psi[:, 1]
-        _mix(gate.matrices[0], v0.copy(), v1.copy(), v0, v1)
-    else:  # cnot
-        psi = amps.reshape([2] * n)  # qubit q is axis q
-        c, t = gate.qubits
-        on = (slice(None),) * c + (1,)  # the control set
-        # with the control axis fixed, a target after it moves down one axis
-        psi[on] = np.flip(psi[on], axis=t - (t > c))
-    return amps
+        return amps
+    return _rotate(amps, gate.name, gate.matrices)
 
 
 def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
@@ -284,7 +272,7 @@ def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
     gates, n = circuit.gates, circuit.n
     if amps is None:
         first = gates[0] if gates else None
-        if first is None or first.name not in _ROTATIONS or first.qubits:
+        if first is None or first.name not in _ROTATIONS:
             amps = np.eye(1, 2**n, dtype=complex)[0]
         else:  # start from the opening layer's product state
             gates = gates[1:]
@@ -294,7 +282,7 @@ def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
-        amps = _apply(amps, gate, n)
+        amps = _apply(amps, gate)
     return amps
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cvarqopt import harness
-from cvarqopt.hamiltonian import QuboProblem
-from cvarqopt.objective import OutcomeDistribution
+from cvarqopt.ansatz import trial_state
+from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, QuboProblem
+from cvarqopt.objective import OutcomeDistribution, cvar_exact, outcome_distribution
+from cvarqopt.statevector import StateVector
 
 
 def random_qubo(rng: np.random.Generator, n: int, integer: bool = False) -> QuboProblem:
@@ -17,6 +19,38 @@ def random_qubo(rng: np.random.Generator, n: int, integer: bool = False) -> Qubo
         A = rng.normal(size=(n, n))
         const = float(rng.normal())
     return QuboProblem(n, b, A, const=const)
+
+
+def qubo_value(q: QuboProblem, x) -> float:
+    """Objective const + b.x + x^T A x at a binary assignment."""
+    x = np.asarray(x, dtype=float)
+    return float(q.const + q.b @ x + x @ q.A @ x)
+
+
+def ising_value(m: IsingModel, z) -> float:
+    """Energy offset + c.z + sum_{i<k} 2*Q[i,k]*z_i*z_k at a spin assignment."""
+    z = np.asarray(z, dtype=float)
+    return float(m.offset + m.c @ z + 2.0 * (z @ m.Q @ z))
+
+
+def exact_cvar_landscape(ansatz, ham: DiagonalHamiltonian, alpha: float, thetas, max_points: int = 100_000) -> np.ndarray:
+    """Exact CVaR over a parameter grid.
+
+    `ansatz` is either an AnsatzSpec or any callable mapping a parameter
+    point to a StateVector.  Each grid entry may be a scalar (one-parameter
+    families) or a full parameter vector.
+    """
+    thetas = list(thetas)
+    if len(thetas) > max_points:
+        raise ValueError(f"grid of {len(thetas)} points exceeds cap {max_points}")
+    state_at = ansatz if callable(ansatz) else lambda t: trial_state(ansatz, np.atleast_1d(t))
+    out = np.empty(len(thetas))
+    for i, theta in enumerate(thetas):
+        state = state_at(theta)
+        if not isinstance(state, StateVector):
+            raise TypeError("ansatz callable must return a StateVector")
+        out[i] = cvar_exact(outcome_distribution(state, ham), alpha)
+    return out
 
 
 def random_distribution(rng: np.random.Generator, size: int = 12) -> OutcomeDistribution:

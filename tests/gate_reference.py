@@ -1,18 +1,19 @@
 """Gate-level references that the package itself never runs.
 
-Tests build circuits as `BoundCircuit(n, (...))` of `Step`s, which nothing
-checks, from these plain constructors:
+The package runs two whole-register `Step`s, a `diag` and a rotation layer.
+The tests check them against the gate-by-gate arithmetic here, which runs
+one-qubit gates and CNOT as well, in `run_reference`:
 
-- `h(q)`, `ry(q, t)`, `rx(q, t)`: one rotation on qubit q;
-- `cnot(c, t)`, and `diag(d)`, which multiplies amplitude j by d[j];
-- `layer(name, angles)`: an h, ry or rx rotation on every qubit, qubit q by
-  angles[q] (None for h).
+- `h(q)`, `ry(q, t)`, `rx(q, t)`: one rotation `Gate` on qubit q;
+- `cnot(c, t)`: a `Gate` that flips qubit t where qubit c is set;
+- `diag(d)`, which multiplies amplitude j by d[j], and `layer(name, angles)`,
+  an h, ry or rx rotation on every qubit, qubit q by angles[q] (None for h):
+  the package's own `Step`s, which `run_circuit` runs too.
 
 Every problem gives a diagonal Hamiltonian, so the package applies a CZ
 entangler block as one +-1 `diag` and the QAOA cost step exp(-i gamma * cost)
-as one complex `diag`.  These helpers build the gate-by-gate forms from the
-gates the simulator keeps (`diag`, `cnot` and single-qubit `rx`), so tests can
-check the whole-register gates against them:
+as one complex `diag`.  These helpers build the gate-by-gate forms, so tests
+can check the whole-register gates against them:
 
 - `cz(n, a, b)`: CZ on qubits a and b as an exact +-1 int8 `diag`;
 - `rz(n, q, t)`: RZ(t) = exp(-i t Z / 2) on qubit q as a phase `diag`;
@@ -21,38 +22,54 @@ check the whole-register gates against them:
   coupling;
 - `spin_cost`: the cost (offset excluded) of every basis state, summed
   spin by spin;
-- `rotate_per_qubit` and `product_state`: a rotation layer applied one
-  qubit at a time in place, and its product state from |0...0> built as an
-  iterated outer product, the arithmetic the layer kernel must equal.
+- `apply_matrix`, `rotate_per_qubit` and `product_state`: a 2x2 matrix on
+  one qubit in place, a rotation layer applied that way one qubit at a time,
+  and a layer's product state from |0...0> built as an iterated outer
+  product, the arithmetic the layer kernel must equal.
 """
+from typing import NamedTuple
+
 import numpy as np
 
 from cvarqopt.hamiltonian import IsingModel
-from cvarqopt.statevector import Step, _entries
+from cvarqopt.statevector import StateVector, Step, _entries
 
 
-def h(q: int) -> Step:
-    return Step("h", (q,), [_entries("h", None)])
+class Gate(NamedTuple):
+    """A gate on named qubits, which only `run_reference` applies: h, ry or rx on (q,), or cnot on (c, t)."""
+
+    name: str
+    qubits: tuple
+    matrix: list | None = None  # a rotation's 2x2 entries, as `_entries` gives them
 
 
-def ry(q: int, t: float) -> Step:
-    return Step("ry", (q,), [_entries("ry", float(t))])
+def h(q: int) -> Gate:
+    return Gate("h", (q,), _entries("h", None))
 
 
-def rx(q: int, t: float) -> Step:
-    return Step("rx", (q,), [_entries("rx", float(t))])
+def ry(q: int, t: float) -> Gate:
+    return Gate("ry", (q,), _entries("ry", float(t)))
 
 
-def cnot(control: int, target: int) -> Step:
-    return Step("cnot", (control, target))
+def rx(q: int, t: float) -> Gate:
+    return Gate("rx", (q,), _entries("rx", float(t)))
+
+
+def cnot(control: int, target: int) -> Gate:
+    return Gate("cnot", (control, target))
 
 
 def diag(d) -> Step:
-    return Step("diag", (), None, np.asarray(d))
+    return Step("diag", None, np.asarray(d))
 
 
 def layer(name: str, angles) -> Step:
-    return Step(name, (), [_entries(name, angle) for angle in angles])
+    return Step(name, [_entries(name, angle) for angle in angles])
+
+
+def zero_state(n: int) -> StateVector:
+    """|0...0> on n qubits, as a complex state."""
+    return StateVector(n, np.eye(1, 2**n, dtype=complex)[0])
 
 
 def bit(n: int, q: int) -> np.ndarray:
@@ -68,7 +85,7 @@ def rz(n: int, q: int, t: float) -> Step:
     return diag(np.where(bit(n, q) == 1, np.exp(0.5j * t), np.exp(-0.5j * t)))
 
 
-def cost_layer_gates(ising: IsingModel, gamma: float) -> list[Step]:
+def cost_layer_gates(ising: IsingModel, gamma: float) -> list:
     """Gate-level exp(-i gamma * cost); zero terms emit nothing."""
     n = ising.n
     gates = [rz(n, i, 2.0 * gamma * ising.c[i]) for i in range(n) if ising.c[i] != 0.0]
@@ -107,4 +124,27 @@ def product_state(name: str, angles) -> np.ndarray:
     amps = columns[0].copy()
     for column in columns[1:]:
         amps = np.multiply(column, amps[:, None]).reshape(-1)
+    return amps
+
+
+def run_reference(n: int, gates, initial: StateVector | None = None) -> np.ndarray:
+    """The (2^n,) amplitudes the gates give, in order, from a copy of `initial` or else from complex
+    |0...0>: a one-qubit `Gate` and a rotation layer's qubits (qubit 0 first) through `apply_matrix`,
+    a cnot as a flip of its target where the control is set, and a diag as a product.  The state
+    turns complex up front if any gate is complex."""
+    amps = zero_state(n).amplitudes.copy() if initial is None else initial.amplitudes.copy()
+    if any(g.name == "rx" or g.name == "diag" and g.diagonal.dtype.kind == "c" for g in gates):
+        amps = amps.astype(complex)
+    for g in gates:
+        if g.name == "diag":
+            amps *= g.diagonal
+        elif g.name == "cnot":
+            c, t = g.qubits
+            on = np.flatnonzero(bit(n, c))
+            amps[on] = amps[on ^ (1 << (n - 1 - t))]  # a permutation of the control-set half
+        elif isinstance(g, Gate):
+            apply_matrix(amps, g.qubits[0], g.matrix)
+        else:
+            for q, m in enumerate(g.matrices):
+                apply_matrix(amps, q, m)
     return amps

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_qubo
+from conftest import exact_cvar_landscape, random_qubo
 from cvarqopt.ansatz import (
     ENTANGLEMENTS,
     AnsatzSpec,
@@ -17,38 +17,38 @@ from cvarqopt.ansatz import (
     trial_state,
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, qubo_to_ising
-from cvarqopt.oracle import exact_cvar_landscape
 from cvarqopt.statevector import BoundCircuit, StateVector, run_circuit
-from gate_reference import cost_layer_gates, cz, diag, h, layer, product_state, rotate_per_qubit, rx, ry, spin_cost
+from gate_reference import (cost_layer_gates, cz, diag, h, layer, product_state, rotate_per_qubit, run_reference, rx, ry,
+                            spin_cost, zero_state)
 
 
-def gate_counts(circuit):
+def gate_counts(gates):
     counts = {}
-    for g in circuit.gates:
+    for g in gates:
         counts[g.name] = counts.get(g.name, 0) + 1
     return counts
 
 
-def cz_reference_circuit(spec, theta):
+def cz_reference_gates(spec, theta):
     """The layered family compiled gate by gate: one RY per qubit, one CZ per entangler pair."""
     n = spec.n
     gates = [ry(q, theta[q]) for q in range(n)]
     for k in range(1, spec.p + 1):
         gates += [cz(n, a, b) for a, b in entangler_pairs(n, spec.entanglement)]
         gates += [ry(q, theta[k * n + q]) for q in range(n)]
-    return BoundCircuit(n, tuple(gates))
+    return gates
 
 
 def test_layered_counts_three_qubits_depth_two():
     spec = AnsatzSpec("vqe", n=3, p=2)
     circ = build_circuit(spec, np.zeros(9))
-    assert gate_counts(circ) == {"ry": 3, "diag": 2}
+    assert gate_counts(circ.gates) == {"ry": 3, "diag": 2}
 
 
 def test_ring_counts_six_qubits():
     spec = AnsatzSpec("vqe", n=6, p=1, entanglement="ring")
     circ = build_circuit(spec, np.zeros(12))
-    assert gate_counts(circ) == {"ry": 2, "diag": 1}
+    assert gate_counts(circ.gates) == {"ry": 2, "diag": 1}
     assert entangler_pairs(6, "ring") == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
     signs = next(g.diagonal for g in circ.gates if g.name == "diag")
     np.testing.assert_array_equal(signs, entangler_signs(6, "ring"))
@@ -64,7 +64,7 @@ def test_sign_entangler_state_equals_cz_gates_bit_for_bit(entanglement):
         for p in range(4):
             spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
             theta = np.random.default_rng(100 * n + p).uniform(-np.pi, np.pi, spec.parameter_count)
-            want = run_circuit(cz_reference_circuit(spec, theta)).amplitudes
+            want = run_reference(n, cz_reference_gates(spec, theta))
             assert np.array_equal(trial_state(spec, theta).amplitudes, want), (n, p)
 
 
@@ -77,7 +77,7 @@ def test_alternating_state_equals_per_qubit_gates_bit_for_bit(rng):
             gates = [h(q) for q in range(n)]
             for beta, gamma in zip(theta[:p], theta[p:]):
                 gates += [diag(np.exp(-1j * gamma * values)[ranks]), *(rx(q, 2.0 * beta) for q in range(n))]
-            want = run_circuit(BoundCircuit(n, tuple(gates))).amplitudes
+            want = run_reference(n, gates)
             got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
             assert np.array_equal(got, want), (n, p)
 
@@ -96,7 +96,7 @@ def test_depth_zero_at_zero_angles_is_identity():
     for n in (1, 2, 5):
         spec = AnsatzSpec("vqe", n=n, p=0)
         out = trial_state(spec, np.zeros(n))
-        np.testing.assert_allclose(out.amplitudes, StateVector.zero(n).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(out.amplitudes, zero_state(n).amplitudes, atol=1e-12)
 
 
 def test_depth_zero_pi_angle_flips_first_qubit():
@@ -153,9 +153,9 @@ def test_zero_angles_give_uniform_state(rng):
 
 def test_single_coupling_compiles_to_two_cnots_one_rz():
     ising = IsingModel(3, c=np.zeros(3), Q=[[0, 0.5, 0], [0, 0, 0], [0, 0, 0]])
-    assert gate_counts(BoundCircuit(3, tuple(cost_layer_gates(ising, 0.7)))) == {"cnot": 2, "diag": 1}  # the RZ is a diag
+    assert gate_counts(cost_layer_gates(ising, 0.7)) == {"cnot": 2, "diag": 1}  # the RZ is a diag
     circ = build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), [0.3, 0.7])
-    assert gate_counts(circ) == {"h": 1, "rx": 1, "diag": 1}
+    assert gate_counts(circ.gates) == {"h": 1, "rx": 1, "diag": 1}
 
 
 def test_zero_coefficients_emit_no_gates():
@@ -169,11 +169,11 @@ def test_dense_gate_count_scales_with_pairs(n, p, rng):
     q = type(q)(n, q.b + 1.0, q.A + np.triu(np.ones((n, n)), 1))  # force dense terms
     ising = qubo_to_ising(q)
     pairs = np.count_nonzero(ising.Q)
-    counts = gate_counts(BoundCircuit(n, tuple(g for _ in range(p) for g in cost_layer_gates(ising, 1.0))))
+    counts = gate_counts([g for _ in range(p) for g in cost_layer_gates(ising, 1.0)])
     assert counts["cnot"] == 2 * pairs * p
     assert counts["diag"] == (pairs + np.count_nonzero(ising.c)) * p  # one RZ diag per term
     circ = build_circuit(AnsatzSpec("qaoa", n=n, p=p, ising=ising), np.ones(2 * p))
-    assert gate_counts(circ) == {"h": 1, "rx": p, "diag": p}
+    assert gate_counts(circ.gates) == {"h": 1, "rx": p, "diag": p}
 
 
 def test_parameter_length_mismatch():
@@ -218,8 +218,7 @@ def test_cost_layer_equals_exact_phase_multiplication(n, rng):
     ising = qubo_to_ising(random_qubo(rng, n))
     gamma = float(rng.uniform(-np.pi, np.pi))
     pre = np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)) / math.sqrt(2**n)
-    circ = BoundCircuit(n, tuple(cost_layer_gates(ising, gamma)))
-    got = run_circuit(circ, StateVector(n, pre)).amplitudes
+    got = run_reference(n, cost_layer_gates(ising, gamma), StateVector(n, pre))
     want = pre * np.exp(-1j * gamma * spin_cost(ising))
     phase = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
     assert abs(abs(phase) - 1.0) < 1e-9
@@ -234,7 +233,7 @@ def test_qaoa_state_matches_gate_level_cost_layers(n, p, rng):
     gates = [h(q) for q in range(n)]
     for beta, gamma in zip(theta[:p], theta[p:]):
         gates += [*cost_layer_gates(ising, gamma), layer("rx", [2.0 * beta] * n)]
-    want = run_circuit(BoundCircuit(n, tuple(gates))).amplitudes
+    want = run_reference(n, gates)
     got = trial_state(AnsatzSpec("qaoa", n=n, p=p, ising=ising), theta).amplitudes
     k = int(np.argmax(np.abs(want)))
     got = got * (want[k] / got[k]) / abs(want[k] / got[k])  # align the global phase
@@ -267,8 +266,7 @@ def test_entangler_order_does_not_matter(rng):
         gates = [ry(q, theta[q]) for q in range(n)]
         gates += [cz(n, a, b) for a, b in pairs]
         gates += [ry(q, theta[n + q]) for q in range(n)]
-        out = run_circuit(BoundCircuit(n, tuple(gates)))
-        np.testing.assert_allclose(out.amplitudes, reference.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(run_reference(n, gates), reference.amplitudes, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -279,7 +277,7 @@ def test_vqe_float64_state_equals_complex_evolution(n, p, entanglement, seed):
     spec = AnsatzSpec("vqe", n=n, p=p, entanglement=entanglement)
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, spec.parameter_count)
     got = trial_state(spec, theta).amplitudes
-    want = run_circuit(build_circuit(spec, theta), StateVector.zero(n)).amplitudes
+    want = run_circuit(build_circuit(spec, theta), zero_state(n)).amplitudes
     assert got.dtype == np.float64 and want.dtype == complex
     assert np.array_equal(got, want)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 import cvarqopt
 from cvarqopt import fixtures
 from cvarqopt.objective import cvar_exact, outcome_distribution
-from cvarqopt.statevector import run_circuit
+from cvarqopt.statevector import StateVector, run_circuit
+from gate_reference import cnot, h, run_reference, ry
 
 
 def test_two_qubit_closed_form_at_sixth_turn():
@@ -20,6 +22,19 @@ def test_two_qubit_closed_form_at_sixth_turn():
         [np.cos(np.pi / 6), np.sin(np.pi / 6), -np.sin(np.pi / 6), np.cos(np.pi / 6)]
     ) / np.sqrt(2)
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+def test_two_qubit_circuit_carries_the_bytes_of_its_gate_level_run():
+    """The fixture's five whole-register steps give the gate-by-gate H(0), CNOT(0, 1), RY(theta on 1)
+    run bit for bit: the reference's imaginary parts are all zero, and its real parts and
+    probabilities are the fixture state's bytes."""
+    thetas = [*np.linspace(-7.0, 7.0, 1000).tolist(), 0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, 1e-300, -0.0]
+    for theta in thetas:
+        got = run_circuit(fixtures.two_qubit_circuit(theta))
+        want = run_reference(2, [h(0), cnot(0, 1), ry(1, theta)])
+        assert not want.imag.any(), theta
+        assert got.amplitudes.tobytes() == want.real.tobytes(), theta
+        assert got.probabilities.tobytes() == StateVector(2, want).probabilities.tobytes(), theta
 
 
 def test_portfolio_transcription_spot_checks():

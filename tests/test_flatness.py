@@ -17,8 +17,8 @@ from cvarqopt.flatness import (
 )
 from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.problems import InstanceSpec, generate
-from cvarqopt.statevector import BoundCircuit, StateVector, run_circuit
-from gate_reference import diag, rx
+from cvarqopt.statevector import StateVector
+from gate_reference import diag, run_reference, rx
 
 
 def test_delta_of_reference_diagonal():
@@ -116,7 +116,7 @@ def test_snapshots_equal_per_qubit_mixer_gates(rng):
         for beta, gamma in zip(betas, gammas):
             phases = np.exp(-1j * gamma * ham.ranking.values)[ham.ranking.inverse]
             gates = [diag(phases), *(rx(q, 2.0 * beta) for q in range(n))]
-            state = run_circuit(BoundCircuit(n, tuple(gates)), state)
+            state = StateVector(n, run_reference(n, gates, state))
             want.append(state.amplitudes)
         got = qaoa_snapshots(ham, betas, gammas)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_bitstrings, random_qubo
+from conftest import all_bitstrings, ising_value, qubo_value, random_qubo
 from cvarqopt.hamiltonian import (
     DiagonalHamiltonian,
     IsingModel,
     QuboProblem,
     _spin_table,
-    evaluate_bitstring,
     ising_to_hamiltonian,
     qubo_to_hamiltonian,
     qubo_to_ising,
@@ -25,8 +24,8 @@ def test_single_variable_transform():
     np.testing.assert_allclose(m.Q, [[0.0]])
     assert m.offset == 1.0
     # x=0 (z=+1) -> 0, x=1 (z=-1) -> 2
-    assert m.value([1.0]) == 0.0
-    assert m.value([-1.0]) == 2.0
+    assert ising_value(m, [1.0]) == 0.0
+    assert ising_value(m, [-1.0]) == 2.0
 
 
 def test_zero_problem_maps_to_zero_model():
@@ -40,7 +39,7 @@ def test_four_variable_round_trip_is_exact(rng):
     q = random_qubo(rng, 4, integer=True)
     m = qubo_to_ising(q)
     for x in all_bitstrings(4):
-        assert q.value(x) == m.value(1.0 - 2.0 * x)
+        assert qubo_value(q, x) == ising_value(m, 1.0 - 2.0 * x)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 10])
@@ -51,8 +50,8 @@ def test_float_round_trip_matches_to_machine_precision(n, rng):
     xs = all_bitstrings(n)
     for j, x in enumerate(xs):
         z = 1.0 - 2.0 * x
-        assert abs(q.value(x) - m.value(z)) < 1e-10
-        assert abs(q.value(x) - ham.table[j]) < 1e-10
+        assert abs(qubo_value(q, x) - ising_value(m, z)) < 1e-10
+        assert abs(qubo_value(q, x) - ham.table[j]) < 1e-10
 
 
 def test_single_spin_hamiltonian():
@@ -88,24 +87,6 @@ def test_ising_energies_that_are_not_finite_are_rejected(c0, offset):
 def test_diagonal_rejects_qubit_count_out_of_range(n):
     with pytest.raises(ValueError, match="qubit count"):
         DiagonalHamiltonian(n, [1.0])
-
-
-def test_evaluate_bitstring_reference_diagonal():
-    ham = DiagonalHamiltonian(2, [0.0, 1.0, 1.0, 2.0])
-    assert evaluate_bitstring(ham, 3) == 2.0
-    assert evaluate_bitstring(ham, 0) == 0.0
-    with pytest.raises(IndexError):
-        evaluate_bitstring(ham, 4)
-    with pytest.raises(IndexError):
-        evaluate_bitstring(ham, -1)
-
-
-@pytest.mark.parametrize("bad", [True, 1.5, "1", None])
-def test_evaluate_bitstring_takes_a_whole_basis_index(bad):
-    ham = DiagonalHamiltonian(2, [0.0, 1.0, 3.0, 2.0])
-    with pytest.raises(ValueError, match=f"^basis index takes integers, got {bad!r}$"):
-        evaluate_bitstring(ham, bad)
-    assert evaluate_bitstring(ham, 2.0) == evaluate_bitstring(ham, np.int64(2)) == 3.0
 
 
 def test_triangle_cut_values():
@@ -149,7 +130,7 @@ def test_a_qubo_checks_its_size(bad, message):
 def test_an_ising_model_checks_its_size():
     model = IsingModel(2.0, np.zeros(2), np.zeros((2, 2)))
     assert model.n == 2 and type(model.n) is int and model.ranking.values.tolist() == [0.0]
-    assert IsingModel(21, np.zeros(21), np.zeros((21, 21))).n == 21  # no upper bound: it may still be valued
+    assert IsingModel(21, np.zeros(21), np.zeros((21, 21))).n == 21  # no upper bound: it may still be ranked
     for bad, message in [(True, "n takes integers"), (1.5, "n takes integers"), (0, "n must be at least 1, got 0"),
                          (-1, "n must be at least 1, got -1")]:
         with pytest.raises(ValueError, match=message):
@@ -160,7 +141,7 @@ def test_table_agrees_with_model_value(rng):
     m = qubo_to_ising(random_qubo(rng, 5))
     ham = ising_to_hamiltonian(m)
     for j, x in enumerate(all_bitstrings(5)):
-        assert ham.table[j] == pytest.approx(m.value(1.0 - 2.0 * x), abs=1e-12)
+        assert ham.table[j] == pytest.approx(ising_value(m, 1.0 - 2.0 * x), abs=1e-12)
 
 
 def assert_ranks_shifted_table(ising):

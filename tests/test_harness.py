@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cvarqopt import fixtures, hamiltonian, harness
 from cvarqopt.hamiltonian import DiagonalHamiltonian, qubo_to_hamiltonian
 from cvarqopt.objective import (
+    CvarConfig,
     OutcomeDistribution,
     best_support_bitstring,
     cvar_exact,
@@ -362,6 +363,35 @@ def test_run_single_seed_takes_whole_numbers(bad):
     with pytest.raises(ValueError, match=f"^seed takes integers, got {bad!r}$"):
         run_single(qubo, **args, seed=bad)
     assert_same_trace(run_single(qubo, **args, seed=2.0), run_single(qubo, **args, seed=2))
+
+
+SEEDED = {  # every entry point whose seed reaches a PRNG, called with a given seed
+    "CvarConfig": lambda seed: CvarConfig(0.5, "sampled", shots=8, seed=seed).seed,
+    "run_single": lambda seed: [r.value for r in run_single(generate(InstanceSpec("maxcut", 3, 0)), "vqe", p=0,
+                                                            alpha=0.5, seed=seed, max_evaluations=5,
+                                                            initial_point="random").records],
+    "InstanceSpec": lambda seed: generate(InstanceSpec("maxcut", 4, seed)).A.tolist(),
+    "initial_parameters": lambda seed: initial_parameters(3, "random", seed=seed).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+@pytest.mark.parametrize("bad, message", [(-1, "seed must be >= 0, got -1"), (True, "seed takes integers, got True"),
+                                          (None, "seed takes integers, got None"), (1.5, "seed takes integers, got 1.5")])
+def test_a_seed_is_a_whole_number_of_at_least_zero(entry, bad, message):
+    """A negative seed fails where it is given, naming the seed, not later in numpy; 2.0 runs as 2."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SEEDED[entry](bad)
+    assert SEEDED[entry](2.0) == SEEDED[entry](2)
+
+
+def test_a_negative_master_seed_is_still_a_hash_key():
+    assert derive_seed(-1, "x") != derive_seed(1, "x") and derive_seed(-1, "x") >= 0
+
+
+def test_random_initial_points_default_to_seed_zero():
+    assert np.array_equal(initial_parameters(3, "random"), initial_parameters(3, "random"))
+    assert np.array_equal(initial_parameters(3, "random"), initial_parameters(3, "random", seed=0))
 
 
 def test_sweep_csv_round_trip():

@@ -25,6 +25,7 @@ from cvarqopt.objective import (
     sample_outcomes,
 )
 from cvarqopt.statevector import StateVector, run_circuit
+from gate_reference import zero_state
 
 REF_H = fixtures.two_qubit_hamiltonian()
 
@@ -42,7 +43,7 @@ def test_distribution_of_reference_state(theta):
 
 
 def test_distribution_of_basis_state():
-    d = outcome_distribution(StateVector.zero(2), DiagonalHamiltonian(2, [3.0, 1.0, 4.0, 1.0]))
+    d = outcome_distribution(zero_state(2), DiagonalHamiltonian(2, [3.0, 1.0, 4.0, 1.0]))
     np.testing.assert_array_equal(d.values, [3.0])
     np.testing.assert_array_equal(d.probs, [1.0])
 
@@ -76,7 +77,7 @@ def test_small_alpha_hits_the_minimum(rng):
 def test_alpha_one_is_the_mean(rng):
     for _ in range(100):
         d = random_distribution(rng)
-        assert cvar_exact(d, 1.0) == pytest.approx(d.mean(), abs=1e-12)
+        assert cvar_exact(d, 1.0) == pytest.approx(d.values @ d.probs, abs=1e-12)
 
 
 def test_monotone_in_alpha(rng):
@@ -92,7 +93,7 @@ def test_bounded_by_min_and_mean(rng):
         d = random_distribution(rng)
         for a in (0.05, 0.3, 0.77, 1.0):
             v = cvar_exact(d, a)
-            assert d.values[0] - 1e-12 <= v <= d.mean() + 1e-12
+            assert d.values[0] - 1e-12 <= v <= d.values @ d.probs + 1e-12
 
 
 def test_boundary_outcome_taken_fractionally():
@@ -435,6 +436,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         OutcomeDistribution([1.0, 1.0], [0.5, 0.5])  # not strictly increasing
     with pytest.raises(ValueError):
-        outcome_distribution(StateVector.zero(2), DiagonalHamiltonian(3, np.zeros(8)))
+        outcome_distribution(zero_state(2), DiagonalHamiltonian(3, np.zeros(8)))
     with pytest.raises(ValueError, match="state has n=3, hamiltonian has n=2"):
-        best_support_bitstring(StateVector.zero(3), DiagonalHamiltonian(2, np.zeros(4)))
+        best_support_bitstring(zero_state(3), DiagonalHamiltonian(2, np.zeros(4)))

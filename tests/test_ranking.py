@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ising_value, qubo_value
 from cvarqopt.hamiltonian import DiagonalHamiltonian, QuboProblem, qubo_to_hamiltonian, qubo_to_ising
 from cvarqopt.objective import (
     SUPPORT_EPS,
@@ -107,7 +108,7 @@ def test_cvar_at_alpha_one_is_the_mean(case):
     ham, state = case
     dist = outcome_distribution(state, ham)
     scale = max(1.0, float(np.abs(dist.values).max()))
-    assert cvar_exact(dist, 1.0) == pytest.approx(dist.mean(), rel=0, abs=1e-12 * scale)
+    assert cvar_exact(dist, 1.0) == pytest.approx(dist.values @ dist.probs, rel=0, abs=1e-12 * scale)
 
 
 @settings(deadline=None)
@@ -161,8 +162,8 @@ def test_qubo_ising_and_table_agree_at_every_basis_state(problem):
     scale = 1.0 + abs(const) + np.abs(b).sum() + np.abs(a).sum()
     for j in range(2**n):
         x = np.array([(j >> (n - 1 - i)) & 1 for i in range(n)], dtype=float)
-        want = qubo.value(x)
-        assert ising.value(1.0 - 2.0 * x) == pytest.approx(want, rel=0, abs=1e-13 * scale)
+        want = qubo_value(qubo, x)
+        assert ising_value(ising, 1.0 - 2.0 * x) == pytest.approx(want, rel=0, abs=1e-13 * scale)
         assert table[j] == pytest.approx(want, rel=0, abs=1e-13 * scale)
 
 

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from cvarqopt import fixtures, statevector
 from cvarqopt.ansatz import AnsatzSpec, build_circuit
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel
-from cvarqopt.statevector import BoundCircuit, StateVector, _entries, _rotate, check_qubits, checked_state, run_circuit
-from gate_reference import apply_matrix, bit, cnot, cz, diag, h, layer, product_state, rotate_per_qubit, rx, ry, rz
+from cvarqopt.statevector import (BoundCircuit, StateVector, Step, _entries, _rotate, check_qubits, checked_state,
+                                  run_circuit)
+from gate_reference import (apply_matrix, bit, cnot, cz, diag, h, layer, product_state, rotate_per_qubit, run_reference,
+                            rx, ry, rz, zero_state)
 
 S2 = 1.0 / np.sqrt(2.0)
 
 
 def test_hadamard_on_zero():
-    out = run_circuit(BoundCircuit(1, (h(0),)))
-    np.testing.assert_allclose(out.amplitudes, [S2, S2], atol=1e-12)
+    np.testing.assert_allclose(run_reference(1, [h(0)]), [S2, S2], atol=1e-12)
 
 
 def test_cz_identity_on_zero():
@@ -39,29 +40,30 @@ def test_reference_circuit_at_zero_is_bell():
 
 def test_empty_circuit_is_identity():
     out = run_circuit(BoundCircuit(3, ()))
-    np.testing.assert_allclose(out.amplitudes, StateVector.zero(3).amplitudes)
+    np.testing.assert_allclose(out.amplitudes, zero_state(3).amplitudes)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_parallel_hadamards_give_uniform(n):
-    out = run_circuit(BoundCircuit(n, tuple(h(q) for q in range(n))))
+    out = run_circuit(BoundCircuit(n, (layer("h", [None] * n),)))
     np.testing.assert_allclose(out.amplitudes, np.full(2**n, 1 / np.sqrt(2**n)), atol=1e-12)
 
 
 def test_qubit0_is_most_significant_bit():
     # RY(pi) flips qubit 0, landing on basis index 2 of a 2-qubit register
-    out = run_circuit(BoundCircuit(2, (ry(0, np.pi),)))
+    np.testing.assert_allclose(np.abs(run_reference(2, [ry(0, np.pi)])) ** 2, [0, 0, 1, 0], atol=1e-12)
+    out = run_circuit(BoundCircuit(2, (layer("ry", [np.pi, 0.0]),)))
     np.testing.assert_allclose(out.probabilities, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_cnot_flips_target_when_control_set():
-    out = run_circuit(BoundCircuit(2, (ry(0, np.pi), cnot(0, 1))))
-    np.testing.assert_allclose(out.probabilities, [0, 0, 0, 1], atol=1e-12)
+    out = run_reference(2, [ry(0, np.pi), cnot(0, 1)])
+    np.testing.assert_allclose(np.abs(out) ** 2, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_probabilities_basics():
-    np.testing.assert_allclose(StateVector.zero(1).probabilities, [1, 0])
-    plus = run_circuit(BoundCircuit(1, (h(0),)))
+    np.testing.assert_allclose(zero_state(1).probabilities, [1, 0])
+    plus = run_circuit(BoundCircuit(1, (layer("h", [None]),)))
     np.testing.assert_allclose(plus.probabilities, [0.5, 0.5], atol=1e-12)
 
 
@@ -73,7 +75,7 @@ def test_probabilities_reference_quarter_point():
 
 @pytest.mark.parametrize(
     "gate",
-    [h(0), ry(0, 0.7), rx(0, -1.3)],
+    [layer("h", [None]), layer("ry", [0.7]), layer("rx", [-1.3])],
     ids=lambda g: g.name,
 )
 def test_every_gate_matrix_is_unitary(gate):
@@ -85,12 +87,12 @@ def test_every_gate_matrix_is_unitary(gate):
 def test_random_circuit_preserves_norm(n, rng):
     gates = []
     for _ in range(200):
-        kind = rng.integers(6)
+        kind = rng.integers(5)
         q = int(rng.integers(n))
         q2 = int((q + 1 + rng.integers(n - 1)) % n)
-        angle = float(rng.uniform(-np.pi, np.pi))
+        angles = rng.uniform(-np.pi, np.pi, n).tolist()
         gates.append(
-            [h(q), ry(q, angle), rx(q, angle), rz(n, q, angle), cz(n, q, q2), cnot(q, q2)][kind]
+            [layer("h", [None] * n), layer("ry", angles), layer("rx", angles), rz(n, q, angles[0]), cz(n, q, q2)][kind]
         )
     out = run_circuit(BoundCircuit(n, tuple(gates)))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
@@ -106,14 +108,14 @@ def test_cz_is_symmetric(rng):
 
 def test_run_circuit_dimension_mismatch():
     with pytest.raises(ValueError):
-        run_circuit(BoundCircuit(2, (h(0),)), StateVector.zero(3))
+        run_circuit(BoundCircuit(2, (layer("h", [None] * 2),)), zero_state(3))
 
 
 def test_run_circuit_leaves_initial_state_untouched():
     """Snapshots of a state evolved layer by layer rely on this."""
-    state = StateVector.zero(2)
+    state = zero_state(2)
     before = state.amplitudes.copy()
-    gates = [h(0), diag(np.array([1, -1, -1, 1])), layer("ry", [0.3, -0.4]), cnot(1, 0), rx(1, 0.2)]
+    gates = [layer("h", [None] * 2), diag(np.array([1, -1, -1, 1])), layer("ry", [0.3, -0.4]), layer("rx", [0.0, 0.2])]
     assert not np.array_equal(run_circuit(BoundCircuit(2, tuple(gates)), state).amplitudes, before)
     np.testing.assert_array_equal(state.amplitudes, before)
 
@@ -128,9 +130,9 @@ def test_diag_gate_applies_vector_or_phases(rng):
 
 
 def per_qubit(name, angles):
-    """The gates a layer stands for, one per qubit."""
+    """The one-qubit gates a layer stands for, one per qubit, for `run_reference`."""
     make = {"h": lambda q, a: h(q), "ry": ry, "rx": rx}[name]
-    return tuple(make(q, a) for q, a in enumerate(angles))
+    return [make(q, a) for q, a in enumerate(angles)]
 
 
 @pytest.mark.parametrize("name", ["h", "ry", "rx"])
@@ -139,10 +141,10 @@ def test_layer_equals_its_single_qubit_gates(name, rng):
         angles = [None] * n if name == "h" else rng.uniform(-np.pi, np.pi, n).tolist()
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        want = run_circuit(BoundCircuit(n, per_qubit(name, angles)), state).amplitudes
+        want = run_reference(n, per_qubit(name, angles), state)
         assert np.array_equal(run_circuit(BoundCircuit(n, (layer(name, angles),)), state).amplitudes, want), n
         # from |0...0> a leading layer starts from its product state instead
-        want = run_circuit(BoundCircuit(n, per_qubit(name, angles))).amplitudes
+        want = run_reference(n, per_qubit(name, angles))
         assert np.array_equal(run_circuit(BoundCircuit(n, (layer(name, angles),))).amplitudes, want), n
 
 
@@ -180,8 +182,7 @@ def assert_layer_matches_the_per_qubit_steps(case):
     want = amps.copy()
     rotate_per_qubit(want, name, angles)
     n = len(angles)
-    for gates in ((layer(name, angles),), per_qubit(name, angles)):
-        assert run_circuit(BoundCircuit(n, gates), StateVector(n, amps)).amplitudes.tobytes() == want.tobytes()
+    assert run_circuit(BoundCircuit(n, (layer(name, angles),)), StateVector(n, amps)).amplitudes.tobytes() == want.tobytes()
     assert run_circuit(BoundCircuit(n, (layer(name, angles),))).amplitudes.tobytes() == product_state(name, angles).tobytes()
 
 
@@ -190,7 +191,7 @@ def assert_layer_matches_the_per_qubit_steps(case):
 @example(("ry", [0.0], SIGNED_ZERO_RY / np.linalg.norm(SIGNED_ZERO_RY)))
 @example(("rx", [0.0, -0.0], SIGNED_ZERO_RX))
 def test_layer_kernel_equals_the_per_qubit_steps_byte_for_byte(case):
-    """A layer, its single-qubit gates, and its product state from |0...0> carry the bytes of the per-qubit 2x2 steps (`tobytes`,
+    """A layer, and its product state from |0...0>, carry the bytes of the per-qubit 2x2 steps (`tobytes`,
     so signed zeros count).  The ry example is a complex state on which an ry step written as
     c*v0 - s*v1 would turn a zero's sign: that form is exact on float64 states only.  The rx
     example puts signed zeros through the four-call rx step."""
@@ -244,7 +245,7 @@ def test_a_blocked_layer_holds_one_extra_state_buffer(name, dtype, rng):
 
 def test_product_state_start_at_twenty_qubits(rng):
     angles = rng.uniform(-np.pi, np.pi, 20).tolist()
-    want = run_circuit(BoundCircuit(20, per_qubit("ry", angles))).amplitudes
+    want = run_reference(20, per_qubit("ry", angles))
     assert np.array_equal(run_circuit(BoundCircuit(20, (layer("ry", angles),))).amplitudes, want)
 
 
@@ -256,6 +257,10 @@ def test_one_qubit_layers_match_closed_forms():
     assert np.array_equal(run_circuit(BoundCircuit(1, (layer("h", [None]),))).amplitudes, [r, r])
 
 
+def test_a_step_holds_a_name_a_layers_matrices_and_a_diagonal():
+    assert Step._fields == ("name", "matrices", "diagonal")
+
+
 def test_package_keeps_only_the_gate_kinds_it_runs():
     """Every gate kind is emitted by an ansatz build or the published two-qubit circuit."""
     ising = IsingModel(3, np.ones(3), np.triu(np.ones((3, 3)), 1))
@@ -264,7 +269,7 @@ def test_package_keeps_only_the_gate_kinds_it_runs():
         build_circuit(AnsatzSpec("qaoa", n=3, p=1, ising=ising), np.zeros(2)),
         fixtures.two_qubit_circuit(0.3),
     ]
-    assert {g.name for c in circuits for g in c.gates} == {"ry", "rx", "h", "cnot", "diag"}
+    assert {g.name for c in circuits for g in c.gates} == {"ry", "rx", "h", "diag"}
 
 
 def test_real_amplitudes_stay_float64_and_others_turn_complex():
@@ -277,11 +282,11 @@ def test_real_amplitudes_stay_float64_and_others_turn_complex():
 
 
 def test_real_gates_keep_a_real_state_real(rng):
-    assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None]), ry(0, 0.3), h(1), cnot(0, 1)])
+    assert not any(g.is_complex for g in [layer("ry", [0.3, 0.4]), layer("h", [None])])
     assert not diag(np.array([1, -1], dtype=np.int8)).is_complex
-    assert all(g.is_complex for g in [layer("rx", [0.3]), rx(0, 0.3), diag(np.ones(2) + 0j)])
+    assert all(g.is_complex for g in [layer("rx", [0.3]), diag(np.ones(2) + 0j)])
     amps = rng.normal(size=8)
-    gates = [h(0), ry(1, 0.3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2), cnot(2, 1)]
+    gates = [layer("h", [None] * 3), layer("ry", [0.1, 0.2, 0.3]), diag(np.array([1, -1] * 4)), cz(3, 0, 2)]
     out = run_circuit(BoundCircuit(3, tuple(gates)), StateVector(3, amps / np.linalg.norm(amps)))
     assert out.amplitudes.dtype == np.float64
 
@@ -292,7 +297,7 @@ def test_ry_then_rx_layer_promotes_exactly(rng):
         assert run_circuit(BoundCircuit(n, (layer("ry", ry_angles),))).amplitudes.dtype == np.float64
         circuit = BoundCircuit(n, (layer("ry", ry_angles), layer("rx", rx_angles)))
         got = run_circuit(circuit).amplitudes
-        want = run_circuit(circuit, StateVector.zero(n)).amplitudes  # complex from the start
+        want = run_circuit(circuit, zero_state(n)).amplitudes  # complex from the start
         assert got.dtype == complex and np.array_equal(got, want), n
 
 
@@ -322,8 +327,9 @@ def test_a_state_owns_read_only_amplitudes_and_probabilities():
     assert StateVector(1, frozen).amplitudes is frozen  # nothing can write to it: no copy
 
 
-def test_circuits_opening_with_a_single_qubit_gate_run_from_a_fresh_zero_state():
-    """The fixture circuit's first gates work in place on |0...0>: a second run starts from it unchanged."""
+def test_repeated_runs_of_the_fixture_circuit_start_from_the_same_state():
+    """The fixture circuit's later gates work in place on its opening layer's product state: a second
+    run starts from it unchanged."""
     first, second = (run_circuit(fixtures.two_qubit_circuit(0.7)) for _ in range(2))
     assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
     np.testing.assert_allclose(first.amplitudes, fixtures.two_qubit_amplitudes(0.7), atol=1e-12)
@@ -367,7 +373,7 @@ def test_qubit_counts_are_whole_numbers_stored_as_ints():
     assert check_qubits(2.0) == 2 and type(check_qubits(2.0)) is int
     ham = DiagonalHamiltonian(2.0, np.arange(4.0))
     assert ham.n == 2 and type(ham.n) is int
-    assert type(StateVector.zero(2.0).n) is int
+    assert type(StateVector.uniform(2.0).n) is int
     for bad in (True, 2.5, "2"):
         with pytest.raises(ValueError, match="n takes integers"):
             DiagonalHamiltonian(bad, np.arange(4.0))
