@@ -15,7 +15,12 @@ exp(-i gamma * cost) is a complex diag gathered from one exp per distinct
 value of the Ising model's cached cost ranking (`cost_phases`); the Ising
 offset is a global phase and is never applied.  Every problem here has a
 diagonal cost, so the RZ/CNOT compilation a hardware backend would need is
-never built.
+never built.  A mirrored ranking (table[j] == table[~j], as in every
+field-free Ising model: maxcut, number partitioning) gathers only the 2^(n-1)
+phases of the states with qubit 0 = 0.  A run from |0...0> then evolves that
+half of the register and mirrors it into the 2^n state, with the bytes of the
+whole-register run (see `statevector`).  VQE and every other cost run on the
+whole register.
 
 Per evaluation `build_circuit` binds theta into Python-scalar 2x2 entries
 for each rotation layer (one for the shared RX angle) and the gathered cost
@@ -109,9 +114,11 @@ def _entangler(n: int, entanglement: str) -> Step:
 
 
 def cost_phases(cost: ValueRanking, gamma: float) -> np.ndarray:
-    """exp(-i gamma * cost) per basis state, read-only, gathered from one exp per distinct value."""
+    """exp(-i gamma * cost) per basis state, read-only, gathered from one exp per distinct value.
+    Of a mirrored ranking only the first half, the states with qubit 0 = 0: the state at ~j has j's phase."""
     step = np.multiply(cost.values, -1j * float(gamma))
-    phases = np.exp(step, out=step).take(cost.inverse)  # in place: a ranking can hold 2^n values
+    ranks = cost.inverse[: cost.inverse.size // 2] if cost.mirrored else cost.inverse
+    phases = np.exp(step, out=step).take(ranks)  # in place: a ranking can hold 2^n values
     phases.setflags(write=False)  # a fresh array: read-only, so a diag that holds it cannot change
     return phases
 

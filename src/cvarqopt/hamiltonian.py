@@ -19,6 +19,13 @@ import numpy as np
 from .statevector import _whole, check_qubits
 
 
+def _frozen(coefficients) -> np.ndarray:
+    """A read-only float64 copy, so a caller that writes its own array changes no problem or model."""
+    out = np.array(coefficients, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class QuboProblem:
     n: int
@@ -29,8 +36,7 @@ class QuboProblem:
     def __post_init__(self):
         if (n := _whole("n", self.n)) < 1:  # as `IsingModel` checks it
             raise ValueError(f"n must be at least 1, got {n}")
-        b = np.asarray(self.b, dtype=float)
-        A = np.asarray(self.A, dtype=float)
+        b, A = _frozen(self.b), _frozen(self.A)
         if b.shape != (n,) or A.shape != (n, n):
             raise ValueError(f"inconsistent dimensions for n={n}: b{b.shape}, A{A.shape}")
         object.__setattr__(self, "n", n)
@@ -59,8 +65,7 @@ class IsingModel:
     def __post_init__(self):
         if (n := _whole("n", self.n)) < 1:  # no upper bound: a model the simulator cannot hold may still be ranked
             raise ValueError(f"n must be at least 1, got {n}")
-        c = np.asarray(self.c, dtype=float)
-        Q = np.asarray(self.Q, dtype=float)
+        c, Q = _frozen(self.c), _frozen(self.Q)  # a copy: the ranking is cached from them
         if c.shape != (n,) or Q.shape != (n, n):
             raise ValueError(f"inconsistent dimensions for n={n}: c{c.shape}, Q{Q.shape}")
         if np.any(Q != np.triu(Q, k=1)):
@@ -83,13 +88,17 @@ class ValueRanking(NamedTuple):
     values: np.ndarray  # distinct table values, strictly increasing
     inverse: np.ndarray  # rank of each basis state: table == values[inverse]
     ground: np.ndarray  # increasing basis indices of the minimum value
+    mirrored: bool  # table[j] == table[~j] for every j, i.e. inverse == inverse[::-1]
 
 
 def _ranking(values: np.ndarray, inverse: np.ndarray) -> ValueRanking:
-    """Read-only ranking with the narrowest rank type (16 bits up to n=16): callers keep many alive."""
+    """Read-only ranking with the narrowest rank type (16 bits up to n=16): callers keep many alive.
+    Whether the table is mirror-symmetric is read off the ranks once, here."""
     inverse = inverse.astype(np.min_scalar_type(values.size - 1), copy=False)
-    ranking = ValueRanking(values, inverse, np.flatnonzero(inverse == 0))
-    for a in ranking:
+    half = inverse.size // 2  # the table holds 2^n values, n >= 1
+    mirrored = bool(np.array_equal(inverse[:half], inverse[::-1][:half]))
+    ranking = ValueRanking(values, inverse, np.flatnonzero(inverse == 0), mirrored)
+    for a in ranking[:3]:
         a.flags.writeable = False
     return ranking
 
@@ -163,13 +172,13 @@ def ising_to_hamiltonian(m: IsingModel) -> DiagonalHamiltonian:
     table without sorting it.
     """
     check_qubits(m.n)
-    values, inverse, ground = m.ranking
+    values, inverse, ground, mirrored = m.ranking
     shifted, merged = np.unique(m.offset + values, return_inverse=True)
     if not np.isfinite(shifted).all():
         raise ValueError("diagonal entries must be finite")
     if shifted.size == values.size:  # no two values merged: the ranks carry over unchanged
         shifted.flags.writeable = False
-        ranking = ValueRanking(shifted, inverse, ground)
+        ranking = ValueRanking(shifted, inverse, ground, mirrored)
     else:
         ranking = _ranking(shifted, merged[inverse])
     return DiagonalHamiltonian._from_ranking(m.n, ranking)

@@ -22,7 +22,8 @@ mode, shots) are validated by `CvarConfig`, the ansatz family by `AnsatzSpec`;
 `ExperimentConfig` builds each run shape's specs once, so it rejects up front
 a grid with a shape that no run could execute; its sizes, depths, counts,
 seed, budget and worker count must be integers, with at least one worker,
-and its alphas numbers (not bools or strings).
+its alphas numbers (not bools or strings), and no grid list may repeat a
+value (0.1 and 0.10 are one alpha).
 
 Iteration counting: one "iteration" is one objective-function evaluation
 (observable and optimizer-agnostic); normalized_iteration = evaluation/n.
@@ -237,6 +238,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown problems {unknown}; choose from {', '.join(PROBLEM_NAMES)}")
         for alpha in self.alphas:
             CvarConfig(alpha, self.mode, self.shots)
+        for name in ("problems", "sizes", "alphas", "vqe_depths", "qaoa_depths"):  # a repeat would run its keys twice
+            values = getattr(self, name)
+            if repeated := [v for k, v in enumerate(values) if v in values[:k]]:
+                raise ValueError(f"{name} repeats {repeated[0]!r}; list each value once")
         keys = _sweep_keys(self)
         if not keys:
             raise ValueError("the grid has no runs: a list or instances_per_size is empty, "

@@ -251,7 +251,7 @@ def best_support_bitstring(state: StateVector, ham: DiagonalHamiltonian) -> tupl
     tried first; the whole support is scanned only when none of them is in it.
     """
     _check_sizes(state, ham)
-    values, inverse, ground = ham.ranking
+    values, inverse, ground, _ = ham.ranking
     on_ground = state.probabilities[ground] > SUPPORT_EPS
     if on_ground.any():
         j = int(ground[np.argmax(on_ground)])

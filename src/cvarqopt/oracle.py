@@ -18,7 +18,7 @@ class GroundTruth:
 
 def enumerate_hamiltonian(ham: DiagonalHamiltonian) -> GroundTruth:
     """All 2^n basis states' values, read off the Hamiltonian's ranking (it holds only values that occur)."""
-    values, inverse, ground = ham.ranking
+    values, inverse, ground, _ = ham.ranking
     histogram = dict(zip(values.tolist(), np.bincount(inverse, minlength=values.size).tolist()))
     return GroundTruth(min_value=float(values[0]), minimizers=tuple(ground.tolist()), histogram=histogram)
 

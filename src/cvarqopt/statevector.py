@@ -35,6 +35,22 @@ form a step takes:
 So every amplitude gets the products and sums of the per-qubit 2x2 steps, in
 qubit order, whatever the path.
 
+A qaoa circuit run from |0...0> whose cost diags hold 2^(n-1) phases runs on
+half the register.  `ansatz.cost_phases` binds a cost that way when its table
+is mirror-symmetric, table[j] == table[~j] (every field-free Ising model, such
+as maxcut or number partitioning), keeping the phases of the states with
+qubit 0 = 0.  The H start, those phases and rx commute with the global flip,
+and bit for bit: amplitudes j and ~j get the same two products, added in
+swapped order, so amplitude(~j) = amplitude(j) after every step.  So the run
+starts from the first half of the cached H state and applies each diag to the
+half.  In each rx layer, qubit 0's step pairs v[j] with its mirror v[H-1-j]
+(`_fold`): b*v and a*v are taken on the contiguous half as the whole step
+takes them, and only the add reads the reversed view, so
+even = fl(a*v[j]) + fl(b*v[H-1-j]) holds the whole step's bytes.  The other
+n - 1 steps are `_rotate` on the half.  The run ends by mirroring
+the half into 2^n amplitudes.  A run from a given state takes the whole
+register and expands a half diag to its 2^n phases (d[~j] = d[j]) first.
+
 One interpreter (`_run`) runs a `BoundCircuit` of `Step`s on one state, a
 1-D array (`run_circuit`).  A step holds three fields: name, a rotation
 layer's 2x2 entries per qubit (`matrices`, Python scalars) and a diag's
@@ -259,17 +275,34 @@ def checked_state(n: int, amps: np.ndarray) -> StateVector:
     return state
 
 
-def _apply(amps: np.ndarray, gate) -> np.ndarray:
-    """Apply the step to the amplitudes; returns the result and leaves `amps` overwritten."""
+def _fold(amps: np.ndarray, m) -> np.ndarray:
+    """Qubit 0's step of an rx layer ((a, b), (b, a)) on the half with qubit 0 = 0 of a mirrored state,
+    where v[j + H] is v[H-1-j]: even = a*v[j] + b*v[H-1-j], the products taken on the contiguous half."""
+    (a, b), _ = m
+    spare = np.multiply(b, amps)
+    np.multiply(a, amps, out=amps)
+    return np.add(amps, spare[::-1], out=amps)
+
+
+def _apply(amps: np.ndarray, gate, mirrored: bool) -> np.ndarray:
+    """Apply the step to the amplitudes, the half with qubit 0 = 0 of a mirrored state if `mirrored`;
+    returns the result and leaves `amps` overwritten."""
     if gate.name == "diag":
-        amps *= gate.diagonal
+        diagonal = gate.diagonal
+        if diagonal.size < amps.size:  # a mirrored cost's half on a whole state: the phase at ~j is j's
+            diagonal = np.concatenate((diagonal, diagonal[::-1]))
+        amps *= diagonal
         return amps
+    if mirrored:
+        return _rotate(_fold(amps, gate.matrices[0]), gate.name, gate.matrices[1:])
     return _rotate(amps, gate.name, gate.matrices)
 
 
 def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
-    """Apply the circuit's gates in order to the (2^n,) `amps`, left overwritten, or else to |0...0>."""
+    """Apply the circuit's gates in order to the (2^n,) `amps`, left overwritten, or else to |0...0>
+    (a qaoa circuit of a mirrored cost on the half with qubit 0 = 0, mirrored into 2^n at the end)."""
     gates, n = circuit.gates, circuit.n
+    mirrored = False
     if amps is None:
         first = gates[0] if gates else None
         if first is None or first.name not in _ROTATIONS:
@@ -277,13 +310,15 @@ def _run(circuit: BoundCircuit, amps: np.ndarray | None) -> np.ndarray:
         else:  # start from the opening layer's product state
             gates = gates[1:]
             amps = _hadamard_start(n) if first.name == "h" else _product_state(first.matrices)
+            if first.name == "h" and gates and gates[0].name == "diag" and 2 * gates[0].diagonal.size == amps.size:
+                mirrored, amps = True, amps[: amps.size // 2]
         if not amps.flags.writeable and not (gates and gates[0].is_complex):  # else the cast below copies it
             amps = amps.copy()
     for gate in gates:
         if gate.is_complex and amps.dtype != complex:
             amps = amps.astype(complex)  # exact: the imaginary parts start at zero
-        amps = _apply(amps, gate)
-    return amps
+        amps = _apply(amps, gate, mirrored)
+    return np.concatenate((amps, amps[::-1])) if mirrored else amps
 
 
 def run_circuit(circuit: BoundCircuit, initial: StateVector | None = None) -> StateVector:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvarqopt import harness
+from cvarqopt import harness, statevector
 from cvarqopt.ansatz import trial_state
 from cvarqopt.hamiltonian import DiagonalHamiltonian, IsingModel, QuboProblem
 from cvarqopt.objective import OutcomeDistribution, cvar_exact, outcome_distribution
@@ -97,3 +97,11 @@ def portfolio_runs_fail(monkeypatch):
         return generate(spec)
 
     monkeypatch.setattr(harness, "generate", failing)
+
+
+def rotated_sizes(monkeypatch) -> list:
+    """Record the size of every array a rotation layer is applied to from now on."""
+    sizes, rotate = [], statevector._rotate
+    monkeypatch.setattr(statevector, "_rotate", lambda amps, name, matrices: sizes.append(amps.size)
+                        or rotate(amps, name, matrices))
+    return sizes

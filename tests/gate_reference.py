@@ -22,6 +22,8 @@ can check the whole-register gates against them:
   coupling;
 - `spin_cost`: the cost (offset excluded) of every basis state, summed
   spin by spin;
+- `full_diagonal`: a diag's 2^n entries, a mirrored cost's half diag
+  (the states with qubit 0 = 0) followed by its mirror image;
 - `apply_matrix`, `rotate_per_qubit` and `product_state`: a 2x2 matrix on
   one qubit in place, a rotation layer applied that way one qubit at a time,
   and a layer's product state from |0...0> built as an iterated outer
@@ -65,6 +67,13 @@ def diag(d) -> Step:
 
 def layer(name: str, angles) -> Step:
     return Step(name, [_entries(name, angle) for angle in angles])
+
+
+def full_diagonal(n: int, d) -> np.ndarray:
+    """A diag's 2^n entries: a mirrored cost's half (the states with qubit 0 = 0) followed by its
+    mirror image, since the entry at ~j is j's, and any other diagonal as it is."""
+    d = np.asarray(d)
+    return d if d.size == 2**n else np.concatenate((d, d[::-1]))
 
 
 def zero_state(n: int) -> StateVector:
@@ -130,14 +139,15 @@ def product_state(name: str, angles) -> np.ndarray:
 def run_reference(n: int, gates, initial: StateVector | None = None) -> np.ndarray:
     """The (2^n,) amplitudes the gates give, in order, from a copy of `initial` or else from complex
     |0...0>: a one-qubit `Gate` and a rotation layer's qubits (qubit 0 first) through `apply_matrix`,
-    a cnot as a flip of its target where the control is set, and a diag as a product.  The state
-    turns complex up front if any gate is complex."""
+    a cnot as a flip of its target where the control is set, and a diag as a product (a mirrored
+    cost's half diag through `full_diagonal`).  The state turns complex up front if any gate is
+    complex."""
     amps = zero_state(n).amplitudes.copy() if initial is None else initial.amplitudes.copy()
     if any(g.name == "rx" or g.name == "diag" and g.diagonal.dtype.kind == "c" for g in gates):
         amps = amps.astype(complex)
     for g in gates:
         if g.name == "diag":
-            amps *= g.diagonal
+            amps *= full_diagonal(n, g.diagonal)
         elif g.name == "cnot":
             c, t = g.qubits
             on = np.flatnonzero(bit(n, c))

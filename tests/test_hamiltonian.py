@@ -188,4 +188,25 @@ def test_ising_keeps_its_cost_diagonal_as_a_ranking():
     assert ising.ranking is ising.ranking
     table = _spin_table(ising.n, ising.c, ising.Q)
     assert np.array_equal(table, ising.ranking.values[ising.ranking.inverse])
-    assert all(not a.flags.writeable for a in ising.ranking)
+    assert all(not a.flags.writeable for a in ising.ranking[:3])  # the arrays; then the mirrored flag
+
+
+def test_a_model_and_a_qubo_keep_read_only_copies_of_the_callers_arrays():
+    """Writing the arrays a model was built from changes neither the model nor its cached ranking."""
+    c, Q = np.zeros(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    model = IsingModel(3, c, Q)
+    assert model.ranking.values.tolist() == [-6.0, -2.0, 2.0, 6.0] and model.ranking.mirrored
+    c[0], Q[0, 1] = 5.0, 9.0
+    assert model.c.tolist() == [0.0, 0.0, 0.0] and model.Q[0, 1] == 1.0
+    assert model.ranking.values.tolist() == [-6.0, -2.0, 2.0, 6.0] and model.ranking.mirrored
+    assert ising_to_hamiltonian(model).ranking.values.tolist() == [-6.0, -2.0, 2.0, 6.0]
+    assert not IsingModel(3, c, Q).ranking.mirrored  # what the written arrays would have given
+    b, A = np.array([1.0, -1.0]), np.eye(2)
+    qubo = QuboProblem(2, b, A)
+    b[0], A[1, 1] = 7.0, 3.0
+    assert qubo.b.tolist() == [1.0, -1.0] and qubo.A.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    for owner, name in ((model, "c"), (model, "Q"), (qubo, "b"), (qubo, "A")):
+        array = getattr(owner, name)
+        assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import multiprocessing
 
@@ -492,6 +493,23 @@ def test_config_rejects_a_grid_with_no_runs(change):
 def test_config_rejects_a_run_shape_no_run_can_execute(change, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{**TINY, **change})
+
+
+@pytest.mark.parametrize("field, values, repeated", [
+    ("problems", ("maxcut", "portfolio", "maxcut"), "'maxcut'"),
+    ("sizes", (4, 4), "4"),
+    ("sizes", (4, 4.0), "4"),
+    ("alphas", (0.1, 0.25, 0.10), "0.1"),
+    ("vqe_depths", (1, 0, 1), "1"),
+    ("qaoa_depths", (2, 2), "2"),
+])
+def test_config_rejects_a_repeated_grid_value(field, values, repeated):
+    """A repeated value would run each of its grid keys twice and write its rows twice."""
+    message = f"{field} repeats {repeated}; list each value once"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{**TINY, field: values})
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(json.dumps({**TINY, field: list(values)}))
 
 
 def test_config_takes_integral_floats_as_integers():

@@ -3,6 +3,7 @@ library's export list.  The benchmark traces the package by replacing module
 attributes (see `perfbench/tracing.py`); these tests keep the names it wraps
 alive and check that the package still reaches the simulator through them."""
 import ast
+import hashlib
 import importlib
 import importlib.util
 from collections import Counter
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import cvarqopt
+from conftest import rotated_sizes
 from cvarqopt import ansatz, flatness, hamiltonian, harness, objective, oracle, statevector
 from cvarqopt.problems import InstanceSpec, generate
 
@@ -209,3 +211,46 @@ def test_run_single_checks_no_gate_per_evaluation(monkeypatch, algo, p):
         setups.append(dict(counts))
     assert setups[0] == setups[1] == ({"entangler_signs": 1, "_spin_table": 1} if algo == "vqe"
                                       else {"_spin_table": 1})
+
+
+@pytest.mark.parametrize("problem, algo, half", [
+    ("maxcut", "qaoa", True), ("partition", "qaoa", True), ("portfolio", "qaoa", False),
+    ("maxcut", "vqe", False), ("partition", "vqe", False), ("portfolio", "vqe", False),
+])
+def test_one_evaluation_rotates_half_the_register_only_for_a_mirrored_qaoa_cost(monkeypatch, problem, algo, half):
+    """The fast path's guard: at n=16 each rotation layer of a maxcut or partition qaoa evaluation
+    turns 2^15 amplitudes, and portfolio qaoa and every vqe evaluation turn 2^16."""
+    n, p = 16, 2
+    ising = hamiltonian.qubo_to_ising(generate(InstanceSpec(problem, n, seed=1)))
+    spec = ansatz.AnsatzSpec(algo, n=n, p=p, ising=ising if algo == "qaoa" else None)
+    objective = harness.make_objective(hamiltonian.ising_to_hamiltonian(ising),
+                                       lambda t: ansatz.build_circuit(spec, t), 0.1)
+    sizes = rotated_sizes(monkeypatch)
+    objective(np.random.default_rng(0).uniform(-np.pi, np.pi, spec.parameter_count))
+    assert sizes == [2 ** (n - 1) if half else 2**n] * p  # the opening layer is a product state
+
+
+def flatness_digest(n: int, p: int) -> str:
+    """SHA-256 of a maxcut instance's flatness snapshots and report figures."""
+    ham = hamiltonian.qubo_to_hamiltonian(generate(InstanceSpec("maxcut", n, seed=1)))
+    betas, gammas = np.random.default_rng([n, p]).uniform(-np.pi, np.pi, (2, p))
+    digest = hashlib.sha256()
+    for amps in flatness.qaoa_snapshots(ham, betas, gammas):
+        digest.update(amps.tobytes())
+    rep = flatness.flatness_report(ham, betas, gammas)
+    digest.update(np.array([rep.delta, *rep.delta_per_layer, rep.max_abs_amplitude, rep.bound_value]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n, p, sha256", [
+    (10, 1, "464baaab76d4e56a71ba3353b82a348cc47ded7e45cd7a6f282334bf90a27d19"),
+    (10, 2, "7d22ea74a9c758efd3e7ea7229d0921358f3bc875c35122a0b170097edb9c700"),
+    (16, 1, "da6fd1961397692f9a711e051d250287187818cca7812e92384008775f9bc708"),
+    (16, 2, "657d9859b86e88af32d6539da0584ac4f5c5d82942cc743d3f40d2df2c989013"),
+])
+def test_flatness_keeps_the_whole_register_path_and_its_bytes(monkeypatch, n, p, sha256):
+    """Flatness evolves each layer from a given state, so it turns the whole register, and its bytes
+    are the whole-register evolution's, pinned for one numpy build and CPU as the golden digest is."""
+    sizes = rotated_sizes(monkeypatch)
+    assert flatness_digest(n, p) == sha256
+    assert set(sizes) == {2**n}
